@@ -6,7 +6,6 @@ convergence and feasibility bounds, projection baselines, a high-accuracy
 interior-point reference, and a benchmark harness.
 """
 
-from ._kernels import NUMBA_ENABLED
 from .baselines import eg_run, gda_run, project_simplex
 from .cgm_min import MinSolverConfig, MinTrace, cgm_min_run, cgm_min_step
 from .cgm_vi import VISolverConfig, VITrace, cgm_vi_run, ergodic_average
@@ -37,7 +36,6 @@ from .reference import solve_rap_reference
 __version__ = "0.1.0"
 
 __all__ = [
-    "NUMBA_ENABLED",
     "BoundsReport",
     "ExperimentConfig",
     "HalfspaceRow",

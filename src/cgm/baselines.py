@@ -9,19 +9,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import simplex_project
-
 
 class UnsupportedConstraintSet(Exception):
     """Baselines only handle problems whose feasible set is simplex blocks."""
 
 
 def project_simplex(y):
-    """Euclidean projection of y onto {x >= 0, sum(x) = 1}."""
-    y = np.ascontiguousarray(y, dtype=float)
+    """Euclidean projection of y onto {x >= 0, sum(x) = 1} by sort and threshold."""
+    y = np.asarray(y, dtype=float)
     if not np.all(np.isfinite(y)):
         raise ValueError("y must be finite")
-    return simplex_project(y)
+    u = np.sort(y)[::-1]
+    css = np.cumsum(u)
+    rho = np.nonzero(u > (css - 1.0) / np.arange(1.0, y.size + 1.0))[0][-1]
+    tau = (css[rho] - 1.0) / (rho + 1.0)
+    return np.maximum(y - tau, 0.0)
 
 
 @dataclass(frozen=True)

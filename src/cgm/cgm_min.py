@@ -8,7 +8,7 @@ eta_t = 1/(mu (t + kappa)).
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -78,14 +78,14 @@ def cgm_min_step(problem, x, alpha, eta, qp_tol=1e-10):
     violated = violated_set(problem.constraints, x)
     if not violated:
         v = -grad
-        diag = {"violated": 0, "qp_iterations": 0, "kkt_residual": 0.0}
+        diag = {"violated": 0, "n_active": 0, "kkt_residual": 0.0}
     else:
         polytope = build_polytope(problem.constraints, x, alpha)
         result = project_velocity(grad, polytope, tol=qp_tol)
         v = result.v
         diag = {
             "violated": len(violated),
-            "qp_iterations": result.iterations,
+            "n_active": result.n_active,
             "kkt_residual": result.kkt_residual,
         }
     return x + eta * v, v, diag

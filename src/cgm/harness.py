@@ -3,14 +3,12 @@
 A config names one problem family and a list of horizons; running it produces
 one CSV per (solver, horizon) cell, each with a fixed column set and one row
 per iteration. Certificate reports are appended when bound checking is on.
-Cells may run in parallel (CGM_WORKERS); files are written via atomic rename.
+Cells run serially; files are written via atomic rename.
 """
 
-import math
 import os
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +21,6 @@ from .problems import hbg_instantiate, rap_generate, rap_unconstrained_min
 from .reference import solve_rap_reference
 
 GDA_ETA = 0.005
-WORKERS_ENV = "CGM_WORKERS"
 
 
 class ParseError(Exception):
@@ -232,7 +229,7 @@ def _run_baseline_cell(config, horizon, problem, label, runner, eta):
 def run_experiment(config):
     """Execute every (solver, horizon) cell; returns a summary dict.
 
-    Summary fields: files (paths in completion order), reports (per file when
+    Summary fields: files (paths in cell order), reports (per file when
     bound checking was requested), all_pass, exit_code (nonzero iff a bound
     certificate failed while check_bounds was set).
     """
@@ -259,22 +256,12 @@ def run_experiment(config):
                     (_run_baseline_cell, (config, horizon, problem, "eg", eg_run, eg_eta))
                 )
 
-    workers = int(os.environ.get(WORKERS_ENV, "1"))
     results = []
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(fn, *args) for fn, args in cells]
-            for fut, (fn, args) in zip(futures, cells):
-                try:
-                    results.append(fut.result())
-                except Exception as exc:
-                    raise RuntimeError(f"cell {args[1]} failed: {exc}") from exc
-    else:
-        for fn, args in cells:
-            try:
-                results.append(fn(*args))
-            except Exception as exc:
-                raise RuntimeError(f"cell {args[1]} failed: {exc}") from exc
+    for fn, args in cells:
+        try:
+            results.append(fn(*args))
+        except Exception as exc:
+            raise RuntimeError(f"cell {args[1]} failed: {exc}") from exc
 
     files = [str(path) for path, _ in results]
     reports = {str(path): report for path, report in results if report is not None}

@@ -5,7 +5,7 @@ with the same seed are bit-identical. All constraints expose value/gradient
 oracles plus a smoothness constant (0 for affine rows).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np

@@ -1,8 +1,8 @@
 """Least-distance projection onto a small polytope of halfspace rows.
 
-Solves min_{v : A v <= b} ||v + c||^2 through its nonnegatively constrained
-dual (Gram form), plus an exhaustive active-set oracle and a KKT checker used
-to certify every solution.
+Solves min_{v : A v <= b} ||v + c||^2 as a least-distance program, reduced to
+one nonnegative least-squares solve (Lawson & Hanson, 1974, ch. 23), plus an
+exhaustive active-set oracle and a KKT checker used to certify every solution.
 """
 
 from dataclasses import dataclass
@@ -10,8 +10,6 @@ from itertools import combinations
 
 import numpy as np
 from scipy.optimize import nnls
-
-from ._kernels import OK, UNBOUNDED, nonneg_dual_solve
 
 
 def _recover_duals(a, b, c, v):
@@ -36,7 +34,7 @@ class Infeasible(QpError):
 
 
 class MaxIterations(QpError):
-    """The dual active-set loop stalled; retry with a looser tolerance."""
+    """The NNLS solve stalled or its answer failed the KKT gate."""
 
 
 @dataclass(frozen=True)
@@ -85,7 +83,7 @@ class ProjectionResult:
     v: np.ndarray
     dual: np.ndarray
     kkt_residual: float
-    iterations: int
+    n_active: int
 
 
 def _active_rows(polytope):
@@ -103,8 +101,11 @@ def _active_rows(polytope):
 def project_velocity(target, polytope, tol=1e-10):
     """Project -target onto the polytope; certify the KKT system of the result.
 
-    Raises Infeasible when the dual is unbounded (empty polytope interior) and
-    MaxIterations when the active-set loop stalls.
+    The least-distance program min ||u|| s.t. -A u >= lin, u = v + c, with
+    lin = -A c - b, is solved as one NNLS problem over E = [-A'; lin'] and
+    f = e_{n+1}; the residual's last entry gives the scale of the multipliers.
+    Raises Infeasible when that scale vanishes (empty polytope) and
+    MaxIterations when the NNLS solve stalls or the result fails the KKT gate.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -117,29 +118,29 @@ def project_velocity(target, polytope, tol=1e-10):
     v0 = -c
     a_full, b_full = polytope.matrix()
     if not keep or np.all(a_full[keep] @ v0 <= b_full[keep]):
-        result = ProjectionResult(v=v0, dual=dual, kkt_residual=0.0, iterations=0)
+        result = ProjectionResult(v=v0, dual=dual, kkt_residual=0.0, n_active=0)
         return ProjectionResult(
             v=v0,
             dual=dual,
             kkt_residual=kkt_residual_qp(result, c, polytope),
-            iterations=0,
+            n_active=0,
         )
 
     a = a_full[keep]
     b = b_full[keep]
     gram = a @ a.T
     lin = -a @ c - b
-    max_iter = 50 * (len(keep) + 1)
-    lam, status, iters = nonneg_dual_solve(gram, lin, tol, max_iter)
-    if status != OK:
-        # degenerate instance: fall back to the exhaustive oracle when small
-        if len(keep) <= 16:
-            v = brute_force_projection(c, polytope)  # raises Infeasible if empty
-            lam = _recover_duals(a, b, c, v)
-        elif status == UNBOUNDED:
-            raise Infeasible("dual unbounded: velocity polytope is empty")
-        else:
-            raise MaxIterations(f"no convergence within {max_iter} iterations")
+    e = np.vstack([-a.T, lin])
+    f = np.zeros(e.shape[0])
+    f[-1] = 1.0
+    try:
+        y, _ = nnls(e, f, maxiter=50 * (len(keep) + 1))
+    except RuntimeError as exc:
+        raise MaxIterations(str(exc)) from exc
+    denom = 1.0 - lin @ y  # squared NNLS residual norm; zero iff the polytope is empty
+    if denom <= DEGENERATE_NORMAL:
+        raise Infeasible("least-distance residual vanished: velocity polytope is empty")
+    lam = y / denom
 
     # polish: exact least-squares resolve on the identified active set
     active = np.where(lam > 0)[0]
@@ -152,20 +153,20 @@ def project_velocity(target, polytope, tol=1e-10):
 
     v = -c - a.T @ lam
     dual[keep] = lam
-    result = ProjectionResult(v=v, dual=dual, kkt_residual=0.0, iterations=iters)
+    result = ProjectionResult(v=v, dual=dual, kkt_residual=0.0, n_active=0)
     residual = kkt_residual_qp(result, c, polytope)
     gate = max(tol, 1e3 * tol * (1.0 + np.linalg.norm(c)))
     if residual > gate and len(keep) <= 16:
         # near-degenerate active set: redo with the exhaustive oracle
         v = brute_force_projection(c, polytope)
-        lam = _recover_duals(a, b, c, v)
         dual = np.zeros(len(polytope.rows))
-        dual[keep] = lam
-        result = ProjectionResult(v=v, dual=dual, kkt_residual=0.0, iterations=iters)
+        dual[keep] = _recover_duals(a, b, c, v)
+        result = ProjectionResult(v=v, dual=dual, kkt_residual=0.0, n_active=0)
         residual = kkt_residual_qp(result, c, polytope)
     if residual > gate:
         raise MaxIterations(f"KKT residual {residual:.3e} above tolerance")
-    return ProjectionResult(v=v, dual=dual, kkt_residual=residual, iterations=iters)
+    n_active = int(np.count_nonzero(dual > 0))
+    return ProjectionResult(v=v, dual=dual, kkt_residual=residual, n_active=n_active)
 
 
 def brute_force_projection(target, polytope):

@@ -8,11 +8,10 @@ from the recovered multipliers.
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from ._kernels import simplex_project
+from .baselines import project_simplex
 
 
 class BarrierFailure(Exception):
@@ -51,7 +50,7 @@ def _interior_start(data, steps=400):
         lin = float(data.r @ x) - data.Rmax
         quad = float(x @ data.E @ x) - data.Emax
         grad = data.r if lin >= quad else 2.0 * (data.E @ x)
-        x = simplex_project(np.ascontiguousarray(x - 0.5 / k * grad))
+        x = project_simplex(x - 0.5 / k * grad)
         val = max(float(data.r @ x) - data.Rmax, float(x @ data.E @ x) - data.Emax)
         if val < best_val:
             best, best_val = x, val
@@ -271,30 +270,3 @@ def solve_rap_reference(data, tol=1e-10, barrier_decrease=10.0):
     cert = kkt_residual(data, x, multipliers)
     f_star = 0.5 * float(x @ data.Sigma @ x) + float(data.a @ x)
     return x, f_star, cert
-
-
-def cache_path(base_dir, d, seed):
-    return Path(base_dir) / f"rap_reference_d{d}_seed{seed}.txt"
-
-
-def save_reference(path, x_star, f_star):
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [f"f_star {f_star:.17g}"]
-    lines += [f"x {value:.17g}" for value in x_star]
-    path.write_text("\n".join(lines) + "\n")
-
-
-def load_reference(path):
-    path = Path(path)
-    if not path.exists():
-        return None
-    f_star = None
-    xs = []
-    for line in path.read_text().splitlines():
-        key, value = line.split()
-        if key == "f_star":
-            f_star = float(value)
-        else:
-            xs.append(float(value))
-    return np.array(xs), f_star

@@ -1,7 +1,10 @@
-"""Projection baselines: simplex projection wrapper, GDA and EG dynamics."""
+"""Projection baselines: simplex projection, GDA and EG dynamics."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from cgm.baselines import (
     SimplexProjector,
@@ -13,7 +16,43 @@ from cgm.baselines import (
 from cgm.problems import hbg_instantiate, rap_generate
 
 
+def _simplex_oracle(y):
+    # brute-force the KKT threshold by scanning supports of the largest entries
+    n = y.size
+    order = np.argsort(y)[::-1]
+    best = None
+    for k in range(1, n + 1):
+        support = order[:k]
+        tau = (np.sum(y[support]) - 1.0) / k
+        x = np.maximum(y - tau, 0.0)
+        if np.all(x[support] >= -1e-15) and abs(np.sum(x) - 1.0) <= 1e-9:
+            cand = x
+            if best is None or np.linalg.norm(cand - y) < np.linalg.norm(best - y):
+                best = cand
+    return best
+
+
 class TestProjectSimplex:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        hnp.arrays(
+            dtype=np.float64,
+            shape=st.integers(min_value=1, max_value=12),
+            elements=st.floats(min_value=-50, max_value=50),
+        )
+    )
+    def test_simplex_projection_matches_oracle(self, y):
+        x = project_simplex(y)
+        oracle = _simplex_oracle(y)
+        assert abs(float(np.sum(x)) - 1.0) <= 1e-9
+        assert float(np.min(x)) >= 0.0
+        np.testing.assert_allclose(x, oracle, atol=1e-9)
+
+    def test_simplex_projection_idempotent_on_vertices(self):
+        e = np.zeros(5)
+        e[2] = 1.0
+        np.testing.assert_allclose(project_simplex(e.copy()), e, atol=1e-12)
+
     def test_already_on_simplex(self):
         x = np.array([0.2, 0.3, 0.5])
         np.testing.assert_allclose(project_simplex(x), x, atol=1e-12)

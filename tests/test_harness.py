@@ -1,6 +1,5 @@
 """Config parsing, experiment orchestration, CSV/SVG emission."""
 
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -122,23 +121,6 @@ class TestRunExperiment:
             return ["\n".join(line.split(",")[:-1]) for line in lines]
 
         assert strip_wall(run_to("a")) == strip_wall(run_to("b"))
-
-    def test_parallel_workers_match_serial(self, tmp_path):
-        config_kwargs = dict(problem="rap", horizons=(40, 60), d=8, seed=3)
-        serial = run_experiment(
-            ExperimentConfig(out_dir=str(tmp_path / "s"), **config_kwargs)
-        )
-        os.environ["CGM_WORKERS"] = "2"
-        try:
-            parallel = run_experiment(
-                ExperimentConfig(out_dir=str(tmp_path / "p"), **config_kwargs)
-            )
-        finally:
-            del os.environ["CGM_WORKERS"]
-        for ps, pp in zip(sorted(serial["files"]), sorted(parallel["files"])):
-            s_rows = [l.rsplit(",", 1)[0] for l in Path(ps).read_text().splitlines()]
-            p_rows = [l.rsplit(",", 1)[0] for l in Path(pp).read_text().splitlines()]
-            assert s_rows == p_rows
 
 
 class TestPlots:

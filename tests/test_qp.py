@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cgm.cgm_min import MinSolverConfig, cgm_min_run
+from cgm.problems import build_polytope, rap_generate
 from cgm.qp import (
     HalfspaceRow,
     Infeasible,
@@ -24,6 +26,18 @@ def random_instance(rng, n, m):
     return c, VelocityPolytope(rows=rows, dimension=n)
 
 
+def degenerate_instance(rng, n, m):
+    # one exact duplicate and one near-parallel copy: the Gram matrix is singular
+    a = rng.standard_normal((m, n))
+    b = rng.standard_normal(m)
+    i, j = rng.integers(0, m, size=2)
+    a = np.vstack([a, a[i], a[j] + 1e-6 * rng.standard_normal(n)])
+    b = np.append(b, [b[i], b[j] + 1e-6 * rng.standard_normal()])
+    c = rng.standard_normal(n)
+    rows = tuple(HalfspaceRow(normal=a[k], rhs=b[k]) for k in range(m + 2))
+    return c, VelocityPolytope(rows=rows, dimension=n)
+
+
 def test_no_rows_returns_negated_target():
     polytope = VelocityPolytope(rows=(), dimension=3)
     c = np.array([1.0, -2.0, 0.5])
@@ -37,7 +51,7 @@ def test_inactive_rows_fast_path():
     polytope = VelocityPolytope(rows=rows, dimension=2)
     result = project_velocity(np.array([-1.0, 2.0]), polytope)
     np.testing.assert_allclose(result.v, [1.0, -2.0])
-    assert result.iterations == 0
+    assert result.n_active == 0
 
 
 def test_single_active_row_projection():
@@ -57,6 +71,18 @@ def test_infeasible_pair_raises():
     polytope = VelocityPolytope(rows=rows, dimension=1)
     with pytest.raises(Infeasible):
         project_velocity(np.array([0.0]), polytope)
+
+
+def test_empty_polytope_beyond_oracle_size_raises():
+    # 20 rows, more than the oracle fallback handles; v_0 <= -1 and v_0 >= 1 clash
+    rng = np.random.default_rng(5)
+    n = 6
+    rows = [HalfspaceRow(normal=normal, rhs=5.0) for normal in rng.standard_normal((18, n))]
+    e0 = np.eye(n)[0]
+    rows += [HalfspaceRow(normal=e0, rhs=-1.0), HalfspaceRow(normal=-e0, rhs=-1.0)]
+    polytope = VelocityPolytope(rows=tuple(rows), dimension=n)
+    with pytest.raises(Infeasible):
+        project_velocity(rng.standard_normal(n), polytope)
 
 
 def test_zero_normal_negative_rhs_rejected():
@@ -90,19 +116,20 @@ def test_bad_tolerance_rejected():
 
 
 def test_oracle_equivalence_batch():
-    rng = np.random.default_rng(7)
-    for _ in range(300):
-        n = int(rng.integers(1, 5))
-        m = int(rng.integers(1, 7))
-        c, polytope = random_instance(rng, n, m)
-        try:
-            fast = project_velocity(c, polytope)
-        except Infeasible:
-            with pytest.raises(Infeasible):
-                brute_force_projection(c, polytope)
-            continue
-        oracle = brute_force_projection(c, polytope)
-        assert np.max(np.abs(fast.v - oracle)) <= 1e-8
+    for make_instance in (random_instance, degenerate_instance):
+        rng = np.random.default_rng(7)
+        for _ in range(300):
+            n = int(rng.integers(1, 5))
+            m = int(rng.integers(1, 7))
+            c, polytope = make_instance(rng, n, m)
+            try:
+                fast = project_velocity(c, polytope)
+            except Infeasible:
+                with pytest.raises(Infeasible):
+                    brute_force_projection(c, polytope)
+                continue
+            oracle = brute_force_projection(c, polytope)
+            assert np.max(np.abs(fast.v - oracle)) <= 1e-8
 
 
 @settings(max_examples=120, deadline=None)
@@ -139,14 +166,14 @@ def test_kkt_residual_flags_wrong_dual():
     rows = (HalfspaceRow(normal=np.array([1.0, 0.0]), rhs=0.0),)
     polytope = VelocityPolytope(rows=rows, dimension=2)
     bogus = ProjectionResult(
-        v=np.zeros(2), dual=np.array([5.0]), kkt_residual=0.0, iterations=0
+        v=np.zeros(2), dual=np.array([5.0]), kkt_residual=0.0, n_active=0
     )
     assert kkt_residual_qp(bogus, np.array([-1.0, 0.0]), polytope) > 1.0
 
 
 def test_kkt_residual_rejects_wrong_dual_length():
     polytope = VelocityPolytope(rows=(), dimension=2)
-    bad = ProjectionResult(v=np.zeros(2), dual=np.ones(3), kkt_residual=0.0, iterations=0)
+    bad = ProjectionResult(v=np.zeros(2), dual=np.ones(3), kkt_residual=0.0, n_active=0)
     with pytest.raises(ValueError):
         kkt_residual_qp(bad, np.zeros(2), polytope)
 
@@ -163,3 +190,22 @@ def test_duals_are_nonnegative_and_complementary():
         a, b = polytope.matrix()
         slack = a @ result.v - b
         assert np.max(np.abs(result.dual * slack)) <= 1e-6
+
+
+def test_large_rap_polytopes_pass_kkt_gate():
+    # d=200 RAP steps violate well over 16 rows, where no oracle fallback exists
+    problem = rap_generate(200, seed=0)
+    trace = cgm_min_run(problem, MinSolverConfig(horizon=20, schedule="varying"))
+    tol = 1e-10
+    large = 0
+    for x in trace.xs[:-1]:
+        polytope = build_polytope(problem.constraints, x, trace.alpha)
+        if len(polytope.rows) <= 16:
+            continue
+        large += 1
+        c = problem.grad_f(x)
+        result = project_velocity(c, polytope, tol=tol)
+        gate = max(tol, 1e3 * tol * (1.0 + np.linalg.norm(c)))
+        assert kkt_residual_qp(result, c, polytope) <= gate
+        assert result.n_active == np.count_nonzero(result.dual > 0)
+    assert large >= 10

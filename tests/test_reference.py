@@ -1,4 +1,4 @@
-"""Interior-point reference solve: certificate quality and caching."""
+"""Interior-point reference solve: start point and certificate quality."""
 
 import numpy as np
 import pytest
@@ -7,10 +7,7 @@ from cgm.problems import rap_generate
 from cgm.reference import (
     StartInfeasible,
     _interior_start,
-    cache_path,
     kkt_residual,
-    load_reference,
-    save_reference,
     solve_rap_reference,
 )
 
@@ -58,17 +55,3 @@ class TestSolve:
         x = np.array(rap_problem.x0)
         with pytest.raises(ValueError):
             kkt_residual(rap_problem.data, x, (np.zeros(3), 0.0))
-
-
-class TestCache:
-    def test_round_trip(self, tmp_path, rap_reference):
-        path = cache_path(tmp_path, 50, 42)
-        save_reference(path, rap_reference["x_star"], rap_reference["f_star"])
-        loaded = load_reference(path)
-        assert loaded is not None
-        x_loaded, f_loaded = loaded
-        np.testing.assert_array_equal(x_loaded, rap_reference["x_star"])
-        assert f_loaded == rap_reference["f_star"]
-
-    def test_missing_file_returns_none(self, tmp_path):
-        assert load_reference(tmp_path / "nope.txt") is None
