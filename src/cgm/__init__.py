@@ -10,9 +10,10 @@ from .baselines import eg_run, gda_run, project_simplex
 from .cgm_min import MinSolverConfig, MinTrace, cgm_min_run, cgm_min_step
 from .cgm_vi import VISolverConfig, VITrace, cgm_vi_run, ergodic_average
 from .harness import ExperimentConfig, parse_config, run_experiment
-from .metrics import BoundsReport, certify_min, certify_vi, max_violation
+from .metrics import BoundsReport, certify_min, certify_vi
 from .plots import emit_plots, render_line_chart
 from .problems import (
+    ConstraintSet,
     MinProblem,
     SmoothConstraint,
     VIProblem,
@@ -23,7 +24,6 @@ from .problems import (
     violated_set,
 )
 from .qp import (
-    HalfspaceRow,
     Infeasible,
     ProjectionResult,
     VelocityPolytope,
@@ -37,8 +37,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundsReport",
+    "ConstraintSet",
     "ExperimentConfig",
-    "HalfspaceRow",
     "Infeasible",
     "MinProblem",
     "MinSolverConfig",
@@ -62,7 +62,6 @@ __all__ = [
     "gda_run",
     "hbg_instantiate",
     "kkt_residual_qp",
-    "max_violation",
     "parse_config",
     "project_simplex",
     "project_velocity",

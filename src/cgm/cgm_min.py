@@ -76,7 +76,7 @@ def cgm_min_step(problem, x, alpha, eta, qp_tol=1e-10):
     if not 0 < eta <= eta_max * (1 + 1e-12):
         raise ValueError(f"eta={eta} outside (0, {eta_max}]")
     violated = violated_set(problem.constraints, x)
-    if not violated:
+    if not violated.size:
         v = -grad
         diag = {"violated": 0, "n_active": 0, "kkt_residual": 0.0}
     else:
@@ -84,7 +84,7 @@ def cgm_min_step(problem, x, alpha, eta, qp_tol=1e-10):
         result = project_velocity(grad, polytope, tol=qp_tol)
         v = result.v
         diag = {
-            "violated": len(violated),
+            "violated": violated.size,
             "n_active": result.n_active,
             "kkt_residual": result.kkt_residual,
         }
@@ -120,18 +120,12 @@ class MinTrace:
         return self.f_resid
 
 
-def _max_violation(constraints, x):
-    worst = 0.0
-    for g in constraints:
-        worst = max(worst, g.value(x))
-    return worst
-
-
 def cgm_min_run(problem, config, reference=None):
     """Run the full loop for config.horizon iterations from problem.x0.
 
     reference, when given, is an (x_star, f_star) pair used to fill the
-    residual columns of the trace. QP failures abort with the iteration index.
+    residual columns of the trace. QP failures and non-finite iterates abort
+    with the iteration index.
     """
     validate_schedule(config, problem)
     alpha = problem.mu if config.alpha is None else config.alpha
@@ -149,10 +143,10 @@ def cgm_min_run(problem, config, reference=None):
     fvals = np.empty(T + 1)
 
     x = np.array(problem.x0, dtype=float)
-    if _max_violation(problem.constraints, x) > 1e-12:
+    viol[0] = problem.constraints.max_violation(x)
+    if viol[0] > 1e-12:
         raise ValueError("x0 must be feasible")
     xs[0] = x
-    viol[0] = _max_violation(problem.constraints, x)
     fvals[0] = problem.value_f(x)
 
     eta_const = step_constant(T, problem.mu) if config.schedule == CONSTANT else None
@@ -164,22 +158,17 @@ def cgm_min_run(problem, config, reference=None):
         except Exception as exc:
             raise RuntimeError(f"iteration {t} failed: {exc}") from exc
         wall[t] = time.perf_counter() - tic
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(v))):
+            raise RuntimeError(f"iteration {t}: non-finite iterate")
         xs[t + 1] = x
         vs[t] = v
         etas[t] = eta
-        viol[t + 1] = _max_violation(problem.constraints, x)
+        viol[t + 1] = problem.constraints.max_violation(x)
         fvals[t + 1] = problem.value_f(x)
 
     trace = MinTrace(
-        xs=xs,
-        vs=vs,
-        etas=etas,
-        max_violation=viol,
-        wall_s=wall,
-        config=config,
-        alpha=alpha,
-        kappa=kappa,
-        f_values=fvals,
+        xs=xs, vs=vs, etas=etas, max_violation=viol, wall_s=wall, config=config,
+        alpha=alpha, kappa=kappa, f_values=fvals,
     )
     if reference is not None:
         trace.fill_reference(reference[1])

@@ -109,7 +109,10 @@ def ergodic_average(trace, T):
 
 
 def cgm_vi_run(problem, config):
-    """Run the VI loop for config.horizon iterations from problem.x0."""
+    """Run the VI loop for config.horizon iterations from problem.x0.
+
+    QP failures and non-finite iterates abort with the iteration index.
+    """
     f0 = problem.op_F(problem.x0)
     norm_f0_sq = float(f0 @ f0)
     tight = delta_default(norm_f0_sq, problem.B, problem.diameter_D, problem.ell_F)
@@ -118,7 +121,7 @@ def cgm_vi_run(problem, config):
         raise ValueError(f"delta={delta} below admissible minimum {tight}")
     radius_sq = delta / problem.ell_F**2 * (norm_f0_sq + problem.B)
     aux = AuxConstraint(center=np.array(problem.x0, dtype=float), radius_sq=radius_sq)
-    constraints = problem.constraints + (aux.as_constraint(),)
+    constraints = problem.constraints.append(aux.as_constraint())
 
     kappa = problem.ell_F / problem.mu
     T = config.horizon
@@ -132,37 +135,30 @@ def cgm_vi_run(problem, config):
 
     x = np.array(problem.x0, dtype=float)
     xs[0] = x
-    viol[0] = max(0.0, max(g.value(x) for g in constraints))
+    viol[0] = constraints.max_violation(x)
     dist[0] = 0.0
     for t in range(T):
         eta = step_vi(t, problem.mu, kappa)
         tic = time.perf_counter()
         fx = problem.op_F(x)
-        if violated_set(constraints, x):
-            polytope = build_polytope(constraints, x, problem.mu)
-            try:
+        v = -fx
+        try:
+            if violated_set(constraints, x).size:
+                polytope = build_polytope(constraints, x, problem.mu)
                 v = project_velocity(fx, polytope, tol=config.qp_tol).v
-            except Exception as exc:
-                raise RuntimeError(f"iteration {t} failed: {exc}") from exc
-        else:
-            v = -fx
+        except Exception as exc:
+            raise RuntimeError(f"iteration {t} failed: {exc}") from exc
         x = x + eta * v
         wall[t] = time.perf_counter() - tic
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(v))):
+            raise RuntimeError(f"iteration {t}: non-finite iterate")
         xs[t + 1] = x
         vs[t] = v
         etas[t] = eta
-        viol[t + 1] = max(0.0, max(g.value(x) for g in constraints))
+        viol[t + 1] = constraints.max_violation(x)
         dist[t + 1] = float(np.linalg.norm(x - xs[0]))
 
     return VITrace(
-        xs=xs,
-        vs=vs,
-        etas=etas,
-        max_violation=viol,
-        dist_x0=dist,
-        wall_s=wall,
-        kappa=kappa,
-        delta=delta,
-        aux=aux,
-        normFx0_sq=norm_f0_sq,
+        xs=xs, vs=vs, etas=etas, max_violation=viol, dist_x0=dist, wall_s=wall,
+        kappa=kappa, delta=delta, aux=aux, normFx0_sq=norm_f0_sq,
     )

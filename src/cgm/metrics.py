@@ -72,14 +72,6 @@ def _check(name, lhs_arr, rhs_arr):
     return CertificateRecord(name=name, lhs=lhs, rhs=rhs, slack=slack, passed=passed)
 
 
-def max_violation(problem, x):
-    """max(0, max_i g_i(x)) over the problem's constraint list."""
-    worst = 0.0
-    for g in problem.constraints:
-        worst = max(worst, g.value(x))
-    return worst
-
-
 def hbg_gap_closed_form(x, beta):
     """Strong gap max_{y in product simplex} <F(x), x - y> in closed form."""
     d = x.size // 2
@@ -92,11 +84,7 @@ def hbg_gap_closed_form(x, beta):
 
 def empirical_grad_bound(constraints, xs):
     """Max gradient norm of any constraint over the realized iterates."""
-    worst = 0.0
-    for x in xs:
-        for g in constraints:
-            worst = max(worst, float(np.linalg.norm(g.gradient(x))))
-    return worst
+    return constraints.grad_norm_bound(xs)
 
 
 def certify_min(trace, problem, reference, f_star_unconstrained):
@@ -117,7 +105,7 @@ def certify_min(trace, problem, reference, f_star_unconstrained):
     c1 = math.sqrt(max(c1_sq, 0.0))
     grad_star = float(np.linalg.norm(problem.grad_f(x_star)))
     c2 = (grad_star + math.sqrt(grad_star**2 + 2.0 * mu * max(f0 - f_star, 0.0))) / mu
-    ell_g = max((g.smoothness for g in problem.constraints), default=0.0)
+    ell_g = problem.constraints.smoothness
     l_g = empirical_grad_bound(problem.constraints, trace.xs)
 
     report = BoundsReport(
@@ -167,8 +155,8 @@ def certify_vi(trace, problem):
 
     c3 = math.sqrt((2.0 * delta + 1.25) * energy / ell_f_op**2)
     c4 = math.sqrt((16.0 * delta + 20.0) * energy)
-    constraints = problem.constraints + (trace.aux.as_constraint(),)
-    ell_g = max(g.smoothness for g in constraints)
+    constraints = problem.constraints.append(trace.aux.as_constraint())
+    ell_g = constraints.smoothness
     l_g = empirical_grad_bound(constraints, trace.xs)
 
     report = BoundsReport(
@@ -202,7 +190,7 @@ def certify_vi(trace, problem):
         ) + ell_g * c4**2 * np.log(t_idx) / (mu**2 * (t_idx + 16.0 * kappa**2 + 1.0))
         recs.append(_check("feasibility_nonergodic", trace.max_violation[2:], nonerg_rhs))
 
-    erg_viol = max(0.0, max(g.value(x_bar) for g in constraints))
+    erg_viol = constraints.max_violation(x_bar)
     erg_rhs = 4.0 * c4 / (mu * denom) * (l_g + ell_g * c4 / (2.0 * mu)) + (
         2.0 * ell_g * c4**2 * math.log(T) / (mu**2 * denom)
     )

@@ -1,16 +1,17 @@
 """Problem abstractions and the two built-in experiment families.
 
 Instances are generated from a seeded numpy Generator so that repeated calls
-with the same seed are bit-identical. All constraints expose value/gradient
-oracles plus a smoothness constant (0 for affine rows).
+with the same seed are bit-identical. A problem's constraints are one
+ConstraintSet: nonnegativity bounds, an affine block and a few smooth rows,
+evaluated as arrays (all row values at once, gradients of selected rows).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
 
-from .qp import HalfspaceRow, VelocityPolytope
+from .qp import VelocityPolytope
 
 
 class SingularMatrix(Exception):
@@ -19,7 +20,7 @@ class SingularMatrix(Exception):
 
 @dataclass(frozen=True)
 class SmoothConstraint:
-    """One convex inequality g(x) <= 0 with value/gradient oracles."""
+    """One smooth convex row g(x) <= 0 with value/gradient oracles."""
 
     value: Callable[[np.ndarray], float]
     gradient: Callable[[np.ndarray], np.ndarray]
@@ -32,7 +33,7 @@ class MinProblem:
     grad_f: Callable[[np.ndarray], np.ndarray]
     mu: float
     ell_f: float
-    constraints: tuple
+    constraints: "ConstraintSet"
     x0: np.ndarray
     dim: int
     data: Optional[object] = None
@@ -48,7 +49,7 @@ class VIProblem:
     mu: float
     ell_F: float
     B: float
-    constraints: tuple
+    constraints: "ConstraintSet"
     x0: np.ndarray
     diameter_D: float
     dim: int
@@ -78,50 +79,96 @@ class RapData:
             raise ValueError("Rmax and Emax must be positive")
 
 
-def _coordinate_constraint(i):
-    def value(x):
-        return -x[i]
+@dataclass(frozen=True)
+class ConstraintSet:
+    """Rows g_i(x) <= 0 in index order: bounds, an affine block, smooth rows.
 
-    def gradient(x):
-        g = np.zeros(x.size)
-        g[i] = -1.0
-        return g
+    For x in R^n with n = W.shape[1], row i < n_bounds is -x_i, the next
+    W.shape[0] rows are w_j . x + c_j, and the last rows are the
+    SmoothConstraint oracles in `smooth`. Each affine row is evaluated as its
+    own dot product, so values(x) matches the per-row arithmetic bit for bit
+    and no row on the feasibility boundary flips.
+    """
 
-    return SmoothConstraint(value=value, gradient=gradient, smoothness=0.0)
+    n_bounds: int
+    W: np.ndarray
+    c: np.ndarray
+    smooth: tuple = ()
 
+    def __post_init__(self):
+        W = np.array(self.W, dtype=float)
+        c = np.array(self.c, dtype=float)
+        object.__setattr__(self, "W", W)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "smooth", tuple(self.smooth))
+        if W.ndim != 2 or c.shape != W.shape[:1] or not 0 <= self.n_bounds <= W.shape[1]:
+            raise ValueError("need W of shape (p, n), c of shape (p,), n_bounds <= n")
 
-def _affine_constraint(w, c):
-    w = np.asarray(w, dtype=float)
+    def __len__(self):
+        return self.n_bounds + self.c.size + len(self.smooth)
 
-    def value(x):
-        return float(w @ x) + c
+    @property
+    def smoothness(self):
+        """Largest smoothness constant over all rows (0 for bounds and affine rows)."""
+        return max((g.smoothness for g in self.smooth), default=0.0)
 
-    def gradient(x):
-        return w
+    def append(self, row):
+        """A new set with the SmoothConstraint row added last."""
+        return replace(self, smooth=self.smooth + (row,))
 
-    return SmoothConstraint(value=value, gradient=gradient, smoothness=0.0)
+    def values(self, x):
+        """All row values g_i(x) as an (m,) array."""
+        out = np.empty(len(self))
+        k = self.n_bounds
+        out[:k] = -x[:k]
+        for j, (w, c) in enumerate(zip(self.W, self.c.tolist()), start=k):
+            out[j] = float(w @ x) + c
+        for j, g in enumerate(self.smooth, start=k + self.c.size):
+            out[j] = g.value(x)
+        return out
+
+    def gradients(self, x, idx):
+        """Gradients of the rows idx at x as a (len(idx), n) array."""
+        k, p = self.n_bounds, self.c.size
+        out = np.zeros((len(idx), self.W.shape[1]))
+        for r, i in enumerate(np.asarray(idx).tolist()):
+            if i < k:
+                out[r, i] = -1.0
+            elif i < k + p:
+                out[r] = self.W[i - k]
+            else:
+                out[r] = self.smooth[i - k - p].gradient(x)
+        return out
+
+    def max_violation(self, x):
+        """max(0, max_i g_i(x))."""
+        return float(np.max(self.values(x), initial=0.0))
+
+    def grad_norm_bound(self, xs):
+        """Largest row gradient norm over the points xs; fixed rows are normed once."""
+        norms = [1.0] if self.n_bounds else []
+        norms += [float(np.linalg.norm(w)) for w in self.W]
+        for g in self.smooth:
+            norms += [float(np.linalg.norm(g.gradient(x))) for x in xs]
+        return max(norms, default=0.0)
 
 
 def rap_constraints(data):
     """The d + 4 rows of the resource allocation feasible set."""
     d = data.a.size
-    rows = [_coordinate_constraint(i) for i in range(d)]
     ones = np.ones(d)
-    rows.append(_affine_constraint(ones, -1.0))
-    rows.append(_affine_constraint(-ones, 1.0))
-    rows.append(_affine_constraint(data.r, -data.Rmax))
-
-    e_mat = data.E
-    smooth = 2.0 * float(np.max(np.linalg.eigvalsh(e_mat)))
-
-    def quad_value(x, e_mat=e_mat, emax=data.Emax):
-        return float(x @ e_mat @ x) - emax
-
-    def quad_gradient(x, e_mat=e_mat):
-        return 2.0 * (e_mat @ x)
-
-    rows.append(SmoothConstraint(value=quad_value, gradient=quad_gradient, smoothness=smooth))
-    return tuple(rows)
+    e_mat, emax = data.E, data.Emax
+    quad = SmoothConstraint(
+        value=lambda x: float(x @ e_mat @ x) - emax,
+        gradient=lambda x: 2.0 * (e_mat @ x),
+        smoothness=2.0 * float(np.max(np.linalg.eigvalsh(e_mat))),
+    )
+    return ConstraintSet(
+        n_bounds=d,
+        W=np.stack([ones, -ones, data.r]),
+        c=np.array([-1.0, 1.0, -data.Rmax]),
+        smooth=(quad,),
+    )
 
 
 def rap_generate(d, seed=42):
@@ -193,14 +240,13 @@ def hbg_operator(beta):
 
 def hbg_constraints(d):
     """Nonnegativity plus the four block-sum rows of the product of simplices."""
-    rows = [_coordinate_constraint(i) for i in range(2 * d)]
     top = np.concatenate([np.ones(d), np.zeros(d)])
     bot = np.concatenate([np.zeros(d), np.ones(d)])
-    rows.append(_affine_constraint(top, -1.0))
-    rows.append(_affine_constraint(-top, 1.0))
-    rows.append(_affine_constraint(bot, -1.0))
-    rows.append(_affine_constraint(-bot, 1.0))
-    return tuple(rows)
+    return ConstraintSet(
+        n_bounds=2 * d,
+        W=np.stack([top, -top, bot, -bot]),
+        c=np.array([-1.0, 1.0, -1.0, 1.0]),
+    )
 
 
 def hbg_instantiate(d, beta, seed=42):
@@ -230,25 +276,22 @@ def hbg_instantiate(d, beta, seed=42):
     )
 
 
-def violated_set(constraints, x):
-    """Indices with g_i(x) strictly positive, with values, in index order."""
+def _evaluate(constraints, x):
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
         raise ValueError("x must be finite")
-    out = []
-    for i, g in enumerate(constraints):
-        gi = g.value(x)
-        if gi > 0.0:
-            out.append((i, gi))
-    return out
+    values = constraints.values(x)
+    return x, values, np.flatnonzero(values > 0.0)
+
+
+def violated_set(constraints, x):
+    """Indices i with g_i(x) strictly positive, in index order."""
+    return _evaluate(constraints, x)[2]
 
 
 def build_polytope(constraints, x, alpha):
-    """One halfspace row (grad g_i(x), -alpha g_i(x)) per violated constraint."""
+    """Rows (grad g_i(x), -alpha g_i(x)) over the violated constraints i."""
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    x = np.asarray(x, dtype=float)
-    rows = []
-    for i, gi in violated_set(constraints, x):
-        rows.append(HalfspaceRow(normal=constraints[i].gradient(x), rhs=-alpha * gi))
-    return VelocityPolytope(rows=tuple(rows), dimension=x.size)
+    x, values, idx = _evaluate(constraints, x)
+    return VelocityPolytope(constraints.gradients(x, idx), -alpha * values[idx])

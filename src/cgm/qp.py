@@ -5,11 +5,14 @@ one nonnegative least-squares solve (Lawson & Hanson, 1974, ch. 23), plus an
 exhaustive active-set oracle and a KKT checker used to certify every solution.
 """
 
+import logging
 from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 from scipy.optimize import nnls
+
+logger = logging.getLogger(__name__)
 
 
 def _recover_duals(a, b, c, v):
@@ -38,44 +41,28 @@ class MaxIterations(QpError):
 
 
 @dataclass(frozen=True)
-class HalfspaceRow:
-    """One linear inequality normal . v <= rhs."""
+class VelocityPolytope:
+    """Halfspace rows a v <= b in R^n; an (0, n) matrix a means all of R^n."""
 
-    normal: np.ndarray
-    rhs: float
+    a: np.ndarray
+    b: np.ndarray
 
     def __post_init__(self):
-        normal = np.asarray(self.normal, dtype=float)
-        object.__setattr__(self, "normal", normal)
-        object.__setattr__(self, "rhs", float(self.rhs))
-        if not np.all(np.isfinite(normal)) or not np.isfinite(self.rhs):
-            raise ValueError("halfspace row must be finite")
-        if np.linalg.norm(normal) < DEGENERATE_NORMAL and self.rhs < 0:
+        a = np.asarray(self.a, dtype=float)
+        b = np.asarray(self.b, dtype=float)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        if a.ndim != 2 or a.shape[1] < 1 or b.shape != (a.shape[0],):
+            raise ValueError("need a of shape (m, n) with n >= 1 and b of shape (m,)")
+        if not (np.isfinite(a).all() and np.isfinite(b).all()):
+            raise ValueError("halfspace rows must be finite")
+        degenerate = np.linalg.norm(a, axis=1) < DEGENERATE_NORMAL
+        if degenerate.any() and (b[degenerate] < 0).any():
             raise Infeasible("zero normal with negative rhs: 0 <= rhs is violated")
 
-
-@dataclass(frozen=True)
-class VelocityPolytope:
-    """Conjunction of halfspace rows in R^dimension; no rows means all of R^n."""
-
-    rows: tuple
-    dimension: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "rows", tuple(self.rows))
-        if self.dimension < 1:
-            raise ValueError("dimension must be positive")
-        for row in self.rows:
-            if row.normal.size != self.dimension:
-                raise ValueError("row dimension mismatch")
-
     def matrix(self):
-        """Stacked (A, b) over all rows; (0, n) matrix when empty."""
-        if not self.rows:
-            return np.zeros((0, self.dimension)), np.zeros(0)
-        a = np.stack([row.normal for row in self.rows])
-        b = np.array([row.rhs for row in self.rows])
-        return a, b
+        """The stacked (a, b) pair."""
+        return self.a, self.b
 
 
 @dataclass(frozen=True)
@@ -87,15 +74,8 @@ class ProjectionResult:
 
 
 def _active_rows(polytope):
-    """Indices of non-degenerate rows; degenerate rows with rhs >= 0 are vacuous."""
-    keep = []
-    for i, row in enumerate(polytope.rows):
-        if np.linalg.norm(row.normal) < DEGENERATE_NORMAL:
-            if row.rhs < 0:
-                raise Infeasible("degenerate row with negative rhs")
-            continue
-        keep.append(i)
-    return keep
+    """Indices of non-degenerate rows; degenerate rows (rhs >= 0) are vacuous."""
+    return np.flatnonzero(np.linalg.norm(polytope.a, axis=1) >= DEGENERATE_NORMAL)
 
 
 def project_velocity(target, polytope, tol=1e-10):
@@ -114,17 +94,13 @@ def project_velocity(target, polytope, tol=1e-10):
         raise ValueError("target must be finite")
 
     keep = _active_rows(polytope)
-    dual = np.zeros(len(polytope.rows))
+    dual = np.zeros(polytope.b.size)
     v0 = -c
     a_full, b_full = polytope.matrix()
-    if not keep or np.all(a_full[keep] @ v0 <= b_full[keep]):
+    if not keep.size or np.all(a_full[keep] @ v0 <= b_full[keep]):
         result = ProjectionResult(v=v0, dual=dual, kkt_residual=0.0, n_active=0)
-        return ProjectionResult(
-            v=v0,
-            dual=dual,
-            kkt_residual=kkt_residual_qp(result, c, polytope),
-            n_active=0,
-        )
+        residual = kkt_residual_qp(result, c, polytope)
+        return ProjectionResult(v=v0, dual=dual, kkt_residual=residual, n_active=0)
 
     a = a_full[keep]
     b = b_full[keep]
@@ -134,7 +110,7 @@ def project_velocity(target, polytope, tol=1e-10):
     f = np.zeros(e.shape[0])
     f[-1] = 1.0
     try:
-        y, _ = nnls(e, f, maxiter=50 * (len(keep) + 1))
+        y, _ = nnls(e, f, maxiter=50 * (keep.size + 1))
     except RuntimeError as exc:
         raise MaxIterations(str(exc)) from exc
     denom = 1.0 - lin @ y  # squared NNLS residual norm; zero iff the polytope is empty
@@ -150,16 +126,22 @@ def project_velocity(target, polytope, tol=1e-10):
         if np.min(sol) >= 0:
             lam = np.zeros_like(lam)
             lam[active] = sol
+        else:
+            logger.warning("least-squares polish rejected: min dual %.3e", np.min(sol))
 
     v = -c - a.T @ lam
     dual[keep] = lam
     result = ProjectionResult(v=v, dual=dual, kkt_residual=0.0, n_active=0)
     residual = kkt_residual_qp(result, c, polytope)
     gate = max(tol, 1e3 * tol * (1.0 + np.linalg.norm(c)))
-    if residual > gate and len(keep) <= 16:
+    if residual > gate and keep.size <= 16:
         # near-degenerate active set: redo with the exhaustive oracle
+        logger.warning(
+            "KKT residual %.3e above gate %.3e on %d rows: oracle fallback",
+            residual, gate, keep.size,
+        )
         v = brute_force_projection(c, polytope)
-        dual = np.zeros(len(polytope.rows))
+        dual = np.zeros(polytope.b.size)
         dual[keep] = _recover_duals(a, b, c, v)
         result = ProjectionResult(v=v, dual=dual, kkt_residual=0.0, n_active=0)
         residual = kkt_residual_qp(result, c, polytope)
@@ -180,7 +162,7 @@ def brute_force_projection(target, polytope):
     a_full, b_full = polytope.matrix()
     a = a_full[keep]
     b = b_full[keep]
-    k = len(keep)
+    k = keep.size
 
     best_v = None
     best_obj = np.inf
@@ -214,7 +196,7 @@ def kkt_residual_qp(result, target, polytope):
     c = np.asarray(target, dtype=float)
     v = result.v
     lam = result.dual
-    if lam.size != len(polytope.rows):
+    if lam.size != polytope.b.size:
         raise ValueError("dual length must equal row count")
     a, b = polytope.matrix()
     if a.shape[0] == 0:

@@ -60,19 +60,14 @@ class TestSchedules:
 class TestStep:
     def test_gradient_step_when_feasible_interior(self):
         # strictly interior point of a single-halfspace problem
-        from cgm.problems import MinProblem, SmoothConstraint
+        from cgm.problems import ConstraintSet, MinProblem
 
         problem = MinProblem(
             value_f=lambda x: 0.5 * float(x @ x),
             grad_f=lambda x: x,
             mu=1.0,
             ell_f=1.0,
-            constraints=(
-                SmoothConstraint(
-                    value=lambda x: float(x[0]) - 1.0,
-                    gradient=lambda x: np.array([1.0, 0.0]),
-                ),
-            ),
+            constraints=ConstraintSet(n_bounds=0, W=[[1.0, 0.0]], c=[-1.0]),
             x0=np.array([0.5, 0.5]),
             dim=2,
         )
@@ -154,6 +149,29 @@ class TestRun:
             reference=(None, 0.0),
         )
         np.testing.assert_allclose(trace.f_resid, trace.f_values)
+
+    def test_nonfinite_iterate_stops_run(self):
+        # one halfspace row that never binds; the 5th gradient (step t=4, the
+        # last one) is inf, so the final iterate is -inf and must not be returned
+        from cgm.problems import ConstraintSet, MinProblem
+
+        calls = []
+
+        def grad_f(x):
+            calls.append(None)
+            return np.full(2, np.inf) if len(calls) == 5 else x
+
+        problem = MinProblem(
+            value_f=lambda x: 0.5 * float(x @ x),
+            grad_f=grad_f,
+            mu=1.0,
+            ell_f=1.0,
+            constraints=ConstraintSet(n_bounds=0, W=[[1.0, 0.0]], c=[-1.0]),
+            x0=np.array([0.5, 0.5]),
+            dim=2,
+        )
+        with pytest.raises(RuntimeError, match="iteration 4: non-finite iterate"):
+            cgm_min_run(problem, MinSolverConfig(horizon=5, schedule=VARYING))
 
     def test_determinism(self, small_problem):
         t1 = cgm_min_run(small_problem, MinSolverConfig(horizon=40))

@@ -12,7 +12,7 @@ from cgm.cgm_vi import (
     ergodic_average,
     step_vi,
 )
-from cgm.problems import hbg_instantiate
+from cgm.problems import ConstraintSet, VIProblem, hbg_instantiate
 
 
 @pytest.fixture(scope="module")
@@ -103,6 +103,23 @@ class TestRun:
         t1 = cgm_vi_run(small_problem, VISolverConfig(horizon=60))
         t2 = cgm_vi_run(small_problem, VISolverConfig(horizon=60))
         np.testing.assert_array_equal(t1.xs, t2.xs)
+
+    def test_nonfinite_iterate_stops_run(self):
+        # F(x) = x inside a ball-only problem; the 4th evaluation (step t=2,
+        # after the start-point one) returns inf, so x^3 is -inf
+        calls = []
+
+        def op_F(x):
+            calls.append(None)
+            return np.full(2, np.inf) if len(calls) == 4 else x
+
+        problem = VIProblem(
+            op_F=op_F, mu=1.0, ell_F=1.0, B=0.0,
+            constraints=ConstraintSet(n_bounds=0, W=np.zeros((0, 2)), c=[]),
+            x0=np.array([0.5, 0.5]), diameter_D=1.0, dim=2,
+        )
+        with pytest.raises(RuntimeError, match="iteration 2: non-finite iterate"):
+            cgm_vi_run(problem, VISolverConfig(horizon=3))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -13,8 +13,8 @@ from cgm.metrics import (
     certify_min,
     empirical_grad_bound,
     hbg_gap_closed_form,
-    max_violation,
 )
+from cgm.cgm_vi import AuxConstraint
 from cgm.problems import hbg_instantiate, rap_generate
 
 
@@ -60,12 +60,12 @@ class TestBoundsReport:
 class TestMeasures:
     def test_max_violation_feasible_point(self):
         problem = rap_generate(8, seed=0)
-        assert max_violation(problem, problem.x0) <= 1e-12
+        assert problem.constraints.max_violation(problem.x0) <= 1e-12
 
     def test_max_violation_positive_part(self):
         problem = rap_generate(8, seed=0)
         x = -np.ones(8)
-        assert max_violation(problem, x) >= 1.0
+        assert problem.constraints.max_violation(x) >= 1.0
 
     def test_gap_zero_at_equilibrium(self):
         d = 20
@@ -106,6 +106,23 @@ class TestMeasures:
         bound = empirical_grad_bound(problem.constraints, xs)
         # block-sum rows have gradient norm sqrt(d); coordinate rows norm 1
         assert bound == pytest.approx(np.sqrt(5.0))
+
+        # fixed rows normed once must equal the norm of every row at every iterate
+        rng = np.random.default_rng(8)
+        rap = rap_generate(12, seed=4)
+        ball = AuxConstraint(center=problem.x0, radius_sq=0.5).as_constraint()
+        cases = [
+            (problem.constraints, xs),
+            (rap.constraints, rng.random((30, 12))),
+            (problem.constraints.append(ball), rng.random((30, 10)) * 3.0),
+        ]
+        for constraints, points in cases:
+            expected = 0.0
+            for x in points:
+                for i in range(len(constraints)):
+                    grad = constraints.gradients(x, [i])[0]
+                    expected = max(expected, float(np.linalg.norm(grad)))
+            assert empirical_grad_bound(constraints, points) == expected
 
 
 class TestCertify:

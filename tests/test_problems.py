@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from cgm.problems import (
+    ConstraintSet,
     RapData,
+    SmoothConstraint,
     build_polytope,
     hbg_instantiate,
     hbg_operator,
@@ -20,7 +22,7 @@ def feasible_rap_point(problem, rng):
     y = rng.random(d)
     y /= np.sum(y)
     for _ in range(60):
-        if all(g.value(y) <= 0 for g in problem.constraints):
+        if np.all(problem.constraints.values(y) <= 0):
             return y
         y = 0.5 * y + 0.5 * problem.x0
     return np.array(problem.x0)
@@ -48,7 +50,7 @@ class TestRapGeneration:
     def test_start_is_feasible_and_tight(self):
         problem = rap_generate(30, seed=2)
         x0 = problem.x0
-        assert all(g.value(x0) <= 1e-12 for g in problem.constraints)
+        assert np.all(problem.constraints.values(x0) <= 1e-12)
         data = problem.data
         assert float(data.r @ x0) == pytest.approx(data.Rmax)
         assert float(x0 @ data.E @ x0) == pytest.approx(data.Emax)
@@ -60,16 +62,20 @@ class TestRapGeneration:
 
     def test_gradients_match_finite_differences(self):
         problem = rap_generate(8, seed=3)
+        constraints = problem.constraints
         rng = np.random.default_rng(0)
         x = rng.random(8)
         eps = 1e-6
-        for g in problem.constraints:
-            grad = g.gradient(x)
-            for j in range(8):
-                e = np.zeros(8)
-                e[j] = eps
-                fd = (g.value(x + e) - g.value(x - e)) / (2 * eps)
-                assert grad[j] == pytest.approx(fd, abs=1e-5)
+        grads = constraints.gradients(x, np.arange(len(constraints)))
+        assert grads.shape == (len(constraints), 8)
+        for j in range(8):
+            e = np.zeros(8)
+            e[j] = eps
+            fd = (constraints.values(x + e) - constraints.values(x - e)) / (2 * eps)
+            np.testing.assert_allclose(grads[:, j], fd, rtol=0, atol=1e-5)
+        # any index subset returns the same rows, in the order asked for
+        idx = np.array([8 + 3, 0, 8 + 1, 5])
+        np.testing.assert_array_equal(constraints.gradients(x, idx), grads[idx])
 
     def test_dimension_too_small_rejected(self):
         with pytest.raises(ValueError):
@@ -132,21 +138,78 @@ class TestHbgGeneration:
         assert len(problem.constraints) == 2 * 7 + 4
 
 
+def _per_row_values(x, bounds, affine, quad=None):
+    """Row values evaluated one row at a time, as scalar oracles would."""
+    values = [-x[i] for i in range(bounds)]
+    values += [float(w @ x) + c for w, c in affine]
+    if quad is not None:
+        e_mat, emax = quad
+        values.append(float(x @ e_mat @ x) - emax)
+    return np.array(values)
+
+
+class TestConstraintSet:
+    def test_values_match_per_row_arithmetic_bitwise(self):
+        # a row that flips sign on the boundary would change the violated set,
+        # so the batched values must equal per-row dot products exactly
+        rng = np.random.default_rng(12)
+        rap = rap_generate(50, seed=3)
+        data = rap.data
+        ones = np.ones(50)
+        rap_affine = [(ones, -1.0), (-ones, 1.0), (data.r, -data.Rmax)]
+        hbg = hbg_instantiate(50, 0.8, seed=3)
+        top = np.concatenate([ones, np.zeros(50)])
+        bot = np.concatenate([np.zeros(50), ones])
+        hbg_affine = [(top, -1.0), (-top, 1.0), (bot, -1.0), (-bot, 1.0)]
+        for _ in range(200):
+            x = rng.random(50)
+            x /= np.sum(x)
+            expected = _per_row_values(x, 50, rap_affine, (data.E, data.Emax))
+            assert np.array_equal(rap.constraints.values(x), expected)
+            y = _random_product_simplex(rng, 50)
+            expected = _per_row_values(y, 100, hbg_affine)
+            assert np.array_equal(hbg.constraints.values(y), expected)
+
+    def test_append_and_smoothness(self):
+        problem = rap_generate(6, seed=0)
+        base = problem.constraints
+        ball = SmoothConstraint(
+            value=lambda x: float(x @ x) - 1.0, gradient=lambda x: 2.0 * x, smoothness=9e9
+        )
+        grown = base.append(ball)
+        assert len(grown) == len(base) + 1
+        assert grown.smoothness == 9e9
+        assert base.smoothness == 2.0 * float(np.max(np.linalg.eigvalsh(problem.data.E)))
+        x = np.full(6, 0.5)
+        assert grown.values(x)[-1] == float(x @ x) - 1.0
+        np.testing.assert_array_equal(grown.gradients(x, [len(base)]), [2.0 * x])
+
+    def test_shape_validation(self):
+        with pytest.raises(ValueError):
+            ConstraintSet(n_bounds=0, W=np.ones(3), c=np.zeros(1))
+        with pytest.raises(ValueError):
+            ConstraintSet(n_bounds=0, W=np.ones((2, 3)), c=np.zeros(3))
+        with pytest.raises(ValueError):
+            ConstraintSet(n_bounds=4, W=np.zeros((0, 3)), c=np.zeros(0))
+
+
 class TestVelocityPolytope:
     def test_violated_set_strict_positivity(self):
         problem = rap_generate(10, seed=1)
-        # only strictly positive values appear, each matching its constraint;
-        # tight rows can surface with roundoff-sized values at the start point
-        for i, gi in violated_set(problem.constraints, problem.x0):
-            assert gi > 0.0
-            assert gi == problem.constraints[i].value(problem.x0)
-            assert gi <= 1e-12
+        # exactly the strictly positive rows appear, in index order; tight rows
+        # can surface with roundoff-sized values at the start point
+        idx = violated_set(problem.constraints, problem.x0)
+        values = problem.constraints.values(problem.x0)
+        assert np.all(np.diff(idx) > 0)
+        assert np.all(values[idx] > 0.0)
+        assert np.all(values[idx] <= 1e-12)
+        assert np.all(np.delete(values, idx) <= 0.0)
 
     def test_violated_set_interior_point_empty(self):
         problem = hbg_instantiate(5, 0.5, seed=0)
         # strict interior of the nonnegativity rows, block sums exactly one
         x = np.full(10, 1.0 / 5)
-        assert [i for i, _ in violated_set(problem.constraints, x) if i < 10] == []
+        assert [i for i in violated_set(problem.constraints, x) if i < 10] == []
 
     def test_nonfinite_point_rejected(self):
         problem = rap_generate(5, seed=1)
@@ -158,7 +221,7 @@ class TestVelocityPolytope:
         x = -np.abs(np.random.default_rng(0).random(10))  # violates all bounds
         violated = violated_set(problem.constraints, x)
         polytope = build_polytope(problem.constraints, x, 1.0)
-        assert len(polytope.rows) == len(violated)
+        assert polytope.b.size == violated.size
 
     def test_nonpositive_alpha_rejected(self):
         problem = rap_generate(5, seed=1)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from cgm.cgm_min import MinSolverConfig, cgm_min_run
 from cgm.problems import build_polytope, rap_generate
 from cgm.qp import (
-    HalfspaceRow,
     Infeasible,
     ProjectionResult,
     VelocityPolytope,
@@ -22,8 +21,7 @@ def random_instance(rng, n, m):
     a = rng.standard_normal((m, n))
     b = rng.standard_normal(m)
     c = rng.standard_normal(n)
-    rows = tuple(HalfspaceRow(normal=a[i], rhs=b[i]) for i in range(m))
-    return c, VelocityPolytope(rows=rows, dimension=n)
+    return c, VelocityPolytope(a, b)
 
 
 def degenerate_instance(rng, n, m):
@@ -34,12 +32,11 @@ def degenerate_instance(rng, n, m):
     a = np.vstack([a, a[i], a[j] + 1e-6 * rng.standard_normal(n)])
     b = np.append(b, [b[i], b[j] + 1e-6 * rng.standard_normal()])
     c = rng.standard_normal(n)
-    rows = tuple(HalfspaceRow(normal=a[k], rhs=b[k]) for k in range(m + 2))
-    return c, VelocityPolytope(rows=rows, dimension=n)
+    return c, VelocityPolytope(a, b)
 
 
 def test_no_rows_returns_negated_target():
-    polytope = VelocityPolytope(rows=(), dimension=3)
+    polytope = VelocityPolytope(np.zeros((0, 3)), np.zeros(0))
     c = np.array([1.0, -2.0, 0.5])
     result = project_velocity(c, polytope)
     np.testing.assert_allclose(result.v, -c)
@@ -47,8 +44,7 @@ def test_no_rows_returns_negated_target():
 
 
 def test_inactive_rows_fast_path():
-    rows = (HalfspaceRow(normal=np.array([1.0, 0.0]), rhs=100.0),)
-    polytope = VelocityPolytope(rows=rows, dimension=2)
+    polytope = VelocityPolytope(np.array([[1.0, 0.0]]), np.array([100.0]))
     result = project_velocity(np.array([-1.0, 2.0]), polytope)
     np.testing.assert_allclose(result.v, [1.0, -2.0])
     assert result.n_active == 0
@@ -56,19 +52,14 @@ def test_inactive_rows_fast_path():
 
 def test_single_active_row_projection():
     # -c = (1, 0) violates v_0 <= 0; the projection lands on the boundary
-    rows = (HalfspaceRow(normal=np.array([1.0, 0.0]), rhs=0.0),)
-    polytope = VelocityPolytope(rows=rows, dimension=2)
+    polytope = VelocityPolytope(np.array([[1.0, 0.0]]), np.array([0.0]))
     result = project_velocity(np.array([-1.0, 0.0]), polytope)
     np.testing.assert_allclose(result.v, [0.0, 0.0], atol=1e-12)
     np.testing.assert_allclose(result.dual, [1.0], atol=1e-12)
 
 
 def test_infeasible_pair_raises():
-    rows = (
-        HalfspaceRow(normal=np.array([1.0]), rhs=-1.0),
-        HalfspaceRow(normal=np.array([-1.0]), rhs=-1.0),
-    )
-    polytope = VelocityPolytope(rows=rows, dimension=1)
+    polytope = VelocityPolytope(np.array([[1.0], [-1.0]]), np.array([-1.0, -1.0]))
     with pytest.raises(Infeasible):
         project_velocity(np.array([0.0]), polytope)
 
@@ -77,40 +68,45 @@ def test_empty_polytope_beyond_oracle_size_raises():
     # 20 rows, more than the oracle fallback handles; v_0 <= -1 and v_0 >= 1 clash
     rng = np.random.default_rng(5)
     n = 6
-    rows = [HalfspaceRow(normal=normal, rhs=5.0) for normal in rng.standard_normal((18, n))]
     e0 = np.eye(n)[0]
-    rows += [HalfspaceRow(normal=e0, rhs=-1.0), HalfspaceRow(normal=-e0, rhs=-1.0)]
-    polytope = VelocityPolytope(rows=tuple(rows), dimension=n)
+    a = np.vstack([rng.standard_normal((18, n)), e0, -e0])
+    b = np.append(np.full(18, 5.0), [-1.0, -1.0])
+    polytope = VelocityPolytope(a, b)
     with pytest.raises(Infeasible):
         project_velocity(rng.standard_normal(n), polytope)
 
 
 def test_zero_normal_negative_rhs_rejected():
     with pytest.raises(Infeasible):
-        HalfspaceRow(normal=np.zeros(2), rhs=-0.5)
+        VelocityPolytope(np.zeros((1, 2)), np.array([-0.5]))
+    # checked across the whole array: one bad row among good ones
+    with pytest.raises(Infeasible):
+        VelocityPolytope(np.array([[1.0, 0.0], [0.0, 0.0]]), np.array([-1.0, -0.5]))
 
 
 def test_zero_normal_nonnegative_rhs_is_vacuous():
-    rows = (HalfspaceRow(normal=np.zeros(2), rhs=1.0),)
-    polytope = VelocityPolytope(rows=rows, dimension=2)
+    polytope = VelocityPolytope(np.zeros((1, 2)), np.array([1.0]))
     result = project_velocity(np.array([3.0, 4.0]), polytope)
     np.testing.assert_allclose(result.v, [-3.0, -4.0])
 
 
 def test_row_dimension_mismatch_rejected():
-    row = HalfspaceRow(normal=np.ones(3), rhs=0.0)
     with pytest.raises(ValueError):
-        VelocityPolytope(rows=(row,), dimension=2)
+        VelocityPolytope(np.ones((1, 3)), np.zeros(2))
+    with pytest.raises(ValueError):
+        VelocityPolytope(np.ones(3), np.zeros(1))
+    with pytest.raises(ValueError):
+        VelocityPolytope(np.array([[1.0, np.inf]]), np.zeros(1))
 
 
 def test_nonfinite_target_rejected():
-    polytope = VelocityPolytope(rows=(), dimension=2)
+    polytope = VelocityPolytope(np.zeros((0, 2)), np.zeros(0))
     with pytest.raises(ValueError):
         project_velocity(np.array([np.nan, 0.0]), polytope)
 
 
 def test_bad_tolerance_rejected():
-    polytope = VelocityPolytope(rows=(), dimension=1)
+    polytope = VelocityPolytope(np.zeros((0, 1)), np.zeros(0))
     with pytest.raises(ValueError):
         project_velocity(np.zeros(1), polytope, tol=0.0)
 
@@ -163,8 +159,7 @@ def test_projection_is_feasible_and_certified(seed):
 
 
 def test_kkt_residual_flags_wrong_dual():
-    rows = (HalfspaceRow(normal=np.array([1.0, 0.0]), rhs=0.0),)
-    polytope = VelocityPolytope(rows=rows, dimension=2)
+    polytope = VelocityPolytope(np.array([[1.0, 0.0]]), np.array([0.0]))
     bogus = ProjectionResult(
         v=np.zeros(2), dual=np.array([5.0]), kkt_residual=0.0, n_active=0
     )
@@ -172,7 +167,7 @@ def test_kkt_residual_flags_wrong_dual():
 
 
 def test_kkt_residual_rejects_wrong_dual_length():
-    polytope = VelocityPolytope(rows=(), dimension=2)
+    polytope = VelocityPolytope(np.zeros((0, 2)), np.zeros(0))
     bad = ProjectionResult(v=np.zeros(2), dual=np.ones(3), kkt_residual=0.0, n_active=0)
     with pytest.raises(ValueError):
         kkt_residual_qp(bad, np.zeros(2), polytope)
@@ -200,7 +195,7 @@ def test_large_rap_polytopes_pass_kkt_gate():
     large = 0
     for x in trace.xs[:-1]:
         polytope = build_polytope(problem.constraints, x, trace.alpha)
-        if len(polytope.rows) <= 16:
+        if polytope.b.size <= 16:
             continue
         large += 1
         c = problem.grad_f(x)
@@ -209,3 +204,36 @@ def test_large_rap_polytopes_pass_kkt_gate():
         assert kkt_residual_qp(result, c, polytope) <= gate
         assert result.n_active == np.count_nonzero(result.dual > 0)
     assert large >= 10
+
+
+def test_fallbacks_are_logged(monkeypatch, caplog):
+    # row 0 is active at the optimum v = 0 and row 1 is slack; a perturbed NNLS
+    # answer makes both rows "active", so the polish finds a negative multiplier
+    # and the KKT gate sends the result to the exhaustive oracle
+    import cgm.qp
+
+    real_nnls = cgm.qp.nnls
+    calls = []
+
+    def perturbed_nnls(*args, **kwargs):
+        y, rnorm = real_nnls(*args, **kwargs)
+        calls.append(y)
+        return (y + 0.1 if len(calls) == 1 else y), rnorm
+
+    monkeypatch.setattr(cgm.qp, "nnls", perturbed_nnls)
+    polytope = VelocityPolytope(np.eye(2), np.array([0.0, 5.0]))
+    c = np.array([-1.0, 0.0])
+    with caplog.at_level("WARNING", logger="cgm.qp"):
+        result = project_velocity(c, polytope)
+    np.testing.assert_allclose(result.v, [0.0, 0.0], atol=1e-12)
+    messages = [rec.getMessage() for rec in caplog.records if rec.name == "cgm.qp"]
+    assert len(messages) == 2
+    assert "polish rejected" in messages[0]
+    assert "oracle fallback" in messages[1]
+
+    # the unperturbed solve takes neither path and logs nothing
+    caplog.clear()
+    monkeypatch.setattr(cgm.qp, "nnls", real_nnls)
+    with caplog.at_level("WARNING", logger="cgm.qp"):
+        project_velocity(c, polytope)
+    assert not [rec for rec in caplog.records if rec.name == "cgm.qp"]

@@ -49,7 +49,7 @@ class TestSolve:
         problem = rap_generate(8, seed=11)
         x, f_star, cert = solve_rap_reference(problem.data)
         assert cert.ok
-        assert all(g.value(x) <= 1e-10 for g in problem.constraints)
+        assert np.all(problem.constraints.values(x) <= 1e-10)
 
     def test_kkt_residual_rejects_bad_multiplier_shape(self, rap_problem):
         x = np.array(rap_problem.x0)
