@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .problems import build_polytope, violated_set
+from .problems import build_polytope, max_violation_of, violated_set
 from .qp import project_velocity
 
 
@@ -69,31 +69,45 @@ def cgm_min_step(problem, x, alpha, eta, qp_tol=1e-10):
     """One iteration: build the violated-set polytope, project, and move.
 
     When no constraint is violated the step is a plain gradient step and no
-    projection subproblem is solved.
+    projection subproblem is solved. The constraint rows are evaluated once;
+    diag reports the max violation of the input x and the QP path taken
+    ("" when no QP ran).
     """
     grad = problem.grad_f(x)
     eta_max = min(1.0 / problem.ell_f, 1.0 / alpha)
     if not 0 < eta <= eta_max * (1 + 1e-12):
         raise ValueError(f"eta={eta} outside (0, {eta_max}]")
-    violated = violated_set(problem.constraints, x)
+    x = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(x)):
+        raise ValueError("x must be finite")
+    values = problem.constraints.values(x)
+    violated = violated_set(values)
+    diag = {
+        "violated": violated.size,
+        "max_violation": max_violation_of(values),
+        "n_active": 0,
+        "kkt_residual": 0.0,
+        "qp_path": "",
+    }
     if not violated.size:
         v = -grad
-        diag = {"violated": 0, "n_active": 0, "kkt_residual": 0.0}
     else:
-        polytope = build_polytope(problem.constraints, x, alpha)
+        polytope = build_polytope(problem.constraints, x, alpha, values)
         result = project_velocity(grad, polytope, tol=qp_tol)
         v = result.v
-        diag = {
-            "violated": violated.size,
-            "n_active": result.n_active,
-            "kkt_residual": result.kkt_residual,
-        }
+        diag.update(
+            n_active=result.n_active, kkt_residual=result.kkt_residual,
+            qp_path=result.path,
+        )
     return x + eta * v, v, diag
 
 
 @dataclass
 class MinTrace:
-    """Per-iteration record of a CGM-Min run; xs has T+1 states, vs/etas have T."""
+    """Per-iteration record of a CGM-Min run; xs has T+1 states, vs/etas have T.
+
+    n_active and qp_path record each step's projection ("" where no QP ran).
+    """
 
     xs: np.ndarray
     vs: np.ndarray
@@ -104,6 +118,8 @@ class MinTrace:
     alpha: float
     kappa: float
     f_values: np.ndarray
+    n_active: np.ndarray
+    qp_path: np.ndarray
     f_resid: Optional[np.ndarray] = None
 
     @property
@@ -141,6 +157,8 @@ def cgm_min_run(problem, config, reference=None):
     viol = np.empty(T + 1)
     wall = np.empty(T)
     fvals = np.empty(T + 1)
+    n_active = np.zeros(T, dtype=int)
+    qp_path = np.full(T, "", dtype="U6")
 
     x = np.array(problem.x0, dtype=float)
     viol[0] = problem.constraints.max_violation(x)
@@ -154,7 +172,7 @@ def cgm_min_run(problem, config, reference=None):
         eta = eta_const if eta_const is not None else step_varying(t, problem.mu, kappa)
         tic = time.perf_counter()
         try:
-            x, v, _ = cgm_min_step(problem, x, alpha, eta, config.qp_tol)
+            x, v, diag = cgm_min_step(problem, x, alpha, eta, config.qp_tol)
         except Exception as exc:
             raise RuntimeError(f"iteration {t} failed: {exc}") from exc
         wall[t] = time.perf_counter() - tic
@@ -163,12 +181,15 @@ def cgm_min_run(problem, config, reference=None):
         xs[t + 1] = x
         vs[t] = v
         etas[t] = eta
-        viol[t + 1] = problem.constraints.max_violation(x)
+        viol[t] = diag["max_violation"]
+        n_active[t] = diag["n_active"]
+        qp_path[t] = diag["qp_path"]
         fvals[t + 1] = problem.value_f(x)
+    viol[T] = problem.constraints.max_violation(x)
 
     trace = MinTrace(
         xs=xs, vs=vs, etas=etas, max_violation=viol, wall_s=wall, config=config,
-        alpha=alpha, kappa=kappa, f_values=fvals,
+        alpha=alpha, kappa=kappa, f_values=fvals, n_active=n_active, qp_path=qp_path,
     )
     if reference is not None:
         trace.fill_reference(reference[1])

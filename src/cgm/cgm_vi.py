@@ -11,7 +11,7 @@ from typing import Optional
 
 import numpy as np
 
-from .problems import SmoothConstraint, build_polytope, violated_set
+from .problems import SmoothConstraint, build_polytope, max_violation_of, violated_set
 from .qp import project_velocity
 
 
@@ -74,7 +74,10 @@ class AuxConstraint:
 
 @dataclass
 class VITrace:
-    """Iterates and velocities of a CGM-VI run over constraints [m+1]."""
+    """Iterates and velocities of a CGM-VI run over constraints [m+1].
+
+    n_active and qp_path record each step's projection ("" where no QP ran).
+    """
 
     xs: np.ndarray
     vs: np.ndarray
@@ -86,6 +89,8 @@ class VITrace:
     delta: float
     aux: AuxConstraint
     normFx0_sq: float
+    n_active: np.ndarray
+    qp_path: np.ndarray
 
     @property
     def horizon(self):
@@ -132,10 +137,11 @@ def cgm_vi_run(problem, config):
     viol = np.empty(T + 1)
     dist = np.empty(T + 1)
     wall = np.empty(T)
+    n_active = np.zeros(T, dtype=int)
+    qp_path = np.full(T, "", dtype="U6")
 
     x = np.array(problem.x0, dtype=float)
     xs[0] = x
-    viol[0] = constraints.max_violation(x)
     dist[0] = 0.0
     for t in range(T):
         eta = step_vi(t, problem.mu, kappa)
@@ -143,9 +149,14 @@ def cgm_vi_run(problem, config):
         fx = problem.op_F(x)
         v = -fx
         try:
-            if violated_set(constraints, x).size:
-                polytope = build_polytope(constraints, x, problem.mu)
-                v = project_velocity(fx, polytope, tol=config.qp_tol).v
+            values = constraints.values(x)
+            viol[t] = max_violation_of(values)
+            if violated_set(values).size:
+                polytope = build_polytope(constraints, x, problem.mu, values)
+                result = project_velocity(fx, polytope, tol=config.qp_tol)
+                v = result.v
+                n_active[t] = result.n_active
+                qp_path[t] = result.path
         except Exception as exc:
             raise RuntimeError(f"iteration {t} failed: {exc}") from exc
         x = x + eta * v
@@ -155,10 +166,11 @@ def cgm_vi_run(problem, config):
         xs[t + 1] = x
         vs[t] = v
         etas[t] = eta
-        viol[t + 1] = constraints.max_violation(x)
         dist[t + 1] = float(np.linalg.norm(x - xs[0]))
+    viol[T] = constraints.max_violation(x)
 
     return VITrace(
         xs=xs, vs=vs, etas=etas, max_violation=viol, dist_x0=dist, wall_s=wall,
         kappa=kappa, delta=delta, aux=aux, normFx0_sq=norm_f0_sq,
+        n_active=n_active, qp_path=qp_path,
     )

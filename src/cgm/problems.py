@@ -142,7 +142,7 @@ class ConstraintSet:
 
     def max_violation(self, x):
         """max(0, max_i g_i(x))."""
-        return float(np.max(self.values(x), initial=0.0))
+        return max_violation_of(self.values(x))
 
     def grad_norm_bound(self, xs):
         """Largest row gradient norm over the points xs; fixed rows are normed once."""
@@ -276,22 +276,22 @@ def hbg_instantiate(d, beta, seed=42):
     )
 
 
-def _evaluate(constraints, x):
+def max_violation_of(values):
+    """max(0, max_i g_i(x)) from the row values g(x)."""
+    return float(np.max(values, initial=0.0))
+
+
+def violated_set(values):
+    """Indices i with g_i(x) strictly positive, in index order, from values = g(x)."""
+    return np.flatnonzero(values > 0.0)
+
+
+def build_polytope(constraints, x, alpha, values):
+    """Rows (grad g_i(x), -alpha g_i(x)) over the violated rows of values = g(x)."""
+    if alpha <= 0:
+        raise ValueError("alpha must be positive")
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
         raise ValueError("x must be finite")
-    values = constraints.values(x)
-    return x, values, np.flatnonzero(values > 0.0)
-
-
-def violated_set(constraints, x):
-    """Indices i with g_i(x) strictly positive, in index order."""
-    return _evaluate(constraints, x)[2]
-
-
-def build_polytope(constraints, x, alpha):
-    """Rows (grad g_i(x), -alpha g_i(x)) over the violated constraints i."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    x, values, idx = _evaluate(constraints, x)
+    idx = violated_set(values)
     return VelocityPolytope(constraints.gradients(x, idx), -alpha * values[idx])

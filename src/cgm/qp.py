@@ -71,6 +71,7 @@ class ProjectionResult:
     dual: np.ndarray
     kkt_residual: float
     n_active: int
+    path: str = ""  # "direct", "warm", "nnls" or "oracle"
 
 
 def _active_rows(polytope):
@@ -78,14 +79,39 @@ def _active_rows(polytope):
     return np.flatnonzero(np.linalg.norm(polytope.a, axis=1) >= DEGENERATE_NORMAL)
 
 
+def _certified(c, polytope, v, dual, path):
+    """The result for (v, dual) with its KKT residual filled in."""
+    result = ProjectionResult(
+        v=v, dual=dual, kkt_residual=0.0, n_active=int(np.count_nonzero(dual > 0)),
+        path=path,
+    )
+    object.__setattr__(result, "kkt_residual", kkt_residual_qp(result, c, polytope))
+    return result
+
+
+def _warm_guess(gram, lin):
+    """Multipliers with every row active, or None unless unique and strictly positive.
+
+    gram lam = lin makes every row tight, so a positive solution of a
+    well-conditioned system is the KKT point; it is the same least-squares
+    call the polish makes when NNLS finds every row active.
+    """
+    lam, _, rank, sv = np.linalg.lstsq(gram, lin, rcond=None)
+    if rank == lin.size and sv[-1] > 1e-8 * sv[0] and np.min(lam) > 0:
+        return lam
+    return None
+
+
 def project_velocity(target, polytope, tol=1e-10):
     """Project -target onto the polytope; certify the KKT system of the result.
 
-    The least-distance program min ||u|| s.t. -A u >= lin, u = v + c, with
-    lin = -A c - b, is solved as one NNLS problem over E = [-A'; lin'] and
-    f = e_{n+1}; the residual's last entry gives the scale of the multipliers.
-    Raises Infeasible when that scale vanishes (empty polytope) and
-    MaxIterations when the NNLS solve stalls or the result fails the KKT gate.
+    First tries every kept row as active (one least-squares solve on the Gram
+    matrix). Otherwise the least-distance program min ||u|| s.t. -A u >= lin,
+    u = v + c, with lin = -A c - b, is solved as one NNLS problem over
+    E = [-A'; lin'] and f = e_{n+1}; the residual's last entry gives the scale
+    of the multipliers. Raises Infeasible when that scale vanishes (empty
+    polytope) and MaxIterations when the NNLS solve stalls or the result fails
+    the KKT gate. The result's path names the branch that produced it.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -98,14 +124,20 @@ def project_velocity(target, polytope, tol=1e-10):
     v0 = -c
     a_full, b_full = polytope.matrix()
     if not keep.size or np.all(a_full[keep] @ v0 <= b_full[keep]):
-        result = ProjectionResult(v=v0, dual=dual, kkt_residual=0.0, n_active=0)
-        residual = kkt_residual_qp(result, c, polytope)
-        return ProjectionResult(v=v0, dual=dual, kkt_residual=residual, n_active=0)
+        return _certified(c, polytope, v0, dual, "direct")
 
     a = a_full[keep]
     b = b_full[keep]
     gram = a @ a.T
     lin = -a @ c - b
+    gate = max(tol, 1e3 * tol * (1.0 + np.linalg.norm(c)))
+    lam = _warm_guess(gram, lin)
+    if lam is not None:
+        dual[keep] = lam
+        result = _certified(c, polytope, -c - a.T @ lam, dual, "warm")
+        if result.kkt_residual <= gate:
+            return result
+
     e = np.vstack([-a.T, lin])
     f = np.zeros(e.shape[0])
     f[-1] = 1.0
@@ -129,26 +161,21 @@ def project_velocity(target, polytope, tol=1e-10):
         else:
             logger.warning("least-squares polish rejected: min dual %.3e", np.min(sol))
 
-    v = -c - a.T @ lam
     dual[keep] = lam
-    result = ProjectionResult(v=v, dual=dual, kkt_residual=0.0, n_active=0)
-    residual = kkt_residual_qp(result, c, polytope)
-    gate = max(tol, 1e3 * tol * (1.0 + np.linalg.norm(c)))
-    if residual > gate and keep.size <= 16:
+    result = _certified(c, polytope, -c - a.T @ lam, dual, "nnls")
+    if result.kkt_residual > gate and keep.size <= 16:
         # near-degenerate active set: redo with the exhaustive oracle
         logger.warning(
             "KKT residual %.3e above gate %.3e on %d rows: oracle fallback",
-            residual, gate, keep.size,
+            result.kkt_residual, gate, keep.size,
         )
         v = brute_force_projection(c, polytope)
         dual = np.zeros(polytope.b.size)
         dual[keep] = _recover_duals(a, b, c, v)
-        result = ProjectionResult(v=v, dual=dual, kkt_residual=0.0, n_active=0)
-        residual = kkt_residual_qp(result, c, polytope)
-    if residual > gate:
-        raise MaxIterations(f"KKT residual {residual:.3e} above tolerance")
-    n_active = int(np.count_nonzero(dual > 0))
-    return ProjectionResult(v=v, dual=dual, kkt_residual=residual, n_active=n_active)
+        result = _certified(c, polytope, v, dual, "oracle")
+    if result.kkt_residual > gate:
+        raise MaxIterations(f"KKT residual {result.kkt_residual:.3e} above tolerance")
+    return result
 
 
 def brute_force_projection(target, polytope):

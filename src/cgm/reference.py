@@ -66,14 +66,24 @@ def _interior_start(data, steps=400):
     return x
 
 
-def _barrier_terms(data, x):
-    """Value, gradient, Hessian of the log barrier over the inequalities."""
+def _barrier_value(data, x):
+    """Log-barrier value over the inequalities with its slacks
+    (value, Rmax - r'x, E x, Emax - x'Ex); None outside the domain."""
     slack_lin = data.Rmax - float(data.r @ x)
     ex = data.E @ x
     slack_quad = data.Emax - float(x @ ex)
     if np.min(x) <= 0 or slack_lin <= 0 or slack_quad <= 0:
         return None
     val = -float(np.sum(np.log(x))) - math.log(slack_lin) - math.log(slack_quad)
+    return val, slack_lin, ex, slack_quad
+
+
+def _barrier_terms(data, x):
+    """Value, gradient, Hessian of the log barrier over the inequalities."""
+    parts = _barrier_value(data, x)
+    if parts is None:
+        return None
+    val, slack_lin, ex, slack_quad = parts
     grad = -1.0 / x + data.r / slack_lin + 2.0 * ex / slack_quad
     hess = (
         np.diag(1.0 / x**2)
@@ -115,12 +125,12 @@ def _newton_equality(data, x, t_barrier, tol=1e-12, max_iter=80):
         step = 1.0
         while step > 1e-14:
             x_new = x + step * dx
-            terms_new = _barrier_terms(data, x_new)
-            if terms_new is not None:
+            value_new = _barrier_value(data, x_new)
+            if value_new is not None:
                 merit_new = (
                     t_barrier
                     * (0.5 * float(x_new @ data.Sigma @ x_new) + float(data.a @ x_new))
-                    + terms_new[0]
+                    + value_new[0]
                 )
                 if merit_new <= merit + 0.01 * step * slope:
                     break

@@ -16,7 +16,7 @@ from cgm.cgm_min import (
     step_varying,
     validate_schedule,
 )
-from cgm.problems import rap_generate
+from cgm.problems import ConstraintSet, rap_generate
 
 
 @pytest.fixture(scope="module")
@@ -75,6 +75,7 @@ class TestStep:
         eta = 0.5
         x_new, v, diag = cgm_min_step(problem, x, problem.mu, eta)
         assert diag["violated"] == 0
+        assert diag["qp_path"] == ""
         np.testing.assert_allclose(v, -x)
         np.testing.assert_allclose(x_new, x + eta * v)
 
@@ -83,11 +84,21 @@ class TestStep:
         eta = 1e-3
         _, v, diag = cgm_min_step(small_problem, x, small_problem.mu, eta)
         assert diag["violated"] > 0
+        assert diag["max_violation"] == small_problem.constraints.max_violation(x)
+        assert diag["qp_path"] in ("direct", "warm", "nnls", "oracle")
         # velocity must satisfy every polytope row
         from cgm.problems import build_polytope
 
-        a, b = build_polytope(small_problem.constraints, x, small_problem.mu).matrix()
+        constraints = small_problem.constraints
+        values = constraints.values(x)
+        a, b = build_polytope(constraints, x, small_problem.mu, values).matrix()
         assert float(np.max(a @ v - b)) <= 1e-8
+
+    def test_nonfinite_point_rejected(self, small_problem):
+        x = np.array(small_problem.x0)
+        x[0] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            cgm_min_step(small_problem, x, small_problem.mu, 1e-3)
 
     def test_step_size_range_enforced(self, small_problem):
         x = np.array(small_problem.x0)
@@ -106,7 +117,26 @@ class TestRun:
         assert trace.etas.shape == (T,)
         assert trace.max_violation.shape == (T + 1,)
         assert trace.f_values.shape == (T + 1,)
+        assert trace.n_active.shape == trace.qp_path.shape == (T,)
+        assert np.all(trace.n_active[trace.qp_path == ""] == 0)
         assert trace.horizon == T
+
+    def test_constraints_evaluated_once_per_iterate(self, small_problem, monkeypatch):
+        # the start-point feasibility check, one evaluation per step, and x^T
+        calls = []
+        values = ConstraintSet.values
+
+        def counted(self, x):
+            calls.append(None)
+            return values(self, x)
+
+        monkeypatch.setattr(ConstraintSet, "values", counted)
+        T = 30
+        trace = cgm_min_run(small_problem, MinSolverConfig(horizon=T))
+        assert len(calls) <= T + 2
+        monkeypatch.undo()
+        for x, viol in zip(trace.xs, trace.max_violation):
+            assert viol == small_problem.constraints.max_violation(x)
 
     def test_constant_schedule_uses_one_step_size(self, small_problem):
         trace = cgm_min_run(small_problem, MinSolverConfig(horizon=30))

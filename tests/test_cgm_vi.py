@@ -71,6 +71,8 @@ class TestRun:
         assert small_trace.xs.shape == (T + 1, small_problem.dim)
         assert small_trace.vs.shape == (T, small_problem.dim)
         assert small_trace.dist_x0.shape == (T + 1,)
+        assert small_trace.n_active.shape == small_trace.qp_path.shape == (T,)
+        assert np.all(small_trace.n_active[small_trace.qp_path == ""] == 0)
         assert small_trace.horizon == T
 
     def test_iterates_stay_in_ball(self, small_trace):
@@ -98,6 +100,24 @@ class TestRun:
             small_problem, VISolverConfig(horizon=5, delta=tight * 2)
         )
         assert trace.delta == pytest.approx(tight * 2)
+
+    def test_constraints_evaluated_once_per_iterate(self, small_problem, monkeypatch):
+        # one evaluation per step and one for x^T
+        calls = []
+        values = ConstraintSet.values
+
+        def counted(self, x):
+            calls.append(None)
+            return values(self, x)
+
+        monkeypatch.setattr(ConstraintSet, "values", counted)
+        T = 30
+        trace = cgm_vi_run(small_problem, VISolverConfig(horizon=T))
+        assert len(calls) <= T + 2
+        monkeypatch.undo()
+        constraints = small_problem.constraints.append(trace.aux.as_constraint())
+        for x, viol in zip(trace.xs, trace.max_violation):
+            assert viol == constraints.max_violation(x)
 
     def test_determinism(self, small_problem):
         t1 = cgm_vi_run(small_problem, VISolverConfig(horizon=60))

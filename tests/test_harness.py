@@ -1,11 +1,13 @@
 """Config parsing, experiment orchestration, CSV/SVG emission."""
 
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import cgm
 from cgm.cli import main as cli_main
 from cgm.harness import (
     ExperimentConfig,
@@ -178,9 +180,12 @@ class TestCli:
         assert "error:" in capsys.readouterr().err
 
     def test_console_script_installed(self):
+        # the subprocess imports the same cgm package, installed or not
+        package_root = str(Path(cgm.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
         out = subprocess.run(
             [sys.executable, "-m", "cgm.cli", "--help"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
         )
         assert out.returncode == 0
         assert "--check-bounds" in out.stdout

@@ -198,8 +198,8 @@ class TestVelocityPolytope:
         problem = rap_generate(10, seed=1)
         # exactly the strictly positive rows appear, in index order; tight rows
         # can surface with roundoff-sized values at the start point
-        idx = violated_set(problem.constraints, problem.x0)
         values = problem.constraints.values(problem.x0)
+        idx = violated_set(values)
         assert np.all(np.diff(idx) > 0)
         assert np.all(values[idx] > 0.0)
         assert np.all(values[idx] <= 1e-12)
@@ -209,24 +209,31 @@ class TestVelocityPolytope:
         problem = hbg_instantiate(5, 0.5, seed=0)
         # strict interior of the nonnegativity rows, block sums exactly one
         x = np.full(10, 1.0 / 5)
-        assert [i for i in violated_set(problem.constraints, x) if i < 10] == []
+        assert [i for i in violated_set(problem.constraints.values(x)) if i < 10] == []
 
     def test_nonfinite_point_rejected(self):
         problem = rap_generate(5, seed=1)
+        x = np.full(5, np.inf)
+        with np.errstate(invalid="ignore"):  # inf - inf in the affine rows
+            values = problem.constraints.values(x)
         with pytest.raises(ValueError):
-            violated_set(problem.constraints, np.full(5, np.inf))
+            build_polytope(problem.constraints, x, 1.0, values)
 
     def test_polytope_rows_follow_violations(self):
         problem = rap_generate(10, seed=1)
         x = -np.abs(np.random.default_rng(0).random(10))  # violates all bounds
-        violated = violated_set(problem.constraints, x)
-        polytope = build_polytope(problem.constraints, x, 1.0)
+        values = problem.constraints.values(x)
+        violated = violated_set(values)
+        polytope = build_polytope(problem.constraints, x, 1.0, values)
         assert polytope.b.size == violated.size
 
     def test_nonpositive_alpha_rejected(self):
         problem = rap_generate(5, seed=1)
         with pytest.raises(ValueError):
-            build_polytope(problem.constraints, problem.x0, 0.0)
+            build_polytope(
+                problem.constraints, problem.x0, 0.0,
+                problem.constraints.values(problem.x0),
+            )
 
 
 def _membership_samples(problem, feasible_point, count, seed):
@@ -250,7 +257,8 @@ class TestMembershipLaws:
             problem = hbg_instantiate(6, 0.6, seed=9)
             feasible = lambda rng: _random_product_simplex(rng, 6)
         for x, y, alpha in _membership_samples(problem, feasible, 150, seed=3):
-            a, b = build_polytope(problem.constraints, x, alpha).matrix()
+            values = problem.constraints.values(x)
+            a, b = build_polytope(problem.constraints, x, alpha, values).matrix()
             if a.shape[0] == 0:
                 continue
             direction = alpha * (y - x)
@@ -266,7 +274,8 @@ class TestMembershipLaws:
             feasible = lambda rng: _random_product_simplex(rng, 6)
         rng = np.random.default_rng(4)
         for x, y, alpha in _membership_samples(problem, feasible, 150, seed=5):
-            polytope = build_polytope(problem.constraints, x, alpha)
+            values = problem.constraints.values(x)
+            polytope = build_polytope(problem.constraints, x, alpha, values)
             a, b = polytope.matrix()
             if a.shape[0] == 0:
                 continue

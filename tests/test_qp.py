@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cgm.qp
 from cgm.cgm_min import MinSolverConfig, cgm_min_run
-from cgm.problems import build_polytope, rap_generate
+from cgm.cgm_vi import VISolverConfig, cgm_vi_run
+from cgm.problems import build_polytope, hbg_instantiate, rap_generate
 from cgm.qp import (
     Infeasible,
     ProjectionResult,
@@ -48,6 +50,7 @@ def test_inactive_rows_fast_path():
     result = project_velocity(np.array([-1.0, 2.0]), polytope)
     np.testing.assert_allclose(result.v, [1.0, -2.0])
     assert result.n_active == 0
+    assert result.path == "direct"
 
 
 def test_single_active_row_projection():
@@ -56,6 +59,7 @@ def test_single_active_row_projection():
     result = project_velocity(np.array([-1.0, 0.0]), polytope)
     np.testing.assert_allclose(result.v, [0.0, 0.0], atol=1e-12)
     np.testing.assert_allclose(result.dual, [1.0], atol=1e-12)
+    assert result.path == "warm"
 
 
 def test_infeasible_pair_raises():
@@ -194,7 +198,8 @@ def test_large_rap_polytopes_pass_kkt_gate():
     tol = 1e-10
     large = 0
     for x in trace.xs[:-1]:
-        polytope = build_polytope(problem.constraints, x, trace.alpha)
+        values = problem.constraints.values(x)
+        polytope = build_polytope(problem.constraints, x, trace.alpha, values)
         if polytope.b.size <= 16:
             continue
         large += 1
@@ -210,8 +215,6 @@ def test_fallbacks_are_logged(monkeypatch, caplog):
     # row 0 is active at the optimum v = 0 and row 1 is slack; a perturbed NNLS
     # answer makes both rows "active", so the polish finds a negative multiplier
     # and the KKT gate sends the result to the exhaustive oracle
-    import cgm.qp
-
     real_nnls = cgm.qp.nnls
     calls = []
 
@@ -226,6 +229,7 @@ def test_fallbacks_are_logged(monkeypatch, caplog):
     with caplog.at_level("WARNING", logger="cgm.qp"):
         result = project_velocity(c, polytope)
     np.testing.assert_allclose(result.v, [0.0, 0.0], atol=1e-12)
+    assert result.path == "oracle"
     messages = [rec.getMessage() for rec in caplog.records if rec.name == "cgm.qp"]
     assert len(messages) == 2
     assert "polish rejected" in messages[0]
@@ -237,3 +241,40 @@ def test_fallbacks_are_logged(monkeypatch, caplog):
     with caplog.at_level("WARNING", logger="cgm.qp"):
         project_velocity(c, polytope)
     assert not [rec for rec in caplog.records if rec.name == "cgm.qp"]
+
+
+def _trajectories():
+    return {
+        "rap-d50": cgm_min_run(rap_generate(50, seed=0), MinSolverConfig(horizon=500)),
+        "rap-d200": cgm_min_run(
+            rap_generate(200, seed=0), MinSolverConfig(horizon=20, schedule="varying")
+        ),
+        "hbg-d50": cgm_vi_run(hbg_instantiate(50, 0.8, seed=0), VISolverConfig(horizon=1000)),
+    }
+
+
+@pytest.fixture(scope="module")
+def warm_trajectories():
+    return _trajectories()
+
+
+def test_warm_guess_keeps_trajectories_bitwise(monkeypatch, warm_trajectories):
+    # an accepted guess must be exactly what NNLS and the polish would return
+    monkeypatch.setattr(cgm.qp, "_warm_guess", lambda gram, lin: None)
+    cold = _trajectories()
+    for name, trace in warm_trajectories.items():
+        assert "warm" not in cold[name].qp_path
+        np.testing.assert_array_equal(trace.xs, cold[name].xs, err_msg=name)
+        np.testing.assert_array_equal(
+            trace.max_violation, cold[name].max_violation, err_msg=name
+        )
+
+
+def test_warm_path_share(warm_trajectories):
+    def warm_share(path):
+        return float(np.mean(path[path != ""] == "warm"))
+
+    rap = warm_trajectories["rap-d50"].qp_path
+    assert warm_share(rap) >= 0.8
+    assert {"warm", "nnls"} <= set(rap.tolist())
+    assert warm_share(warm_trajectories["hbg-d50"].qp_path) >= 0.99
