@@ -5,7 +5,7 @@ Run from the root of a checkout:
     python3 benchmarks/bench.py --column change --out BENCH.json
     python3 benchmarks/bench.py --column parent --src ../parent/src --out BENCH.json
 
-Each entry is the best of --repeat ``time.perf_counter`` wall times of one call
+Each entry is the best of REPEAT = 3 ``time.perf_counter`` wall times of one call
 at a fixed seed, with one BLAS thread. ``--src`` selects the source tree whose
 ``cgm`` package is timed (default: this checkout's ``src``), so two commits can
 be measured by the same script and settings. Results are merged into --out
@@ -28,47 +28,48 @@ import scipy  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 42
+REPEAT = 3
 
 
-def best_of(repeat, fn, *args, **kwargs):
-    """(min wall seconds over repeat calls, result of the last call)."""
+def best_of(fn, *args, **kwargs):
+    """(min wall seconds over REPEAT calls, result of the last call)."""
     best = float("inf")
-    for _ in range(repeat):
+    for _ in range(REPEAT):
         tic = time.perf_counter()
         out = fn(*args, **kwargs)
         best = min(best, time.perf_counter() - tic)
     return best, out
 
 
-def measure(cgm, repeat):
+def measure(cgm):
     rap = cgm.rap_generate(50, seed=SEED)
     results, min_traces = {}, {}
     for schedule in ("constant", "varying"):
         config = cgm.MinSolverConfig(horizon=2000, schedule=schedule)
         results[f"rap_d50_T2000_{schedule}_s"], min_traces[schedule] = best_of(
-            repeat, cgm.cgm_min_run, rap, config
+            cgm.cgm_min_run, rap, config
         )
 
     rap200 = cgm.rap_generate(200, seed=SEED)
     config = cgm.MinSolverConfig(horizon=20, schedule="varying")
-    seconds, _ = best_of(repeat, cgm.cgm_min_run, rap200, config)
+    seconds, _ = best_of(cgm.cgm_min_run, rap200, config)
     results["rap_d200_T20_varying_ms_per_iter"] = seconds / 20 * 1e3
 
     hbg = cgm.hbg_instantiate(50, 0.8, seed=SEED)
     results["hbg_d50_T3000_s"], vi_trace = best_of(
-        repeat, cgm.cgm_vi_run, hbg, cgm.VISolverConfig(horizon=3000)
+        cgm.cgm_vi_run, hbg, cgm.VISolverConfig(horizon=3000)
     )
 
     results["reference_d50_s"], (x_star, f_star, cert) = best_of(
-        repeat, cgm.solve_rap_reference, rap.data
+        cgm.solve_rap_reference, rap.data
     )
     if not cert.ok:
         raise RuntimeError("reference certificate failed")
     floor = cgm.rap_unconstrained_min(rap.data)[1]
     results["certify_min_T2000_s"], _ = best_of(
-        repeat, cgm.certify_min, min_traces["constant"], rap, (x_star, f_star), floor
+        cgm.certify_min, min_traces["constant"], rap, (x_star, f_star), floor
     )
-    results["certify_vi_T3000_s"], _ = best_of(repeat, cgm.certify_vi, vi_trace, hbg)
+    results["certify_vi_T3000_s"], _ = best_of(cgm.certify_vi, vi_trace, hbg)
     return results
 
 
@@ -78,10 +79,7 @@ def main(argv=None):
     parser.add_argument("--out", required=True, type=Path, help="JSON file to merge into")
     parser.add_argument("--src", type=Path, default=ROOT / "src",
                         help="source tree holding the cgm package to time")
-    parser.add_argument("--repeat", type=int, default=3)
     args = parser.parse_args(argv)
-    if args.repeat < 1:
-        parser.error("--repeat must be >= 1")
 
     sys.path.insert(0, str(args.src.resolve()))
     import cgm
@@ -93,9 +91,9 @@ def main(argv=None):
         "scipy": scipy.__version__,
         "blas_threads": int(os.environ["OPENBLAS_NUM_THREADS"]),
         "seed": SEED,
-        "repeat": args.repeat,
+        "repeat": REPEAT,
     }
-    column = {"env": env, "results": measure(cgm, args.repeat)}
+    column = {"env": env, "results": measure(cgm)}
     data = json.loads(args.out.read_text()) if args.out.exists() else {}
     data.setdefault("columns", {})[args.column] = column
     args.out.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")

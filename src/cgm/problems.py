@@ -287,11 +287,13 @@ def violated_set(values):
 
 
 def build_polytope(constraints, x, alpha, values):
-    """Rows (grad g_i(x), -alpha g_i(x)) over the violated rows of values = g(x)."""
+    """Rows (grad g_i(x), -alpha g_i(x)) over the violated rows of values = g(x).
+
+    x must be finite; the solvers check each iterate before calling this. A
+    non-finite row that reaches the polytope is rejected by VelocityPolytope.
+    """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
-        raise ValueError("x must be finite")
     idx = violated_set(values)
     return VelocityPolytope(constraints.gradients(x, idx), -alpha * values[idx])

@@ -6,7 +6,7 @@ exhaustive active-set oracle and a KKT checker used to certify every solution.
 """
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 
 import numpy as np
@@ -82,11 +82,10 @@ def _active_rows(polytope):
 def _certified(c, polytope, v, dual, path):
     """The result for (v, dual) with its KKT residual filled in."""
     result = ProjectionResult(
-        v=v, dual=dual, kkt_residual=0.0, n_active=int(np.count_nonzero(dual > 0)),
+        v=v, dual=dual, kkt_residual=np.nan, n_active=int(np.count_nonzero(dual > 0)),
         path=path,
     )
-    object.__setattr__(result, "kkt_residual", kkt_residual_qp(result, c, polytope))
-    return result
+    return replace(result, kkt_residual=kkt_residual_qp(result, c, polytope))
 
 
 def _warm_guess(gram, lin):
@@ -94,10 +93,12 @@ def _warm_guess(gram, lin):
 
     gram lam = lin makes every row tight, so a positive solution of a
     well-conditioned system is the KKT point; it is the same least-squares
-    call the polish makes when NNLS finds every row active.
+    call the polish makes when NNLS finds every row active. The conditioning
+    test also implies full rank: lstsq drops only singular values below
+    eps * rows * sv[0].
     """
-    lam, _, rank, sv = np.linalg.lstsq(gram, lin, rcond=None)
-    if rank == lin.size and sv[-1] > 1e-8 * sv[0] and np.min(lam) > 0:
+    lam, _, _, sv = np.linalg.lstsq(gram, lin, rcond=None)
+    if sv[-1] > 1e-8 * sv[0] and np.min(lam) > 0:
         return lam
     return None
 
