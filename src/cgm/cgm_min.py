@@ -3,7 +3,9 @@
 Each step projects the negative objective gradient onto the velocity polytope
 of currently violated constraints and moves along the result. Supports the
 constant schedule eta = log(T)/(mu T) and the varying schedule
-eta_t = 1/(mu (t + kappa)).
+eta_t = 1/(mu (t + kappa)). The step (cgm_step), the loop (cgm_iterate) and
+the trace base (CgmTrace) are shared with CGM-VI, which passes its operator
+in place of the gradient.
 """
 
 import math
@@ -30,15 +32,12 @@ class MinSolverConfig:
     horizon: int
     schedule: str = CONSTANT
     alpha: Optional[float] = None  # defaults to mu at run time
-    qp_tol: float = 1e-10
 
     def __post_init__(self):
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
         if self.schedule not in (CONSTANT, VARYING):
             raise ValueError(f"unknown schedule {self.schedule!r}")
-        if self.qp_tol <= 0:
-            raise ValueError("qp_tol must be positive")
 
 
 def step_constant(T, mu):
@@ -65,22 +64,17 @@ def validate_schedule(config, problem):
             )
 
 
-def cgm_min_step(problem, x, alpha, eta, qp_tol=1e-10):
-    """One iteration: build the violated-set polytope, project, and move.
+def cgm_step(direction, constraints, x, alpha, eta):
+    """One CGM iteration x + eta v for the operator value direction at x.
 
-    When no constraint is violated the step is a plain gradient step and no
-    projection subproblem is solved. The constraint rows are evaluated once;
-    diag reports the max violation of the input x and the QP path taken
-    ("" when no QP ran).
+    v is -direction when no row is violated; otherwise it is the projection of
+    -direction onto the velocity polytope of the violated rows. The rows are
+    evaluated once; diag reports the max violation of the input x and the QP
+    path taken ("" when no QP ran).
     """
-    grad = problem.grad_f(x)
-    eta_max = min(1.0 / problem.ell_f, 1.0 / alpha)
-    if not 0 < eta <= eta_max * (1 + 1e-12):
-        raise ValueError(f"eta={eta} outside (0, {eta_max}]")
-    x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
         raise ValueError("x must be finite")
-    values = problem.constraints.values(x)
+    values = constraints.values(x)
     violated = violated_set(values)
     diag = {
         "violated": violated.size,
@@ -90,10 +84,10 @@ def cgm_min_step(problem, x, alpha, eta, qp_tol=1e-10):
         "qp_path": "",
     }
     if not violated.size:
-        v = -grad
+        v = -direction
     else:
-        polytope = build_polytope(problem.constraints, x, alpha, values)
-        result = project_velocity(grad, polytope, tol=qp_tol)
+        polytope = build_polytope(constraints, x, alpha, values)
+        result = project_velocity(direction, polytope)
         v = result.v
         diag.update(
             n_active=result.n_active, kkt_residual=result.kkt_residual,
@@ -102,11 +96,57 @@ def cgm_min_step(problem, x, alpha, eta, qp_tol=1e-10):
     return x + eta * v, v, diag
 
 
-@dataclass
-class MinTrace:
-    """Per-iteration record of a CGM-Min run; xs has T+1 states, vs/etas have T.
+def cgm_min_step(problem, x, alpha, eta):
+    """One CGM-Min iteration: cgm_step with the objective gradient at x."""
+    eta_max = min(1.0 / problem.ell_f, 1.0 / alpha)
+    if not 0 < eta <= eta_max * (1 + 1e-12):
+        raise ValueError(f"eta={eta} outside (0, {eta_max}]")
+    x = np.asarray(x, dtype=float)
+    return cgm_step(problem.grad_f(x), problem.constraints, x, alpha, eta)
 
-    n_active and qp_path record each step's projection ("" where no QP ran).
+
+def cgm_iterate(step, constraints, x0, etas):
+    """Run x_{t+1}, v_t, diag = step(x_t, etas[t]) from x0 for len(etas) steps.
+
+    Returns the CgmTrace fields as a dict. A failing step or a non-finite
+    iterate aborts with the iteration index.
+    """
+    T = etas.size
+    x = np.array(x0, dtype=float)
+    xs = np.empty((T + 1, x.size))
+    vs = np.empty((T, x.size))
+    viol = np.empty(T + 1)
+    wall = np.empty(T)
+    n_active = np.zeros(T, dtype=int)
+    qp_path = np.full(T, "", dtype="U6")
+    xs[0] = x
+    for t in range(T):
+        tic = time.perf_counter()
+        try:
+            x, v, diag = step(x, etas[t])
+        except Exception as exc:
+            raise RuntimeError(f"iteration {t} failed: {exc}") from exc
+        wall[t] = time.perf_counter() - tic
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(v))):
+            raise RuntimeError(f"iteration {t}: non-finite iterate")
+        xs[t + 1] = x
+        vs[t] = v
+        viol[t] = diag["max_violation"]
+        n_active[t] = diag["n_active"]
+        qp_path[t] = diag["qp_path"]
+    viol[T] = constraints.max_violation(x)
+    return dict(
+        xs=xs, vs=vs, etas=etas, max_violation=viol, wall_s=wall,
+        n_active=n_active, qp_path=qp_path,
+    )
+
+
+@dataclass(kw_only=True)
+class CgmTrace:
+    """Per-iteration record of a CGM run; xs has T+1 states, vs/etas have T.
+
+    max_violation has T+1 entries; n_active and qp_path record each step's
+    projection ("" where no QP ran).
     """
 
     xs: np.ndarray
@@ -114,13 +154,8 @@ class MinTrace:
     etas: np.ndarray
     max_violation: np.ndarray
     wall_s: np.ndarray
-    config: MinSolverConfig
-    alpha: float
-    kappa: float
-    f_values: np.ndarray
     n_active: np.ndarray
     qp_path: np.ndarray
-    f_resid: Optional[np.ndarray] = None
 
     @property
     def horizon(self):
@@ -129,6 +164,17 @@ class MinTrace:
     @property
     def v_norms(self):
         return np.linalg.norm(self.vs, axis=1)
+
+
+@dataclass(kw_only=True)
+class MinTrace(CgmTrace):
+    """A CGM-Min run with its objective values at every state."""
+
+    config: MinSolverConfig
+    alpha: float
+    kappa: float
+    f_values: np.ndarray
+    f_resid: Optional[np.ndarray] = None
 
     def fill_reference(self, f_star):
         """Populate residual columns once the reference optimum is known."""
@@ -149,47 +195,20 @@ def cgm_min_run(problem, config, reference=None):
         raise ValueError("need 0 < alpha <= mu")
     kappa = problem.ell_f / problem.mu
     T = config.horizon
-
-    n = problem.dim
-    xs = np.empty((T + 1, n))
-    vs = np.empty((T, n))
-    etas = np.empty(T)
-    viol = np.empty(T + 1)
-    wall = np.empty(T)
-    fvals = np.empty(T + 1)
-    n_active = np.zeros(T, dtype=int)
-    qp_path = np.full(T, "", dtype="U6")
-
-    x = np.array(problem.x0, dtype=float)
-    viol[0] = problem.constraints.max_violation(x)
-    if viol[0] > 1e-12:
+    if problem.constraints.max_violation(np.asarray(problem.x0, dtype=float)) > 1e-12:
         raise ValueError("x0 must be feasible")
-    xs[0] = x
-    fvals[0] = problem.value_f(x)
+    if config.schedule == CONSTANT:
+        etas = np.full(T, step_constant(T, problem.mu))
+    else:
+        etas = step_varying(np.arange(T), problem.mu, kappa)
 
-    eta_const = step_constant(T, problem.mu) if config.schedule == CONSTANT else None
-    for t in range(T):
-        eta = eta_const if eta_const is not None else step_varying(t, problem.mu, kappa)
-        tic = time.perf_counter()
-        try:
-            x, v, diag = cgm_min_step(problem, x, alpha, eta, config.qp_tol)
-        except Exception as exc:
-            raise RuntimeError(f"iteration {t} failed: {exc}") from exc
-        wall[t] = time.perf_counter() - tic
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(v))):
-            raise RuntimeError(f"iteration {t}: non-finite iterate")
-        xs[t + 1] = x
-        vs[t] = v
-        etas[t] = eta
-        viol[t] = diag["max_violation"]
-        n_active[t] = diag["n_active"]
-        qp_path[t] = diag["qp_path"]
-        fvals[t + 1] = problem.value_f(x)
-    viol[T] = problem.constraints.max_violation(x)
-
+    arrays = cgm_iterate(
+        lambda x, eta: cgm_min_step(problem, x, alpha, eta),
+        problem.constraints, problem.x0, etas,
+    )
     trace = MinTrace(
-        xs=xs, vs=vs, etas=etas, max_violation=viol, wall_s=wall, config=config,
-        alpha=alpha, kappa=kappa, f_values=fvals, n_active=n_active, qp_path=qp_path,
+        **arrays, config=config, alpha=alpha, kappa=kappa,
+        f_values=np.array([problem.value_f(x) for x in arrays["xs"]]),
     )
     if reference is not None:
         trace.fill_reference(reference[1])

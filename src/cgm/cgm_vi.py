@@ -5,14 +5,13 @@ runs the fixed schedule eta_t = 1/(mu (t + 16 kappa^2)), and carries the
 weighted ergodic average with weights t + 16 kappa^2 - 1.
 """
 
-import time
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .problems import SmoothConstraint, build_polytope, max_violation_of, violated_set
-from .qp import project_velocity
+from .cgm_min import CgmTrace, cgm_iterate, cgm_step
+from .problems import SmoothConstraint
 
 
 class DegenerateStart(Exception):
@@ -36,15 +35,12 @@ def step_vi(t, mu, kappa):
 class VISolverConfig:
     horizon: int
     delta: Optional[float] = None  # defaults to delta_default at run time
-    qp_tol: float = 1e-10
 
     def __post_init__(self):
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
         if self.delta is not None and self.delta < 1.0:
             raise ValueError("delta must be >= 1")
-        if self.qp_tol <= 0:
-            raise ValueError("qp_tol must be positive")
 
 
 @dataclass(frozen=True)
@@ -72,33 +68,15 @@ class AuxConstraint:
         return SmoothConstraint(value=value, gradient=gradient, smoothness=2.0)
 
 
-@dataclass
-class VITrace:
-    """Iterates and velocities of a CGM-VI run over constraints [m+1].
+@dataclass(kw_only=True)
+class VITrace(CgmTrace):
+    """A CGM-VI run over constraints [m+1], with each state's distance to x0."""
 
-    n_active and qp_path record each step's projection ("" where no QP ran).
-    """
-
-    xs: np.ndarray
-    vs: np.ndarray
-    etas: np.ndarray
-    max_violation: np.ndarray
     dist_x0: np.ndarray
-    wall_s: np.ndarray
     kappa: float
     delta: float
     aux: AuxConstraint
     normFx0_sq: float
-    n_active: np.ndarray
-    qp_path: np.ndarray
-
-    @property
-    def horizon(self):
-        return self.vs.shape[0]
-
-    @property
-    def v_norms(self):
-        return np.linalg.norm(self.vs, axis=1)
 
     @property
     def ergodic(self):
@@ -114,9 +92,11 @@ def ergodic_average(trace, T):
 
 
 def cgm_vi_run(problem, config):
-    """Run the VI loop for config.horizon iterations from problem.x0.
+    """Run config.horizon CGM steps from problem.x0 with F in place of the gradient.
 
-    QP failures and non-finite iterates abort with the iteration index.
+    The step uses alpha = mu over the problem's rows and the ball row.
+    Failures of F or of the QP and non-finite iterates abort with the
+    iteration index.
     """
     f0 = problem.op_F(problem.x0)
     norm_f0_sq = float(f0 @ f0)
@@ -129,48 +109,12 @@ def cgm_vi_run(problem, config):
     constraints = problem.constraints.append(aux.as_constraint())
 
     kappa = problem.ell_F / problem.mu
-    T = config.horizon
-    n = problem.dim
-    xs = np.empty((T + 1, n))
-    vs = np.empty((T, n))
-    etas = np.empty(T)
-    viol = np.empty(T + 1)
-    dist = np.empty(T + 1)
-    wall = np.empty(T)
-    n_active = np.zeros(T, dtype=int)
-    qp_path = np.full(T, "", dtype="U6")
-
-    x = np.array(problem.x0, dtype=float)
-    xs[0] = x
-    dist[0] = 0.0
-    for t in range(T):
-        eta = step_vi(t, problem.mu, kappa)
-        tic = time.perf_counter()
-        fx = problem.op_F(x)
-        v = -fx
-        try:
-            values = constraints.values(x)
-            viol[t] = max_violation_of(values)
-            if violated_set(values).size:
-                polytope = build_polytope(constraints, x, problem.mu, values)
-                result = project_velocity(fx, polytope, tol=config.qp_tol)
-                v = result.v
-                n_active[t] = result.n_active
-                qp_path[t] = result.path
-        except Exception as exc:
-            raise RuntimeError(f"iteration {t} failed: {exc}") from exc
-        x = x + eta * v
-        wall[t] = time.perf_counter() - tic
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(v))):
-            raise RuntimeError(f"iteration {t}: non-finite iterate")
-        xs[t + 1] = x
-        vs[t] = v
-        etas[t] = eta
-        dist[t + 1] = float(np.linalg.norm(x - xs[0]))
-    viol[T] = constraints.max_violation(x)
-
+    arrays = cgm_iterate(
+        lambda x, eta: cgm_step(problem.op_F(x), constraints, x, problem.mu, eta),
+        constraints, problem.x0, step_vi(np.arange(config.horizon), problem.mu, kappa),
+    )
+    xs = arrays["xs"]
     return VITrace(
-        xs=xs, vs=vs, etas=etas, max_violation=viol, dist_x0=dist, wall_s=wall,
+        **arrays, dist_x0=np.array([float(np.linalg.norm(x - xs[0])) for x in xs]),
         kappa=kappa, delta=delta, aux=aux, normFx0_sq=norm_f0_sq,
-        n_active=n_active, qp_path=qp_path,
     )

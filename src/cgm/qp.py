@@ -6,7 +6,7 @@ exhaustive active-set oracle and a KKT checker used to certify every solution.
 """
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from itertools import combinations
 
 import numpy as np
@@ -26,6 +26,7 @@ def _recover_duals(a, b, c, v):
     return lam
 
 DEGENERATE_NORMAL = 1e-14
+KKT_TOL = 1e-10  # scale of the KKT gate every projection must pass
 
 
 class QpError(Exception):
@@ -42,10 +43,15 @@ class MaxIterations(QpError):
 
 @dataclass(frozen=True)
 class VelocityPolytope:
-    """Halfspace rows a v <= b in R^n; an (0, n) matrix a means all of R^n."""
+    """Halfspace rows a v <= b in R^n; an (0, n) matrix a means all of R^n.
+
+    kept holds the indices of the non-degenerate rows; a degenerate row
+    (zero normal, rhs >= 0) is vacuous.
+    """
 
     a: np.ndarray
     b: np.ndarray
+    kept: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a = np.asarray(self.a, dtype=float)
@@ -59,6 +65,7 @@ class VelocityPolytope:
         degenerate = np.linalg.norm(a, axis=1) < DEGENERATE_NORMAL
         if degenerate.any() and (b[degenerate] < 0).any():
             raise Infeasible("zero normal with negative rhs: 0 <= rhs is violated")
+        object.__setattr__(self, "kept", np.flatnonzero(~degenerate))
 
     def matrix(self):
         """The stacked (a, b) pair."""
@@ -72,11 +79,6 @@ class ProjectionResult:
     kkt_residual: float
     n_active: int
     path: str = ""  # "direct", "warm", "nnls" or "oracle"
-
-
-def _active_rows(polytope):
-    """Indices of non-degenerate rows; degenerate rows (rhs >= 0) are vacuous."""
-    return np.flatnonzero(np.linalg.norm(polytope.a, axis=1) >= DEGENERATE_NORMAL)
 
 
 def _certified(c, polytope, v, dual, path):
@@ -103,7 +105,7 @@ def _warm_guess(gram, lin):
     return None
 
 
-def project_velocity(target, polytope, tol=1e-10):
+def project_velocity(target, polytope):
     """Project -target onto the polytope; certify the KKT system of the result.
 
     First tries every kept row as active (one least-squares solve on the Gram
@@ -114,13 +116,11 @@ def project_velocity(target, polytope, tol=1e-10):
     polytope) and MaxIterations when the NNLS solve stalls or the result fails
     the KKT gate. The result's path names the branch that produced it.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     c = np.asarray(target, dtype=float)
     if not np.all(np.isfinite(c)):
         raise ValueError("target must be finite")
 
-    keep = _active_rows(polytope)
+    keep = polytope.kept
     dual = np.zeros(polytope.b.size)
     v0 = -c
     a_full, b_full = polytope.matrix()
@@ -131,7 +131,7 @@ def project_velocity(target, polytope, tol=1e-10):
     b = b_full[keep]
     gram = a @ a.T
     lin = -a @ c - b
-    gate = max(tol, 1e3 * tol * (1.0 + np.linalg.norm(c)))
+    gate = max(KKT_TOL, 1e3 * KKT_TOL * (1.0 + np.linalg.norm(c)))
     lam = _warm_guess(gram, lin)
     if lam is not None:
         dual[keep] = lam
@@ -186,7 +186,7 @@ def brute_force_projection(target, polytope):
     Among objective ties the lexicographically smallest subset wins.
     """
     c = np.asarray(target, dtype=float)
-    keep = _active_rows(polytope)
+    keep = polytope.kept
     a_full, b_full = polytope.matrix()
     a = a_full[keep]
     b = b_full[keep]

@@ -2,8 +2,9 @@
 
 Log-barrier interior-point solve of min 0.5 x'Sigma x + a'x over
 {x >= 0, 1'x = 1, r'x <= Rmax, x'Ex <= Emax}, with the sum constraint held as
-a hard equality inside the Newton KKT system and a KKT certificate computed
-from the recovered multipliers.
+a hard equality inside the Newton KKT system. Late central-path points are
+polished on their active set, and the first polish whose KKT certificate
+holds is the answer.
 """
 
 import math
@@ -12,6 +13,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .baselines import project_simplex
+
+
+# the duality gap (#inequalities)/t at which polishing starts, and the last
+# gap tried before the solve gives up
+POLISH_GAP = 1e-6
+FINAL_GAP = 1e-10
 
 
 class BarrierFailure(Exception):
@@ -98,7 +105,6 @@ def _newton_equality(data, x, t_barrier, tol=1e-12, max_iter=80):
     """Damped Newton for t*f + barrier subject to 1'x = 1."""
     d = x.size
     ones = np.ones(d)
-    nu = 0.0
     for _ in range(max_iter):
         terms = _barrier_terms(data, x)
         if terms is None:
@@ -115,10 +121,10 @@ def _newton_equality(data, x, t_barrier, tol=1e-12, max_iter=80):
             sol = np.linalg.solve(kkt, rhs)
         except np.linalg.LinAlgError as exc:
             raise BarrierFailure("Newton KKT system singular") from exc
-        dx, nu = sol[:d], sol[d]
+        dx = sol[:d]
         decrement_sq = float(dx @ hess @ dx)
         if decrement_sq / 2.0 <= tol:
-            return x, nu
+            return x
         # backtracking with halving, Armijo constant 0.01
         merit = t_barrier * (0.5 * float(x @ data.Sigma @ x) + float(data.a @ x)) + bval
         slope = float(grad @ dx)
@@ -138,20 +144,12 @@ def _newton_equality(data, x, t_barrier, tol=1e-12, max_iter=80):
         else:
             # stalled by conditioning near the central path; accept if close
             if decrement_sq / 2.0 <= 1e-6:
-                return x, nu
+                return x
             raise BarrierFailure("backtracking line search failed")
         x = x + step * dx
     if decrement_sq / 2.0 <= 1e-6:
-        return x, nu
+        return x
     raise BarrierFailure("Newton did not converge")
-
-
-def recover_multipliers(data, x, t_barrier, nu):
-    """Inequality multipliers from barrier slacks plus the equality multiplier."""
-    lam_nonneg = 1.0 / (t_barrier * x)
-    lam_lin = 1.0 / (t_barrier * (data.Rmax - float(data.r @ x)))
-    lam_quad = 1.0 / (t_barrier * (data.Emax - float(x @ data.E @ x)))
-    return np.concatenate([lam_nonneg, [lam_lin, lam_quad]]), nu / t_barrier
 
 
 def kkt_residual(data, x, multipliers):
@@ -259,24 +257,28 @@ def _polish_active_set(data, x):
     return x_new, (lam, nu)
 
 
-def solve_rap_reference(data, tol=1e-10, barrier_decrease=10.0):
-    """Central-path solve; barrier weight grows by barrier_decrease per stage
-    until (#inequalities)/t <= tol."""
-    d = data.a.size
-    m_ineq = d + 2
+def solve_rap_reference(data, barrier_decrease=10.0):
+    """Central-path solve; the barrier weight t grows by barrier_decrease per stage.
+
+    Once the gap (#inequalities)/t is at most POLISH_GAP, each stage's point
+    is polished on its active set, and the first polish whose certificate is
+    ok is returned as (x, f, certificate). Raises BarrierFailure when no stage
+    down to FINAL_GAP certifies.
+    """
+    m_ineq = data.a.size + 2
     x = _interior_start(data)
     t_barrier = 1.0
-    nu = 0.0
     while True:
-        x, nu = _newton_equality(data, x, t_barrier)
-        if m_ineq / t_barrier <= tol:
-            break
+        x = _newton_equality(data, x, t_barrier)
+        gap = m_ineq / t_barrier
+        if gap <= POLISH_GAP:
+            polished = _polish_active_set(data, x)
+            if polished is not None:
+                x_star, multipliers = polished
+                cert = kkt_residual(data, x_star, multipliers)
+                if cert.ok:
+                    f_star = 0.5 * float(x_star @ data.Sigma @ x_star) + float(data.a @ x_star)
+                    return x_star, f_star, cert
+            if gap <= FINAL_GAP:
+                raise BarrierFailure(f"no active-set polish certified down to gap {gap:.1e}")
         t_barrier *= barrier_decrease
-    polished = _polish_active_set(data, x)
-    if polished is not None:
-        x, multipliers = polished
-    else:
-        multipliers = recover_multipliers(data, x, t_barrier, nu)
-    cert = kkt_residual(data, x, multipliers)
-    f_star = 0.5 * float(x @ data.Sigma @ x) + float(data.a @ x)
-    return x, f_star, cert

@@ -53,8 +53,6 @@ class TestSchedules:
             MinSolverConfig(horizon=0)
         with pytest.raises(ValueError):
             MinSolverConfig(horizon=10, schedule="bogus")
-        with pytest.raises(ValueError):
-            MinSolverConfig(horizon=10, qp_tol=-1.0)
 
 
 class TestStep:

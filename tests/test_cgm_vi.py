@@ -1,5 +1,7 @@
 """VI solver: ball constraint, schedule, ergodic averaging, trace layout."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -140,6 +142,20 @@ class TestRun:
         )
         with pytest.raises(RuntimeError, match="iteration 2: non-finite iterate"):
             cgm_vi_run(problem, VISolverConfig(horizon=3))
+
+    def test_operator_failure_names_iteration(self, small_problem):
+        # the start-point evaluation is call 1, so call 4 is made at step t=2
+        calls = []
+
+        def op_F(x):
+            calls.append(None)
+            if len(calls) == 4:
+                raise ArithmeticError("operator blew up")
+            return small_problem.op_F(x)
+
+        problem = replace(small_problem, op_F=op_F)
+        with pytest.raises(RuntimeError, match="iteration 2 failed: operator blew up"):
+            cgm_vi_run(problem, VISolverConfig(horizon=5))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -109,12 +109,6 @@ def test_nonfinite_target_rejected():
         project_velocity(np.array([np.nan, 0.0]), polytope)
 
 
-def test_bad_tolerance_rejected():
-    polytope = VelocityPolytope(np.zeros((0, 1)), np.zeros(0))
-    with pytest.raises(ValueError):
-        project_velocity(np.zeros(1), polytope, tol=0.0)
-
-
 def test_oracle_equivalence_batch():
     for make_instance in (random_instance, degenerate_instance):
         rng = np.random.default_rng(7)
@@ -195,7 +189,7 @@ def test_large_rap_polytopes_pass_kkt_gate():
     # d=200 RAP steps violate well over 16 rows, where no oracle fallback exists
     problem = rap_generate(200, seed=0)
     trace = cgm_min_run(problem, MinSolverConfig(horizon=20, schedule="varying"))
-    tol = 1e-10
+    tol = cgm.qp.KKT_TOL
     large = 0
     for x in trace.xs[:-1]:
         values = problem.constraints.values(x)
@@ -204,7 +198,7 @@ def test_large_rap_polytopes_pass_kkt_gate():
             continue
         large += 1
         c = problem.grad_f(x)
-        result = project_velocity(c, polytope, tol=tol)
+        result = project_velocity(c, polytope)
         gate = max(tol, 1e3 * tol * (1.0 + np.linalg.norm(c)))
         assert kkt_residual_qp(result, c, polytope) <= gate
         assert result.n_active == np.count_nonzero(result.dual > 0)

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from cgm.problems import rap_generate
+import cgm.reference
 from cgm.reference import (
+    BarrierFailure,
     StartInfeasible,
     _interior_start,
     kkt_residual,
@@ -50,6 +52,20 @@ class TestSolve:
         x, f_star, cert = solve_rap_reference(problem.data)
         assert cert.ok
         assert np.all(problem.constraints.values(x) <= 1e-10)
+
+    @pytest.mark.parametrize("d, seed", [(50, 214), (50, 221), (200, 9)])
+    def test_certifies_where_the_last_stages_stall(self, d, seed):
+        # Newton fails in the last central-path stages here; the active set is
+        # right well before them, so an earlier polish certifies
+        problem = rap_generate(d, seed=seed)
+        x, _, cert = solve_rap_reference(problem.data)
+        assert cert.ok
+        assert np.all(problem.constraints.values(x) <= 1e-10)
+
+    def test_no_certified_polish_fails_loudly(self, monkeypatch):
+        monkeypatch.setattr(cgm.reference, "_polish_active_set", lambda data, x: None)
+        with pytest.raises(BarrierFailure, match="no active-set polish certified"):
+            solve_rap_reference(rap_generate(8, seed=11).data)
 
     def test_kkt_residual_rejects_bad_multiplier_shape(self, rap_problem):
         x = np.array(rap_problem.x0)
