@@ -72,7 +72,7 @@ def cgm_step(direction, constraints, x, alpha, eta):
     evaluated once; diag reports the max violation of the input x and the QP
     path taken ("" when no QP ran).
     """
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ValueError("x must be finite")
     values = constraints.values(x)
     violated = violated_set(values)
@@ -127,7 +127,7 @@ def cgm_iterate(step, constraints, x0, etas):
         except Exception as exc:
             raise RuntimeError(f"iteration {t} failed: {exc}") from exc
         wall[t] = time.perf_counter() - tic
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(v))):
+        if not (np.isfinite(x).all() and np.isfinite(v).all()):
             raise RuntimeError(f"iteration {t}: non-finite iterate")
         xs[t + 1] = x
         vs[t] = v

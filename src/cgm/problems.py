@@ -130,14 +130,15 @@ class ConstraintSet:
     def gradients(self, x, idx):
         """Gradients of the rows idx at x as a (len(idx), n) array."""
         k, p = self.n_bounds, self.c.size
-        out = np.zeros((len(idx), self.W.shape[1]))
-        for r, i in enumerate(np.asarray(idx).tolist()):
-            if i < k:
-                out[r, i] = -1.0
-            elif i < k + p:
-                out[r] = self.W[i - k]
-            else:
+        idx = np.asarray(idx, dtype=int)
+        out = np.zeros((idx.size, self.W.shape[1]))
+        bound = idx < k
+        out[bound, idx[bound]] = -1.0
+        for r, i in enumerate(idx.tolist()):
+            if i >= k + p:
                 out[r] = self.smooth[i - k - p].gradient(x)
+            elif i >= k:
+                out[r] = self.W[i - k]
         return out
 
     def max_violation(self, x):
@@ -278,7 +279,7 @@ def hbg_instantiate(d, beta, seed=42):
 
 def max_violation_of(values):
     """max(0, max_i g_i(x)) from the row values g(x)."""
-    return float(np.max(values, initial=0.0))
+    return float(values.max(initial=0.0))
 
 
 def violated_set(values):
@@ -289,11 +290,16 @@ def violated_set(values):
 def build_polytope(constraints, x, alpha, values):
     """Rows (grad g_i(x), -alpha g_i(x)) over the violated rows of values = g(x).
 
-    x must be finite; the solvers check each iterate before calling this. A
-    non-finite row that reaches the polytope is rejected by VelocityPolytope.
+    The violated bound rows come first, in index order, and are marked as
+    such (bound_idx) for the projection. x must be finite; the solvers check
+    each iterate before calling this. A non-finite row that reaches the
+    polytope is rejected by VelocityPolytope.
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     x = np.asarray(x, dtype=float)
     idx = violated_set(values)
-    return VelocityPolytope(constraints.gradients(x, idx), -alpha * values[idx])
+    return VelocityPolytope(
+        constraints.gradients(x, idx), -alpha * values[idx],
+        bound_idx=idx[idx < constraints.n_bounds],
+    )

@@ -1,12 +1,15 @@
 """Least-distance projection onto a small polytope of halfspace rows.
 
-Solves min_{v : A v <= b} ||v + c||^2 as a least-distance program, reduced to
-one nonnegative least-squares solve (Lawson & Hanson, 1974, ch. 23), plus an
-exhaustive active-set oracle and a KKT checker used to certify every solution.
+Solves min_{v : A v <= b} ||v + c||^2. Coordinate-bound rows are handled in
+closed form and the few general rows by a primal-dual active-set (semismooth
+Newton) iteration on their multipliers (Hintermueller, Ito & Kunisch, 2002).
+Polytopes it cannot settle fall back to the least-distance program reduced to
+one nonnegative least-squares solve (Lawson & Hanson, 1974, ch. 23). An
+exhaustive active-set oracle and a KKT checker certify every solution.
 """
 
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
@@ -27,6 +30,7 @@ def _recover_duals(a, b, c, v):
 
 DEGENERATE_NORMAL = 1e-14
 KKT_TOL = 1e-10  # scale of the KKT gate every projection must pass
+ACTIVE_SET_ITERATIONS = 10  # cap of the bound-aware active-set solve
 
 
 class QpError(Exception):
@@ -45,24 +49,37 @@ class MaxIterations(QpError):
 class VelocityPolytope:
     """Halfspace rows a v <= b in R^n; an (0, n) matrix a means all of R^n.
 
-    kept holds the indices of the non-degenerate rows; a degenerate row
-    (zero normal, rhs >= 0) is vacuous.
+    The first bound_idx.size rows are coordinate bounds: row j is
+    -e_{bound_idx[j]}, so it reads v_{bound_idx[j]} >= -b[j]. kept holds the
+    indices of the non-degenerate rows; a degenerate row (zero normal,
+    rhs >= 0) is vacuous.
     """
 
     a: np.ndarray
     b: np.ndarray
+    bound_idx: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
     kept: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a = np.asarray(self.a, dtype=float)
         b = np.asarray(self.b, dtype=float)
+        bounds = np.asarray(self.bound_idx, dtype=int)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
+        object.__setattr__(self, "bound_idx", bounds)
         if a.ndim != 2 or a.shape[1] < 1 or b.shape != (a.shape[0],):
             raise ValueError("need a of shape (m, n) with n >= 1 and b of shape (m,)")
         if not (np.isfinite(a).all() and np.isfinite(b).all()):
             raise ValueError("halfspace rows must be finite")
-        degenerate = np.linalg.norm(a, axis=1) < DEGENERATE_NORMAL
+        norms = np.linalg.norm(a, axis=1)
+        s = bounds.size
+        if bounds.ndim != 1 or s > a.shape[0]:
+            raise ValueError("need bound_idx of shape (s,) with s <= m")
+        if s and not (
+            (norms[:s] == 1.0).all() and (a[np.arange(s), bounds] == -1.0).all()
+        ):
+            raise ValueError("bound row j must be -e_{bound_idx[j]}")
+        degenerate = norms < DEGENERATE_NORMAL
         if degenerate.any() and (b[degenerate] < 0).any():
             raise Infeasible("zero normal with negative rhs: 0 <= rhs is violated")
         object.__setattr__(self, "kept", np.flatnonzero(~degenerate))
@@ -72,73 +89,114 @@ class VelocityPolytope:
         return self.a, self.b
 
 
-@dataclass(frozen=True)
+@dataclass
 class ProjectionResult:
     v: np.ndarray
     dual: np.ndarray
     kkt_residual: float
     n_active: int
-    path: str = ""  # "direct", "warm", "nnls" or "oracle"
+    path: str = ""  # "direct", "dual", "nnls" or "oracle"
+    iterations: int = 0  # active-set iterations on the "dual" path, else 0
 
 
-def _certified(c, polytope, v, dual, path):
+def _certified(c, polytope, v, dual, path, iterations=0):
     """The result for (v, dual) with its KKT residual filled in."""
     result = ProjectionResult(
         v=v, dual=dual, kkt_residual=np.nan, n_active=int(np.count_nonzero(dual > 0)),
-        path=path,
+        path=path, iterations=iterations,
     )
-    return replace(result, kkt_residual=kkt_residual_qp(result, c, polytope))
+    result.kkt_residual = kkt_residual_qp(result, c, polytope)
+    return result
 
 
-def _warm_guess(gram, lin):
-    """Multipliers with every row active, or None unless unique and strictly positive.
+def _active_set(c, polytope, gate):
+    """Bound-aware primal-dual active-set solve; None when it does not settle.
 
-    gram lam = lin makes every row tight, so a positive solution of a
-    well-conditioned system is the KKT point; it is the same least-squares
-    call the polish makes when NNLS finds every row active. The conditioning
-    test also implies full rank: lstsq drops only singular values below
-    eps * rows * sv[0].
+    The bound rows read v >= floor on their coordinates (floor = -inf
+    elsewhere). For multipliers mu of the general rows G v <= h, the
+    point w = -c - G' mu gives v = max(w, floor) and bound duals v - w, which
+    meet stationarity, bound feasibility, the bound duals' signs and their
+    complementarity by construction; the KKT gate checks what is left. Each
+    iteration solves (G_AF G_AF') mu_A = G_A z - h_A over the active rows A
+    and the free coordinates F (where v == w; the Gram matrix masks the
+    other columns), with z = -c on F and floor elsewhere. It starts with every bound clamped and every row active, keeps
+    an active row while mu > 0 and activates an inactive row once its slack
+    is positive, and returns the first candidate with mu >= 0 that passes the
+    gate. A singular system (duplicate or zero-normal rows, or a row with no
+    free coordinate), or no such candidate within ACTIVE_SET_ITERATIONS,
+    gives None.
     """
-    lam, _, _, sv = np.linalg.lstsq(gram, lin, rcond=None)
-    if sv[-1] > 1e-8 * sv[0] and np.min(lam) > 0:
-        return lam
+    a, b = polytope.matrix()
+    bounds = polytope.bound_idx
+    s = bounds.size
+    g, h = a[s:], b[s:]
+    u = -c
+    floor = np.full(u.size, -np.inf)
+    floor[bounds] = -b[:s]
+    free = floor == -np.inf
+    active = np.ones(h.size, dtype=bool)
+    for iteration in range(1, ACTIVE_SET_ITERATIONS + 1):
+        mu = np.zeros(h.size)
+        g_active = g[active]
+        try:
+            mu[active] = np.linalg.solve(
+                (g_active * free) @ g_active.T,
+                g_active @ np.where(free, u, floor) - h[active],
+            )
+        except np.linalg.LinAlgError:
+            return None
+        if not np.isfinite(mu).all():
+            return None
+        w = u - g.T @ mu
+        v = np.maximum(w, floor)
+        slack = g @ v - h
+        if mu.min(initial=0.0) >= 0 and slack.max(initial=-np.inf) <= gate:
+            dual = np.concatenate(((v - w)[bounds], mu))
+            result = _certified(c, polytope, v, dual, "dual", iteration)
+            if result.kkt_residual <= gate:
+                return result
+        free = w >= floor
+        active = np.where(active, mu > 0, slack > 0)
     return None
 
 
 def project_velocity(target, polytope):
     """Project -target onto the polytope; certify the KKT system of the result.
 
-    First tries every kept row as active (one least-squares solve on the Gram
-    matrix). Otherwise the least-distance program min ||u|| s.t. -A u >= lin,
-    u = v + c, with lin = -A c - b, is solved as one NNLS problem over
-    E = [-A'; lin'] and f = e_{n+1}; the residual's last entry gives the scale
-    of the multipliers. Raises Infeasible when that scale vanishes (empty
-    polytope) and MaxIterations when the NNLS solve stalls or the result fails
-    the KKT gate. The result's path names the branch that produced it.
+    Returns -target when it is feasible ("direct"), else the bound-aware
+    active-set solution ("dual"). When that does not settle, the
+    least-distance program min ||u|| s.t. -A u >= lin, u = v + c, with
+    lin = -A c - b, is solved as one NNLS problem over E = [-A'; lin'] and
+    f = e_{n+1}; the residual's last entry gives the scale of the multipliers
+    ("nnls", or "oracle" when the exhaustive oracle has to redo it). Raises
+    Infeasible when that scale vanishes (empty polytope) and MaxIterations
+    when the NNLS solve stalls or the result fails the KKT gate.
     """
     c = np.asarray(target, dtype=float)
-    if not np.all(np.isfinite(c)):
+    if not np.isfinite(c).all():
         raise ValueError("target must be finite")
 
     keep = polytope.kept
     dual = np.zeros(polytope.b.size)
     v0 = -c
     a_full, b_full = polytope.matrix()
-    if not keep.size or np.all(a_full[keep] @ v0 <= b_full[keep]):
+    if not keep.size or (a_full[keep] @ v0 <= b_full[keep]).all():
         return _certified(c, polytope, v0, dual, "direct")
+
+    gate = max(KKT_TOL, 1e3 * KKT_TOL * (1.0 + np.linalg.norm(c)))
+    result = _active_set(c, polytope, gate)
+    if result is not None:
+        return result
+    n_bounds = polytope.bound_idx.size
+    logger.warning(
+        "active set unsettled on %d bound and %d general rows: NNLS fallback",
+        n_bounds, polytope.b.size - n_bounds,
+    )
 
     a = a_full[keep]
     b = b_full[keep]
     gram = a @ a.T
     lin = -a @ c - b
-    gate = max(KKT_TOL, 1e3 * KKT_TOL * (1.0 + np.linalg.norm(c)))
-    lam = _warm_guess(gram, lin)
-    if lam is not None:
-        dual[keep] = lam
-        result = _certified(c, polytope, -c - a.T @ lam, dual, "warm")
-        if result.kkt_residual <= gate:
-            return result
-
     e = np.vstack([-a.T, lin])
     f = np.zeros(e.shape[0])
     f[-1] = 1.0

@@ -51,6 +51,7 @@ def test_inactive_rows_fast_path():
     np.testing.assert_allclose(result.v, [1.0, -2.0])
     assert result.n_active == 0
     assert result.path == "direct"
+    assert result.iterations == 0
 
 
 def test_single_active_row_projection():
@@ -59,7 +60,55 @@ def test_single_active_row_projection():
     result = project_velocity(np.array([-1.0, 0.0]), polytope)
     np.testing.assert_allclose(result.v, [0.0, 0.0], atol=1e-12)
     np.testing.assert_allclose(result.dual, [1.0], atol=1e-12)
-    assert result.path == "warm"
+    assert result.path == "dual"
+    assert result.iterations == 1
+
+
+def test_bound_rows_must_be_negative_unit_rows():
+    # rows -e_1 and a general row; bound_idx names the coordinate of each bound row
+    a = np.array([[0.0, -1.0], [1.0, 1.0]])
+    b = np.array([0.5, 1.0])
+    assert VelocityPolytope(a, b, bound_idx=[1]).bound_idx.tolist() == [1]
+    for bad_a, bound_idx in (
+        (a, [0]),  # -e_1 is not -e_0
+        (np.array([[0.0, 1.0], [1.0, 1.0]]), [1]),  # +e_1
+        (np.array([[0.5, -1.0], [1.0, 1.0]]), [1]),  # extra entry
+        (np.array([[0.0, -2.0], [1.0, 1.0]]), [1]),  # scaled
+        (a, [1, 0]),  # the general row is not a bound row
+    ):
+        with pytest.raises(ValueError):
+            VelocityPolytope(bad_a, b, bound_idx=bound_idx)
+    with pytest.raises(ValueError):
+        VelocityPolytope(a, b, bound_idx=[1, 0, 1])  # more bound rows than rows
+
+
+def bounded_instance(rng, n, k):
+    """Bound rows -v_i <= b_i on a random coordinate subset, then k dense rows."""
+    bound_idx = np.flatnonzero(rng.random(n) < 0.7)
+    a = np.vstack([-np.eye(n)[bound_idx], rng.standard_normal((k, n))])
+    b = np.concatenate([rng.standard_normal(bound_idx.size), rng.standard_normal(k)])
+    c = 2.0 * rng.standard_normal(n)
+    return c, VelocityPolytope(a, b, bound_idx=bound_idx)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_bound_rows_match_oracle(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 6))
+    k = int(rng.integers(0, 4))
+    c, polytope = bounded_instance(rng, n, k)
+    try:
+        result = project_velocity(c, polytope)
+    except Infeasible:
+        with pytest.raises(Infeasible):
+            brute_force_projection(c, polytope)
+        return
+    assert np.max(np.abs(result.v - brute_force_projection(c, polytope))) <= 1e-8
+    tol = cgm.qp.KKT_TOL
+    gate = max(tol, 1e3 * tol * (1.0 + np.linalg.norm(c)))
+    assert kkt_residual_qp(result, c, polytope) <= gate
+    assert (result.dual >= 0.0).all()
 
 
 def test_infeasible_pair_raises():
@@ -206,9 +255,10 @@ def test_large_rap_polytopes_pass_kkt_gate():
 
 
 def test_fallbacks_are_logged(monkeypatch, caplog):
-    # row 0 is active at the optimum v = 0 and row 1 is slack; a perturbed NNLS
-    # answer makes both rows "active", so the polish finds a negative multiplier
-    # and the KKT gate sends the result to the exhaustive oracle
+    # row 0 is active at the optimum v = 0 and row 1 is slack; with the active
+    # set stubbed out, a perturbed NNLS answer makes both rows "active", so the
+    # polish finds a negative multiplier and the KKT gate sends the result to
+    # the exhaustive oracle
     real_nnls = cgm.qp.nnls
     calls = []
 
@@ -217,6 +267,7 @@ def test_fallbacks_are_logged(monkeypatch, caplog):
         calls.append(y)
         return (y + 0.1 if len(calls) == 1 else y), rnorm
 
+    monkeypatch.setattr(cgm.qp, "_active_set", lambda c, polytope, gate: None)
     monkeypatch.setattr(cgm.qp, "nnls", perturbed_nnls)
     polytope = VelocityPolytope(np.eye(2), np.array([0.0, 5.0]))
     c = np.array([-1.0, 0.0])
@@ -225,16 +276,35 @@ def test_fallbacks_are_logged(monkeypatch, caplog):
     np.testing.assert_allclose(result.v, [0.0, 0.0], atol=1e-12)
     assert result.path == "oracle"
     messages = [rec.getMessage() for rec in caplog.records if rec.name == "cgm.qp"]
-    assert len(messages) == 2
-    assert "polish rejected" in messages[0]
-    assert "oracle fallback" in messages[1]
+    assert len(messages) == 3
+    assert "NNLS fallback" in messages[0]
+    assert "polish rejected" in messages[1]
+    assert "oracle fallback" in messages[2]
 
-    # the unperturbed solve takes neither path and logs nothing
+    # the unstubbed solve takes the active set and logs nothing
     caplog.clear()
-    monkeypatch.setattr(cgm.qp, "nnls", real_nnls)
+    monkeypatch.undo()
     with caplog.at_level("WARNING", logger="cgm.qp"):
-        project_velocity(c, polytope)
+        assert project_velocity(c, polytope).path == "dual"
     assert not [rec for rec in caplog.records if rec.name == "cgm.qp"]
+
+
+def test_nnls_fallback_is_logged_with_row_counts(caplog):
+    # a duplicated row makes the active-set system singular
+    polytope = VelocityPolytope(
+        np.array([[-1.0, 0.0], [0.0, 1.0], [0.0, 1.0]]), np.array([-1.0, 0.0, 0.0]),
+        bound_idx=[0],
+    )
+    c = np.array([0.0, -1.0])
+    with caplog.at_level("WARNING", logger="cgm.qp"):
+        result = project_velocity(c, polytope)
+    np.testing.assert_allclose(result.v, brute_force_projection(c, polytope), atol=1e-12)
+    assert result.path == "nnls"
+    assert result.iterations == 0
+    messages = [rec.getMessage() for rec in caplog.records if rec.name == "cgm.qp"]
+    assert messages == [
+        "active set unsettled on 1 bound and 2 general rows: NNLS fallback"
+    ]
 
 
 def _trajectories():
@@ -248,27 +318,40 @@ def _trajectories():
 
 
 @pytest.fixture(scope="module")
-def warm_trajectories():
+def dual_trajectories():
     return _trajectories()
 
 
-def test_warm_guess_keeps_trajectories_bitwise(monkeypatch, warm_trajectories):
-    # an accepted guess must be exactly what NNLS and the polish would return
-    monkeypatch.setattr(cgm.qp, "_warm_guess", lambda gram, lin: None)
+def test_nnls_fallback_matches_dual_trajectories(monkeypatch, dual_trajectories):
+    # the NNLS reduction and its polish reach the same iterates as the active set
+    monkeypatch.setattr(cgm.qp, "_active_set", lambda c, polytope, gate: None)
     cold = _trajectories()
-    for name, trace in warm_trajectories.items():
-        assert "warm" not in cold[name].qp_path
-        np.testing.assert_array_equal(trace.xs, cold[name].xs, err_msg=name)
-        np.testing.assert_array_equal(
-            trace.max_violation, cold[name].max_violation, err_msg=name
+    for name, trace in dual_trajectories.items():
+        assert "dual" not in cold[name].qp_path
+        np.testing.assert_allclose(trace.xs, cold[name].xs, rtol=0, atol=1e-12, err_msg=name)
+        np.testing.assert_allclose(
+            trace.max_violation, cold[name].max_violation, rtol=0, atol=1e-12,
+            err_msg=name,
         )
 
 
-def test_warm_path_share(warm_trajectories):
-    def warm_share(path):
-        return float(np.mean(path[path != ""] == "warm"))
+def _qp_paths(trace):
+    return set(trace.qp_path[trace.qp_path != ""].tolist())
 
-    rap = warm_trajectories["rap-d50"].qp_path
-    assert warm_share(rap) >= 0.8
-    assert {"warm", "nnls"} <= set(rap.tolist())
-    assert warm_share(warm_trajectories["hbg-d50"].qp_path) >= 0.99
+
+def test_trajectory_qps_take_the_active_set(dual_trajectories):
+    for name, trace in dual_trajectories.items():
+        assert _qp_paths(trace) <= {"direct", "dual"}, name
+        assert "dual" in _qp_paths(trace), name
+
+
+@pytest.mark.parametrize(
+    "d, seed, horizon",
+    [(50, 5, 2000), (50, 7, 2000), (200, 0, 200), (200, 1, 200), (200, 2, 200)],
+)
+def test_varying_schedule_qps_take_the_active_set(d, seed, horizon):
+    # runs where other row-update rules cycle or stall on a roundoff-sized slack
+    trace = cgm_min_run(
+        rap_generate(d, seed=seed), MinSolverConfig(horizon=horizon, schedule="varying")
+    )
+    assert _qp_paths(trace) <= {"direct", "dual"}
