@@ -6,16 +6,20 @@ Run from the root of a checkout:
     python3 benchmarks/bench.py --column parent --src ../parent/src --out BENCH.json
 
 Each entry is the best of REPEAT = 3 ``time.perf_counter`` wall times of one call
-at a fixed seed, with one BLAS thread. ``--src`` selects the source tree whose
-``cgm`` package is timed (default: this checkout's ``src``), so two commits can
-be measured by the same script and settings. Results are merged into --out
-under the name given by --column, next to the environment they were taken in.
+at a fixed seed, with one BLAS thread; ``hbg_d50_T3000_s`` takes the best of
+HBG_REPEAT = 7, because that workload spreads more between runs. ``setup_s`` is
+the best of REPEAT fresh interpreters that import ``cgm`` and build the d=50 RAP
+instance. ``--src`` selects the source tree whose ``cgm`` package is timed
+(default: this checkout's ``src``), so two commits can be measured by the same
+script and settings. Results are merged into --out under the name given by
+--column, next to the environment they were taken in.
 """
 
 import argparse
 import json
 import os
 import platform
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -24,26 +28,44 @@ from pathlib import Path
 os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import numpy as np  # noqa: E402
-import scipy  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 42
 REPEAT = 3
+HBG_REPEAT = 7
+SETUP_PROBE = """
+import sys, time
+start = time.perf_counter()
+sys.path.insert(0, sys.argv[1])
+import cgm
+cgm.rap_generate(50, seed=int(sys.argv[2]))
+print(time.perf_counter() - start)
+"""
 
 
-def best_of(fn, *args, **kwargs):
-    """(min wall seconds over REPEAT calls, result of the last call)."""
+def best_of(fn, *args, repeat=REPEAT, **kwargs):
+    """(min wall seconds over `repeat` calls, result of the last call)."""
     best = float("inf")
-    for _ in range(REPEAT):
+    for _ in range(repeat):
         tic = time.perf_counter()
         out = fn(*args, **kwargs)
         best = min(best, time.perf_counter() - tic)
     return best, out
 
 
-def measure(cgm):
+def setup_seconds(src):
+    """Best of REPEAT fresh interpreters importing cgm from src and building RAP d=50."""
+    probe = [sys.executable, "-c", SETUP_PROBE, str(src), str(SEED)]
+    return min(
+        float(subprocess.run(probe, capture_output=True, text=True, check=True).stdout)
+        for _ in range(REPEAT)
+    )
+
+
+def measure(cgm, src):
+    results = {"setup_s": setup_seconds(src)}
     rap = cgm.rap_generate(50, seed=SEED)
-    results, min_traces = {}, {}
+    min_traces = {}
     for schedule in ("constant", "varying"):
         config = cgm.MinSolverConfig(horizon=2000, schedule=schedule)
         results[f"rap_d50_T2000_{schedule}_s"], min_traces[schedule] = best_of(
@@ -57,7 +79,7 @@ def measure(cgm):
 
     hbg = cgm.hbg_instantiate(50, 0.8, seed=SEED)
     results["hbg_d50_T3000_s"], vi_trace = best_of(
-        cgm.cgm_vi_run, hbg, cgm.VISolverConfig(horizon=3000)
+        cgm.cgm_vi_run, hbg, cgm.VISolverConfig(horizon=3000), repeat=HBG_REPEAT
     )
 
     results["reference_d50_s"], (x_star, f_star, cert) = best_of(
@@ -81,19 +103,20 @@ def main(argv=None):
                         help="source tree holding the cgm package to time")
     args = parser.parse_args(argv)
 
-    sys.path.insert(0, str(args.src.resolve()))
+    src = args.src.resolve()
+    sys.path.insert(0, str(src))
     import cgm
 
     env = {
         "nproc": os.cpu_count(),
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
         "blas_threads": int(os.environ["OPENBLAS_NUM_THREADS"]),
         "seed": SEED,
         "repeat": REPEAT,
+        "hbg_repeat": HBG_REPEAT,
     }
-    column = {"env": env, "results": measure(cgm)}
+    column = {"env": env, "results": measure(cgm, src)}
     data = json.loads(args.out.read_text()) if args.out.exists() else {}
     data.setdefault("columns", {})[args.column] = column
     args.out.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")

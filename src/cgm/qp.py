@@ -3,9 +3,9 @@
 Solves min_{v : A v <= b} ||v + c||^2. Coordinate-bound rows are handled in
 closed form and the few general rows by a primal-dual active-set (semismooth
 Newton) iteration on their multipliers (Hintermueller, Ito & Kunisch, 2002).
-Polytopes it cannot settle fall back to the least-distance program reduced to
-one nonnegative least-squares solve (Lawson & Hanson, 1974, ch. 23). An
-exhaustive active-set oracle and a KKT checker certify every solution.
+Polytopes it cannot settle fall back to a dual active-set solve on all rows
+(Goldfarb & Idnani, 1983). A KKT checker certifies every solution; an
+exhaustive active-set oracle is kept for the tests.
 """
 
 import logging
@@ -13,20 +13,8 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
-from scipy.optimize import nnls
 
 logger = logging.getLogger(__name__)
-
-
-def _recover_duals(a, b, c, v):
-    """Nonnegative multipliers for a known optimum v (oracle fallback path)."""
-    slack = a @ v - b
-    lam = np.zeros(a.shape[0])
-    active = np.where(slack >= -1e-8 * (1.0 + np.abs(b)))[0]
-    if active.size:
-        sol, _ = nnls(a[active].T, -(v + c))
-        lam[active] = sol
-    return lam
 
 DEGENERATE_NORMAL = 1e-14
 KKT_TOL = 1e-10  # scale of the KKT gate every projection must pass
@@ -42,7 +30,7 @@ class Infeasible(QpError):
 
 
 class MaxIterations(QpError):
-    """The NNLS solve stalled or its answer failed the KKT gate."""
+    """The dual fallback did not settle or its answer failed the KKT gate."""
 
 
 @dataclass(frozen=True)
@@ -95,8 +83,8 @@ class ProjectionResult:
     dual: np.ndarray
     kkt_residual: float
     n_active: int
-    path: str = ""  # "direct", "dual", "nnls" or "oracle"
-    iterations: int = 0  # active-set iterations on the "dual" path, else 0
+    path: str = ""  # "direct", "dual" or "gi"
+    iterations: int = 0  # active-set iterations or "gi" steps; 0 on "direct"
 
 
 def _certified(c, polytope, v, dual, path, iterations=0):
@@ -119,69 +107,129 @@ def _active_set(c, polytope, gate):
     complementarity by construction; the KKT gate checks what is left. Each
     iteration solves (G_AF G_AF') mu_A = G_A z - h_A over the active rows A
     and the free coordinates F (where v == w; the Gram matrix masks the
-    other columns), with z = -c on F and floor elsewhere. It starts with every bound clamped and every row active, keeps
-    an active row while mu > 0 and activates an inactive row once its slack
-    is positive, and returns the first candidate with mu >= 0 that passes the
-    gate. A singular system (duplicate or zero-normal rows, or a row with no
-    free coordinate), or no such candidate within ACTIVE_SET_ITERATIONS,
-    gives None.
+    other columns), with z = -c on F and floor elsewhere. It starts with
+    every bound clamped and every row active, keeps an active row while
+    mu > 0 and activates an inactive row once its slack is positive, and
+    returns the first candidate with mu >= 0 that passes the gate. A singular
+    system (duplicate or zero-normal rows, or a row with no free coordinate),
+    or no such candidate within ACTIVE_SET_ITERATIONS, gives None. Without
+    bound rows, F is every coordinate and the floor and mask work is skipped.
     """
     a, b = polytope.matrix()
     bounds = polytope.bound_idx
     s = bounds.size
     g, h = a[s:], b[s:]
     u = -c
-    floor = np.full(u.size, -np.inf)
-    floor[bounds] = -b[:s]
-    free = floor == -np.inf
+    if s:
+        floor = np.full(u.size, -np.inf)
+        floor[bounds] = -b[:s]
+        free = floor == -np.inf
     active = np.ones(h.size, dtype=bool)
     for iteration in range(1, ACTIVE_SET_ITERATIONS + 1):
         mu = np.zeros(h.size)
         g_active = g[active]
         try:
-            mu[active] = np.linalg.solve(
-                (g_active * free) @ g_active.T,
-                g_active @ np.where(free, u, floor) - h[active],
-            )
+            if s:
+                gram = (g_active * free) @ g_active.T
+                rhs = g_active @ np.where(free, u, floor) - h[active]
+            else:
+                gram, rhs = g_active @ g_active.T, g_active @ u - h[active]
+            mu[active] = np.linalg.solve(gram, rhs)
         except np.linalg.LinAlgError:
             return None
         if not np.isfinite(mu).all():
             return None
         w = u - g.T @ mu
-        v = np.maximum(w, floor)
+        v = np.maximum(w, floor) if s else w
         slack = g @ v - h
         if mu.min(initial=0.0) >= 0 and slack.max(initial=-np.inf) <= gate:
-            dual = np.concatenate(((v - w)[bounds], mu))
+            dual = np.concatenate(((v - w)[bounds], mu)) if s else mu
             result = _certified(c, polytope, v, dual, "dual", iteration)
             if result.kkt_residual <= gate:
                 return result
-        free = w >= floor
+        if s:
+            free = w >= floor
         active = np.where(active, mu > 0, slack > 0)
     return None
+
+
+def _goldfarb_idnani(c, polytope):
+    """Dual active-set solve with H = I on the kept rows (Goldfarb & Idnani, 1983).
+
+    Starts from the unconstrained minimum v = -c with no active row and adds
+    the most violated row p. With r the coefficients of a_p in the span of
+    the active rows and z = a_p minus that projection (from a QR factorization
+    of the active rows, grown by one column per added row), raising p's
+    multiplier by t moves v by -t z and the active multipliers by -t r. A
+    partial step (an active multiplier reaches zero before p's slack does)
+    drops that row and retries p; a full step makes p active. A violated row
+    with z ~ 0 and no droppable row certifies an empty polytope (Infeasible).
+    Active rows stay linearly independent by construction, so duplicate rows
+    never both enter. Once no row is violated, the multipliers and v are
+    polished on the Gram system of the active rows, as the oracle solves it.
+    Returns the certified result; MaxIterations after 10 steps per kept row.
+    """
+    keep = polytope.kept
+    a, b = polytope.a[keep], polytope.b[keep]
+    norms = np.linalg.norm(a, axis=1)
+    tol = KKT_TOL * (1.0 + np.abs(b) + norms * np.linalg.norm(c))
+    v, lam, active, p = -c, np.zeros(keep.size), [], None
+    q, r_inv = np.zeros((c.size, 0)), np.zeros((0, 0))  # a[active].T = q @ inv(r_inv)
+    for step in range(10 * keep.size + 1):
+        slack = a @ v - b
+        slack[active] = -np.inf
+        if p is None:
+            p = int(slack.argmax())
+            if slack[p] <= tol[p]:
+                active.sort()
+                rows = a[active]
+                lam[active] = np.linalg.lstsq(rows @ rows.T, -rows @ c - b[active], rcond=None)[0]
+                dual = np.zeros(polytope.b.size)
+                dual[keep] = lam
+                return _certified(c, polytope, -c - rows.T @ lam[active], dual, "gi", step)
+        d = q.T @ a[p]
+        z, r = a[p] - q @ d, r_inv @ d
+        norm_z = np.linalg.norm(z)
+        full = slack[p] / (z @ z) if norm_z > KKT_TOL * norms[p] else np.inf
+        ratios = np.append(np.where(r > 0, lam[active] / np.where(r > 0, r, 1.0), np.inf), np.inf)
+        k = int(ratios.argmin())
+        t = min(full, ratios[k])
+        if t == np.inf:
+            raise Infeasible("a violated row is spanned by the active rows: polytope is empty")
+        v = v - t * z
+        lam[active] -= t * r
+        lam[p] += t
+        if t == full:
+            r_inv, grown = np.zeros((r.size + 1, r.size + 1)), r_inv
+            r_inv[:-1, :-1] = grown
+            r_inv[:, -1] = np.append(-r, 1.0) / norm_z
+            q = np.column_stack((q, z / norm_z))
+            active.append(p)
+            p = None
+        else:
+            lam[active.pop(k)] = 0.0
+            q, r_last = np.linalg.qr(a[active].T)
+            r_inv = np.linalg.inv(r_last)
+    raise MaxIterations(f"dual active set unsettled after {step + 1} steps on {keep.size} rows")
 
 
 def project_velocity(target, polytope):
     """Project -target onto the polytope; certify the KKT system of the result.
 
     Returns -target when it is feasible ("direct"), else the bound-aware
-    active-set solution ("dual"). When that does not settle, the
-    least-distance program min ||u|| s.t. -A u >= lin, u = v + c, with
-    lin = -A c - b, is solved as one NNLS problem over E = [-A'; lin'] and
-    f = e_{n+1}; the residual's last entry gives the scale of the multipliers
-    ("nnls", or "oracle" when the exhaustive oracle has to redo it). Raises
-    Infeasible when that scale vanishes (empty polytope) and MaxIterations
-    when the NNLS solve stalls or the result fails the KKT gate.
+    active-set solution ("dual"). When that does not settle, it logs a
+    warning and runs the Goldfarb-Idnani dual solve on the kept rows ("gi").
+    Raises Infeasible when the polytope is empty and MaxIterations when the
+    fallback does not settle or its result fails the KKT gate.
     """
     c = np.asarray(target, dtype=float)
     if not np.isfinite(c).all():
         raise ValueError("target must be finite")
 
     keep = polytope.kept
-    dual = np.zeros(polytope.b.size)
-    v0 = -c
-    a_full, b_full = polytope.matrix()
-    if not keep.size or (a_full[keep] @ v0 <= b_full[keep]).all():
-        return _certified(c, polytope, v0, dual, "direct")
+    a, b = polytope.matrix()
+    if not keep.size or (a[keep] @ -c <= b[keep]).all():
+        return _certified(c, polytope, -c, np.zeros(b.size), "direct")
 
     gate = max(KKT_TOL, 1e3 * KKT_TOL * (1.0 + np.linalg.norm(c)))
     result = _active_set(c, polytope, gate)
@@ -189,49 +237,10 @@ def project_velocity(target, polytope):
         return result
     n_bounds = polytope.bound_idx.size
     logger.warning(
-        "active set unsettled on %d bound and %d general rows: NNLS fallback",
-        n_bounds, polytope.b.size - n_bounds,
+        "active set unsettled on %d bound and %d general rows: dual fallback",
+        n_bounds, b.size - n_bounds,
     )
-
-    a = a_full[keep]
-    b = b_full[keep]
-    gram = a @ a.T
-    lin = -a @ c - b
-    e = np.vstack([-a.T, lin])
-    f = np.zeros(e.shape[0])
-    f[-1] = 1.0
-    try:
-        y, _ = nnls(e, f, maxiter=50 * (keep.size + 1))
-    except RuntimeError as exc:
-        raise MaxIterations(str(exc)) from exc
-    denom = 1.0 - lin @ y  # squared NNLS residual norm; zero iff the polytope is empty
-    if denom <= DEGENERATE_NORMAL:
-        raise Infeasible("least-distance residual vanished: velocity polytope is empty")
-    lam = y / denom
-
-    # polish: exact least-squares resolve on the identified active set
-    active = np.where(lam > 0)[0]
-    if active.size:
-        sub = gram[np.ix_(active, active)]
-        sol, *_ = np.linalg.lstsq(sub, lin[active], rcond=None)
-        if np.min(sol) >= 0:
-            lam = np.zeros_like(lam)
-            lam[active] = sol
-        else:
-            logger.warning("least-squares polish rejected: min dual %.3e", np.min(sol))
-
-    dual[keep] = lam
-    result = _certified(c, polytope, -c - a.T @ lam, dual, "nnls")
-    if result.kkt_residual > gate and keep.size <= 16:
-        # near-degenerate active set: redo with the exhaustive oracle
-        logger.warning(
-            "KKT residual %.3e above gate %.3e on %d rows: oracle fallback",
-            result.kkt_residual, gate, keep.size,
-        )
-        v = brute_force_projection(c, polytope)
-        dual = np.zeros(polytope.b.size)
-        dual[keep] = _recover_duals(a, b, c, v)
-        result = _certified(c, polytope, v, dual, "oracle")
+    result = _goldfarb_idnani(c, polytope)
     if result.kkt_residual > gate:
         raise MaxIterations(f"KKT residual {result.kkt_residual:.3e} above tolerance")
     return result
@@ -245,33 +254,23 @@ def brute_force_projection(target, polytope):
     """
     c = np.asarray(target, dtype=float)
     keep = polytope.kept
-    a_full, b_full = polytope.matrix()
-    a = a_full[keep]
-    b = b_full[keep]
-    k = keep.size
-
-    best_v = None
-    best_obj = np.inf
-    for size in range(k + 1):
-        for subset in combinations(range(k), size):
-            idx = np.array(subset, dtype=int)
-            if idx.size == 0:
-                v = -c
-                lam = np.zeros(0)
-            else:
-                sub = a[idx] @ a[idx].T
-                rhs = -a[idx] @ c - b[idx]
-                lam, *_ = np.linalg.lstsq(sub, rhs, rcond=1e-11)
-                if np.min(lam) < -1e-9:
-                    continue
-                v = -c - a[idx].T @ lam
-            slack = a @ v - b
-            if k and np.max(slack) > 1e-9:
+    a, b = polytope.a[keep], polytope.b[keep]
+    if (a @ -c - b).max(initial=-np.inf) <= 1e-9:
+        return -c  # objective 0, which no subset can beat
+    best_v, best_obj = None, np.inf
+    for size in range(1, keep.size + 1):
+        for subset in combinations(range(keep.size), size):
+            idx = list(subset)
+            rows = a[idx]
+            lam = np.linalg.lstsq(rows @ rows.T, -rows @ c - b[idx], rcond=1e-11)[0]
+            if lam.min() < -1e-9:
+                continue
+            v = -c - rows.T @ lam
+            if (a @ v - b).max() > 1e-9:
                 continue
             obj = float(np.dot(v + c, v + c))
             if obj < best_obj - 1e-12:
-                best_obj = obj
-                best_v = v
+                best_v, best_obj = v, obj
     if best_v is None:
         raise Infeasible("no subset KKT system yields a feasible point")
     return best_v

@@ -83,7 +83,7 @@ class TestStep:
         _, v, diag = cgm_min_step(small_problem, x, small_problem.mu, eta)
         assert diag["violated"] > 0
         assert diag["max_violation"] == small_problem.constraints.max_violation(x)
-        assert diag["qp_path"] in ("direct", "dual", "nnls", "oracle")
+        assert diag["qp_path"] in ("direct", "dual", "gi")
         # velocity must satisfy every polytope row
         from cgm.problems import build_polytope
 

@@ -1,5 +1,10 @@
 """Least-distance projection: oracle equivalence, KKT checks, edge cases."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +16,7 @@ from cgm.cgm_vi import VISolverConfig, cgm_vi_run
 from cgm.problems import build_polytope, hbg_instantiate, rap_generate
 from cgm.qp import (
     Infeasible,
+    MaxIterations,
     ProjectionResult,
     VelocityPolytope,
     brute_force_projection,
@@ -255,31 +261,20 @@ def test_large_rap_polytopes_pass_kkt_gate():
 
 
 def test_fallbacks_are_logged(monkeypatch, caplog):
-    # row 0 is active at the optimum v = 0 and row 1 is slack; with the active
-    # set stubbed out, a perturbed NNLS answer makes both rows "active", so the
-    # polish finds a negative multiplier and the KKT gate sends the result to
-    # the exhaustive oracle
-    real_nnls = cgm.qp.nnls
-    calls = []
-
-    def perturbed_nnls(*args, **kwargs):
-        y, rnorm = real_nnls(*args, **kwargs)
-        calls.append(y)
-        return (y + 0.1 if len(calls) == 1 else y), rnorm
-
+    # with the active set stubbed out, the dual fallback logs one warning and
+    # still returns the projection v = 0 (row 0 active, row 1 slack)
     monkeypatch.setattr(cgm.qp, "_active_set", lambda c, polytope, gate: None)
-    monkeypatch.setattr(cgm.qp, "nnls", perturbed_nnls)
     polytope = VelocityPolytope(np.eye(2), np.array([0.0, 5.0]))
     c = np.array([-1.0, 0.0])
     with caplog.at_level("WARNING", logger="cgm.qp"):
         result = project_velocity(c, polytope)
     np.testing.assert_allclose(result.v, [0.0, 0.0], atol=1e-12)
-    assert result.path == "oracle"
+    np.testing.assert_allclose(result.dual, [1.0, 0.0], atol=1e-12)
+    assert result.path == "gi"
     messages = [rec.getMessage() for rec in caplog.records if rec.name == "cgm.qp"]
-    assert len(messages) == 3
-    assert "NNLS fallback" in messages[0]
-    assert "polish rejected" in messages[1]
-    assert "oracle fallback" in messages[2]
+    assert messages == [
+        "active set unsettled on 0 bound and 2 general rows: dual fallback"
+    ]
 
     # the unstubbed solve takes the active set and logs nothing
     caplog.clear()
@@ -289,7 +284,24 @@ def test_fallbacks_are_logged(monkeypatch, caplog):
     assert not [rec for rec in caplog.records if rec.name == "cgm.qp"]
 
 
-def test_nnls_fallback_is_logged_with_row_counts(caplog):
+def test_fallback_answer_must_pass_the_gate(monkeypatch):
+    # a fallback answer off the optimum by 1e-3 fails the KKT gate and raises
+    real = cgm.qp._goldfarb_idnani
+
+    def perturbed(c, polytope):
+        result = real(c, polytope)
+        result.v = result.v + 1e-3
+        result.kkt_residual = kkt_residual_qp(result, c, polytope)
+        return result
+
+    monkeypatch.setattr(cgm.qp, "_active_set", lambda c, polytope, gate: None)
+    monkeypatch.setattr(cgm.qp, "_goldfarb_idnani", perturbed)
+    polytope = VelocityPolytope(np.eye(2), np.array([0.0, 5.0]))
+    with pytest.raises(MaxIterations):
+        project_velocity(np.array([-1.0, 0.0]), polytope)
+
+
+def test_fallback_is_logged_with_row_counts(caplog):
     # a duplicated row makes the active-set system singular
     polytope = VelocityPolytope(
         np.array([[-1.0, 0.0], [0.0, 1.0], [0.0, 1.0]]), np.array([-1.0, 0.0, 0.0]),
@@ -299,12 +311,73 @@ def test_nnls_fallback_is_logged_with_row_counts(caplog):
     with caplog.at_level("WARNING", logger="cgm.qp"):
         result = project_velocity(c, polytope)
     np.testing.assert_allclose(result.v, brute_force_projection(c, polytope), atol=1e-12)
-    assert result.path == "nnls"
-    assert result.iterations == 0
+    assert result.path == "gi"
+    assert result.iterations == 2  # two full steps
+    assert np.count_nonzero(result.dual[1:]) == 1  # one of the duplicates stays inactive
     messages = [rec.getMessage() for rec in caplog.records if rec.name == "cgm.qp"]
     assert messages == [
-        "active set unsettled on 1 bound and 2 general rows: NNLS fallback"
+        "active set unsettled on 1 bound and 2 general rows: dual fallback"
     ]
+
+
+def test_fallback_settles_on_duplicate_rows_with_large_multipliers():
+    # draw 1821 of test_oracle_equivalence_batch's degenerate stream: exact
+    # duplicate rows with multipliers near 2.3e6, whose slacks carry roundoff
+    # near 1e-9; a fallback that re-solves v after each full step swaps the
+    # two duplicates until the step cap
+    rng = np.random.default_rng(7)
+    for _ in range(1822):
+        n = int(rng.integers(1, 5))
+        m = int(rng.integers(1, 7))
+        c, polytope = degenerate_instance(rng, n, m)
+    result = project_velocity(c, polytope)
+    assert result.path == "gi"
+    assert result.iterations <= polytope.b.size
+    a, b = polytope.matrix()
+    assert np.max(a @ result.v - b) <= 1e-8
+
+
+def test_bounded_oracle_batch():
+    # test_bound_rows_match_oracle's family at seeds 0-2999: about a third of
+    # the feasible draws reach the dual fallback (a general row whose
+    # coordinates are all clamped, duplicate rows, or the active-set cap), and
+    # seed 711 has two nearly parallel rows with multipliers near 4e6
+    tol = cgm.qp.KKT_TOL
+    paths = {}
+    for seed in range(3000):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 6))
+        k = int(rng.integers(0, 4))
+        c, polytope = bounded_instance(rng, n, k)
+        try:
+            oracle = brute_force_projection(c, polytope)
+        except Infeasible:
+            with pytest.raises(Infeasible):
+                project_velocity(c, polytope)
+            continue
+        result = project_velocity(c, polytope)
+        paths[result.path] = paths.get(result.path, 0) + 1
+        assert np.max(np.abs(result.v - oracle)) <= 1e-8, seed
+        gate = max(tol, 1e3 * tol * (1.0 + np.linalg.norm(c)))
+        assert kkt_residual_qp(result, c, polytope) <= gate, seed
+        assert (result.dual >= 0.0).all(), seed
+    assert sum(paths.values()) == 2651
+    assert paths["gi"] >= 800
+
+
+def test_import_cgm_does_not_load_scipy():
+    # a fresh interpreter that builds both benchmark instances never loads scipy
+    package_root = str(Path(cgm.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    probe = (
+        "import sys, cgm; cgm.rap_generate(50); cgm.hbg_instantiate(50, 0.8); "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, check=True,
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def _trajectories():
@@ -322,12 +395,13 @@ def dual_trajectories():
     return _trajectories()
 
 
-def test_nnls_fallback_matches_dual_trajectories(monkeypatch, dual_trajectories):
-    # the NNLS reduction and its polish reach the same iterates as the active set
+def test_fallback_matches_dual_trajectories(monkeypatch, dual_trajectories):
+    # the dual fallback reaches the same iterates as the active set
     monkeypatch.setattr(cgm.qp, "_active_set", lambda c, polytope, gate: None)
     cold = _trajectories()
     for name, trace in dual_trajectories.items():
         assert "dual" not in cold[name].qp_path
+        assert "gi" in cold[name].qp_path  # the path name fits the trace's dtype
         np.testing.assert_allclose(trace.xs, cold[name].xs, rtol=0, atol=1e-12, err_msg=name)
         np.testing.assert_allclose(
             trace.max_violation, cold[name].max_violation, rtol=0, atol=1e-12,
