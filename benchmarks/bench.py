@@ -87,6 +87,11 @@ def measure(cgm, src):
     )
     if not cert.ok:
         raise RuntimeError("reference certificate failed")
+    results["reference_d200_s"], (_, _, cert200) = best_of(
+        cgm.solve_rap_reference, rap200.data
+    )
+    if not cert200.ok:
+        raise RuntimeError("reference certificate failed at d=200")
     floor = cgm.rap_unconstrained_min(rap.data)[1]
     results["certify_min_T2000_s"], _ = best_of(
         cgm.certify_min, min_traces["constant"], rap, (x_star, f_star), floor

@@ -1,31 +1,28 @@
 """High-accuracy ground truth for the resource-allocation instance.
 
-Log-barrier interior-point solve of min 0.5 x'Sigma x + a'x over
-{x >= 0, 1'x = 1, r'x <= Rmax, x'Ex <= Emax}, with the sum constraint held as
-a hard equality inside the Newton KKT system. Late central-path points are
-polished on their active set, and the first polish whose KKT certificate
-holds is the answer.
+Mehrotra predictor-corrector primal-dual interior-point solve of
+min 0.5 x'Sigma x + a'x over {x >= 0, 1'x = 1, r'x <= Rmax, x'Ex <= Emax}
+(Mehrotra, 1992; Nocedal & Wright, ch. 16 and 19), started from the uniform
+point with unit slacks and multipliers. Late iterates are polished on their
+active set, and the first polish whose KKT certificate holds is the answer.
 """
 
-import math
+import logging
 from dataclasses import dataclass
 
 import numpy as np
 
-from .baselines import project_simplex
+logger = logging.getLogger(__name__)
 
-
-# the duality gap (#inequalities)/t at which polishing starts, and the last
-# gap tried before the solve gives up
+# the duality gap x'z + s'w (and residual size) at which polishing starts,
+# and the gap below which the solve gives up
 POLISH_GAP = 1e-6
 FINAL_GAP = 1e-10
+MAX_ITERATIONS = 100
+STEP_TO_BOUNDARY = 0.995
 
 
 class BarrierFailure(Exception):
-    pass
-
-
-class StartInfeasible(Exception):
     pass
 
 
@@ -37,119 +34,17 @@ class KktCertificate:
     equality_residual: float
 
     @property
-    def ok(self):
+    def residual(self):
         return max(
             self.stationarity_norm,
             self.max_primal_violation,
             self.max_complementarity,
             self.equality_residual,
-        ) <= 1e-8
+        )
 
-
-def _interior_start(data, steps=400):
-    """Strictly feasible point: projected subgradient on the simplex, then a
-    pull toward uniform (both tight constraints are exactly tight at uniform,
-    so mixing keeps strict inequalities strict and restores positivity)."""
-    d = data.a.size
-    x = np.full(d, 1.0 / d)
-    best, best_val = x, max(float(data.r @ x) - data.Rmax, float(x @ data.E @ x) - data.Emax)
-    for k in range(1, steps + 1):
-        lin = float(data.r @ x) - data.Rmax
-        quad = float(x @ data.E @ x) - data.Emax
-        grad = data.r if lin >= quad else 2.0 * (data.E @ x)
-        x = project_simplex(x - 0.5 / k * grad)
-        val = max(float(data.r @ x) - data.Rmax, float(x @ data.E @ x) - data.Emax)
-        if val < best_val:
-            best, best_val = x, val
-    if best_val >= 0:
-        raise StartInfeasible("no strictly interior point found")
-    x = 0.5 * best + 0.5 * np.full(d, 1.0 / d)
-    if (
-        np.min(x) <= 0
-        or float(data.r @ x) >= data.Rmax
-        or float(x @ data.E @ x) >= data.Emax
-    ):
-        raise StartInfeasible("interior candidate not strictly feasible")
-    return x
-
-
-def _barrier_value(data, x):
-    """Log-barrier value over the inequalities with its slacks
-    (value, Rmax - r'x, E x, Emax - x'Ex); None outside the domain."""
-    slack_lin = data.Rmax - float(data.r @ x)
-    ex = data.E @ x
-    slack_quad = data.Emax - float(x @ ex)
-    if np.min(x) <= 0 or slack_lin <= 0 or slack_quad <= 0:
-        return None
-    val = -float(np.sum(np.log(x))) - math.log(slack_lin) - math.log(slack_quad)
-    return val, slack_lin, ex, slack_quad
-
-
-def _barrier_terms(data, x):
-    """Value, gradient, Hessian of the log barrier over the inequalities."""
-    parts = _barrier_value(data, x)
-    if parts is None:
-        return None
-    val, slack_lin, ex, slack_quad = parts
-    grad = -1.0 / x + data.r / slack_lin + 2.0 * ex / slack_quad
-    hess = (
-        np.diag(1.0 / x**2)
-        + np.outer(data.r, data.r) / slack_lin**2
-        + 2.0 * data.E / slack_quad
-        + np.outer(2.0 * ex, 2.0 * ex) / slack_quad**2
-    )
-    return val, grad, hess
-
-
-def _newton_equality(data, x, t_barrier, tol=1e-12, max_iter=80):
-    """Damped Newton for t*f + barrier subject to 1'x = 1."""
-    d = x.size
-    ones = np.ones(d)
-    for _ in range(max_iter):
-        terms = _barrier_terms(data, x)
-        if terms is None:
-            raise BarrierFailure("iterate left the barrier domain")
-        bval, bgrad, bhess = terms
-        grad = t_barrier * (data.Sigma @ x + data.a) + bgrad
-        hess = t_barrier * data.Sigma + bhess
-        kkt = np.zeros((d + 1, d + 1))
-        kkt[:d, :d] = hess
-        kkt[:d, d] = ones
-        kkt[d, :d] = ones
-        rhs = np.concatenate([-grad, [0.0]])
-        try:
-            sol = np.linalg.solve(kkt, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise BarrierFailure("Newton KKT system singular") from exc
-        dx = sol[:d]
-        decrement_sq = float(dx @ hess @ dx)
-        if decrement_sq / 2.0 <= tol:
-            return x
-        # backtracking with halving, Armijo constant 0.01
-        merit = t_barrier * (0.5 * float(x @ data.Sigma @ x) + float(data.a @ x)) + bval
-        slope = float(grad @ dx)
-        step = 1.0
-        while step > 1e-14:
-            x_new = x + step * dx
-            value_new = _barrier_value(data, x_new)
-            if value_new is not None:
-                merit_new = (
-                    t_barrier
-                    * (0.5 * float(x_new @ data.Sigma @ x_new) + float(data.a @ x_new))
-                    + value_new[0]
-                )
-                if merit_new <= merit + 0.01 * step * slope:
-                    break
-            step *= 0.5
-        else:
-            # stalled by conditioning near the central path; accept if close
-            if decrement_sq / 2.0 <= 1e-6:
-                return x
-            raise BarrierFailure("backtracking line search failed")
-        x = x + step * dx
-    if decrement_sq / 2.0 <= 1e-6:
-        return x
-    raise BarrierFailure("Newton did not converge")
+    @property
+    def ok(self):
+        return self.residual <= 1e-8
 
 
 def kkt_residual(data, x, multipliers):
@@ -178,9 +73,10 @@ def kkt_residual(data, x, multipliers):
 def _polish_active_set(data, x):
     """Newton refinement on the active-set KKT system.
 
-    The barrier solve identifies the active set but stalls near the central
-    path at large barrier weight; re-solving the equality-constrained KKT
-    system on that active set restores machine-precision residuals.
+    The interior-point iterate identifies the active set, but its bound and
+    slack values only approach zero with the gap; re-solving the
+    equality-constrained KKT system on that active set restores
+    machine-precision residuals.
     Returns (x, (lam, nu)) or None when the guessed active set is wrong.
     """
     d = x.size
@@ -257,28 +153,89 @@ def _polish_active_set(data, x):
     return x_new, (lam, nu)
 
 
-def solve_rap_reference(data, barrier_decrease=10.0):
-    """Central-path solve; the barrier weight t grows by barrier_decrease per stage.
+def _max_step(*pairs):
+    """Largest step keeping every v + step * dv >= 0 over the (v, dv) pairs."""
+    return min(
+        (float(np.min(-v[dv < 0] / dv[dv < 0])) for v, dv in pairs if np.any(dv < 0)),
+        default=np.inf,
+    )
 
-    Once the gap (#inequalities)/t is at most POLISH_GAP, each stage's point
-    is polished on its active set, and the first polish whose certificate is
-    ok is returned as (x, f, certificate). Raises BarrierFailure when no stage
-    down to FINAL_GAP certifies.
+
+def solve_rap_reference(data):
+    """Primal-dual solve; returns (x, f, certificate) of the first certified polish.
+
+    x >= 0 carries the multipliers z, and the budget and risk rows c(x) <= 0
+    carry slacks s (c(x) + s = 0) and multipliers w. Each Newton system keeps
+    the equality multiplier y next to dx in one (d+1)x(d+1) matrix with Hessian
+    Sigma + 2 w_risk E + X^-1 Z + J' S^-1 W J, J = [r'; 2 (E x)']. Once the
+    duality gap x'z + s'w and the residuals are at most POLISH_GAP, each
+    iterate is polished on its active set. Raises BarrierFailure when the gap
+    falls below FINAL_GAP or MAX_ITERATIONS pass without a certified polish.
     """
-    m_ineq = data.a.size + 2
-    x = _interior_start(data)
-    t_barrier = 1.0
-    while True:
-        x = _newton_equality(data, x, t_barrier)
-        gap = m_ineq / t_barrier
-        if gap <= POLISH_GAP:
+    d = data.a.size
+    x = np.full(d, 1.0 / d)
+    z = np.ones(d)
+    s = np.ones(2)
+    w = np.ones(2)
+    y = 0.0
+    kkt = np.zeros((d + 1, d + 1))
+    kkt[:d, d] = 1.0
+    kkt[d, :d] = 1.0
+    for iteration in range(MAX_ITERATIONS):
+        ex = data.E @ x
+        jac = np.vstack([data.r, 2.0 * ex])
+        grad = data.Sigma @ x + data.a + y
+        r_ineq = np.array([data.r @ x - data.Rmax, x @ ex - data.Emax]) + s
+        r_eq = float(np.sum(x)) - 1.0
+        gap = x @ z + s @ w
+        mu = gap / (d + 2)
+        residual = max(
+            float(np.max(np.abs(grad - z + jac.T @ w))), abs(r_eq), float(np.max(np.abs(r_ineq)))
+        )
+        if gap <= POLISH_GAP and residual <= POLISH_GAP:
             polished = _polish_active_set(data, x)
-            if polished is not None:
+            if polished is None:
+                cause = "polish returned None"
+            else:
                 x_star, multipliers = polished
                 cert = kkt_residual(data, x_star, multipliers)
                 if cert.ok:
                     f_star = 0.5 * float(x_star @ data.Sigma @ x_star) + float(data.a @ x_star)
                     return x_star, f_star, cert
+                cause = f"certificate residual {cert.residual:.1e}"
+            logger.debug("iteration %d, mu %.1e: polish rejected (%s)", iteration, mu, cause)
             if gap <= FINAL_GAP:
-                raise BarrierFailure(f"no active-set polish certified down to gap {gap:.1e}")
-        t_barrier *= barrier_decrease
+                raise BarrierFailure(
+                    f"no active-set polish certified down to gap {gap:.1e} "
+                    f"(mu {mu:.1e}) after {iteration} iterations"
+                )
+
+        kkt[:d, :d] = data.Sigma + 2.0 * w[1] * data.E + np.diag(z / x) + jac.T @ (
+            (w / s)[:, None] * jac
+        )
+
+        def direction(target_xz, target_sw):
+            # Newton step toward x*z = target_xz, s*w = target_sw with the
+            # dual, equality and slack residuals driven to zero
+            rhs = -grad + target_xz / x - jac.T @ (target_sw / s + w / s * r_ineq)
+            sol = np.linalg.solve(kkt, np.append(rhs, -r_eq))
+            dx = sol[:d]
+            ds = -r_ineq - jac @ dx
+            dz = target_xz / x - z - z / x * dx
+            dw = target_sw / s - w - w / s * ds
+            return dx, ds, dz, dw, sol[d]
+
+        dx, ds, dz, dw, _ = direction(np.zeros(d), np.zeros(2))
+        step_primal = min(1.0, _max_step((x, dx), (s, ds)))
+        step_dual = min(1.0, _max_step((z, dz), (w, dw)))
+        mu_affine = (
+            (x + step_primal * dx) @ (z + step_dual * dz)
+            + (s + step_primal * ds) @ (w + step_dual * dw)
+        ) / (d + 2)
+        sigma_mu = (mu_affine / mu) ** 3 * mu
+        dx, ds, dz, dw, dy = direction(sigma_mu - dx * dz, sigma_mu - ds * dw)
+        step = min(1.0, STEP_TO_BOUNDARY * _max_step((x, dx), (s, ds), (z, dz), (w, dw)))
+        x, s, z, w, y = x + step * dx, s + step * ds, z + step * dz, w + step * dw, y + step * dy
+    raise BarrierFailure(
+        f"no active-set polish certified after {MAX_ITERATIONS} iterations (mu {mu:.1e})"
+    )

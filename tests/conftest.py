@@ -30,6 +30,35 @@ def rap_reference(rap_problem):
 
 
 @pytest.fixture(scope="session")
+def rap_trust_constr(rap_problem):
+    """Optimal value of the RAP fixture from scipy's trust-constr, an
+    interior-point method independent of cgm.reference; skipped without scipy."""
+    optimize = pytest.importorskip("scipy.optimize")
+    data = rap_problem.data
+    d = data.a.size
+    result = optimize.minimize(
+        lambda x: 0.5 * x @ data.Sigma @ x + data.a @ x,
+        np.full(d, 1.0 / d),
+        jac=lambda x: data.Sigma @ x + data.a,
+        hess=lambda x: data.Sigma,
+        method="trust-constr",
+        bounds=optimize.Bounds(0.0, np.inf),
+        constraints=[
+            optimize.LinearConstraint(
+                np.vstack([np.ones(d), data.r]), [1.0, -np.inf], [1.0, data.Rmax]
+            ),
+            optimize.NonlinearConstraint(
+                lambda x: x @ data.E @ x, -np.inf, data.Emax,
+                jac=lambda x: 2.0 * data.E @ x, hess=lambda x, v: 2.0 * v[0] * data.E,
+            ),
+        ],
+        options=dict(gtol=1e-12, xtol=1e-14),
+    )
+    assert result.success, result.message
+    return float(result.fun)
+
+
+@pytest.fixture(scope="session")
 def rap_floor(rap_problem):
     return rap_unconstrained_min(rap_problem.data)[1]
 

@@ -1,27 +1,14 @@
-"""Interior-point reference solve: start point and certificate quality."""
+"""Primal-dual reference solve: certificate quality, hard instances, failures."""
+
+import logging
+import re
 
 import numpy as np
 import pytest
 
 from cgm.problems import rap_generate
 import cgm.reference
-from cgm.reference import (
-    BarrierFailure,
-    StartInfeasible,
-    _interior_start,
-    kkt_residual,
-    solve_rap_reference,
-)
-
-
-class TestInteriorStart:
-    def test_strictly_feasible(self, rap_problem):
-        data = rap_problem.data
-        x = _interior_start(data)
-        assert float(np.min(x)) > 0.0
-        assert float(data.r @ x) < data.Rmax
-        assert float(x @ data.E @ x) < data.Emax
-        assert float(np.sum(x)) == pytest.approx(1.0)
+from cgm.reference import BarrierFailure, kkt_residual, solve_rap_reference
 
 
 class TestSolve:
@@ -40,12 +27,8 @@ class TestSolve:
     def test_above_unconstrained_floor(self, rap_reference, rap_floor):
         assert rap_reference["f_star"] >= rap_floor
 
-    def test_barrier_paths_agree(self, rap_problem, rap_reference):
-        _, f_alt, cert_alt = solve_rap_reference(
-            rap_problem.data, barrier_decrease=5.0
-        )
-        assert cert_alt.ok
-        assert abs(f_alt - rap_reference["f_star"]) <= 1e-7
+    def test_agrees_with_trust_constr(self, rap_reference, rap_trust_constr):
+        assert abs(rap_trust_constr - rap_reference["f_star"]) <= 1e-7
 
     def test_smaller_instance(self):
         problem = rap_generate(8, seed=11)
@@ -53,10 +36,13 @@ class TestSolve:
         assert cert.ok
         assert np.all(problem.constraints.values(x) <= 1e-10)
 
-    @pytest.mark.parametrize("d, seed", [(50, 214), (50, 221), (200, 9)])
-    def test_certifies_where_the_last_stages_stall(self, d, seed):
-        # Newton fails in the last central-path stages here; the active set is
-        # right well before them, so an earlier polish certifies
+    @pytest.mark.parametrize(
+        "d, seed", [(50, 214), (50, 221), (200, 9), (400, 0), (500, 0), (500, 42)]
+    )
+    def test_certifies_where_the_log_barrier_failed(self, d, seed):
+        # the log-barrier solve this one replaced stalled in its last
+        # central-path stages on the first three and raised BarrierFailure
+        # before gap 1e-6 on the last three
         problem = rap_generate(d, seed=seed)
         x, _, cert = solve_rap_reference(problem.data)
         assert cert.ok
@@ -66,6 +52,37 @@ class TestSolve:
         monkeypatch.setattr(cgm.reference, "_polish_active_set", lambda data, x: None)
         with pytest.raises(BarrierFailure, match="no active-set polish certified"):
             solve_rap_reference(rap_generate(8, seed=11).data)
+
+    def test_rejected_polishes_are_logged(self, monkeypatch, caplog):
+        monkeypatch.setattr(cgm.reference, "_polish_active_set", lambda data, x: None)
+        with caplog.at_level(logging.DEBUG, logger="cgm.reference"):
+            with pytest.raises(BarrierFailure) as failure:
+                solve_rap_reference(rap_generate(8, seed=11).data)
+        iterations = re.search(r"after (\d+) iterations", str(failure.value)).group(1)
+        records = [r for r in caplog.records if r.name == "cgm.reference"]
+        assert records and all(r.levelno == logging.DEBUG for r in records)
+        messages = [r.getMessage() for r in records]
+        assert all(m.endswith("polish rejected (polish returned None)") for m in messages)
+        # the last rejection is at the iteration the failure names
+        assert messages[-1].startswith(f"iteration {iterations}, mu ")
+
+    def test_rejected_certificates_are_logged(self, monkeypatch, caplog):
+        polish = cgm.reference._polish_active_set
+
+        def shifted(data, x):
+            # shift the equality multiplier so stationarity misses by 1e-6
+            polished = polish(data, x)
+            if polished is None:
+                return None
+            x_star, (lam, nu) = polished
+            return x_star, (lam, nu + 1e-6)
+
+        monkeypatch.setattr(cgm.reference, "_polish_active_set", shifted)
+        with caplog.at_level(logging.DEBUG, logger="cgm.reference"):
+            with pytest.raises(BarrierFailure):
+                solve_rap_reference(rap_generate(8, seed=11).data)
+        messages = [r.getMessage() for r in caplog.records if r.name == "cgm.reference"]
+        assert any("polish rejected (certificate residual" in m for m in messages)
 
     def test_kkt_residual_rejects_bad_multiplier_shape(self, rap_problem):
         x = np.array(rap_problem.x0)
