@@ -5,10 +5,11 @@ Run from the root of a checkout:
     python3 benchmarks/bench.py --column change --out BENCH.json
     python3 benchmarks/bench.py --column parent --src ../parent/src --out BENCH.json
 
-Each entry is the best of REPEAT = 3 ``time.perf_counter`` wall times of one call
-at a fixed seed, with one BLAS thread; ``hbg_d50_T3000_s`` takes the best of
-HBG_REPEAT = 7, because that workload spreads more between runs. ``setup_s`` is
-the best of REPEAT fresh interpreters that import ``cgm`` and build the d=50 RAP
+Each entry is the best ``time.perf_counter`` wall time of one call at a fixed
+seed, with one BLAS thread, over at least REPEAT = 3 calls repeated until
+BUDGET_S = 5 s have passed, so millisecond entries take the best of hundreds of
+calls and second-long ones the best of a few. ``setup_s`` follows the same
+rule over fresh interpreters that import ``cgm`` and build the d=50 RAP
 instance. ``--src`` selects the source tree whose ``cgm`` package is timed
 (default: this checkout's ``src``), so two commits can be measured by the same
 script and settings. Results are merged into --out under the name given by
@@ -32,7 +33,7 @@ import numpy as np  # noqa: E402
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 42
 REPEAT = 3
-HBG_REPEAT = 7
+BUDGET_S = 5.0
 SETUP_PROBE = """
 import sys, time
 start = time.perf_counter()
@@ -43,22 +44,31 @@ print(time.perf_counter() - start)
 """
 
 
-def best_of(fn, *args, repeat=REPEAT, **kwargs):
-    """(min wall seconds over `repeat` calls, result of the last call)."""
-    best = float("inf")
-    for _ in range(repeat):
+def best_over_budget(sample):
+    """Min of sample() over at least REPEAT calls that together span BUDGET_S seconds."""
+    best, calls, start = float("inf"), 0, time.perf_counter()
+    while calls < REPEAT or time.perf_counter() - start < BUDGET_S:
+        best, calls = min(best, sample()), calls + 1
+    return best
+
+
+def best_of(fn, *args, **kwargs):
+    """(best wall seconds of fn(*args, **kwargs) over the budget, result of the last call)."""
+    last = [None]
+
+    def sample():
         tic = time.perf_counter()
-        out = fn(*args, **kwargs)
-        best = min(best, time.perf_counter() - tic)
-    return best, out
+        last[0] = fn(*args, **kwargs)
+        return time.perf_counter() - tic
+
+    return best_over_budget(sample), last[0]
 
 
 def setup_seconds(src):
-    """Best of REPEAT fresh interpreters importing cgm from src and building RAP d=50."""
+    """Best over the budget of fresh interpreters importing cgm from src and building RAP d=50."""
     probe = [sys.executable, "-c", SETUP_PROBE, str(src), str(SEED)]
-    return min(
-        float(subprocess.run(probe, capture_output=True, text=True, check=True).stdout)
-        for _ in range(REPEAT)
+    return best_over_budget(
+        lambda: float(subprocess.run(probe, capture_output=True, text=True, check=True).stdout)
     )
 
 
@@ -79,7 +89,7 @@ def measure(cgm, src):
 
     hbg = cgm.hbg_instantiate(50, 0.8, seed=SEED)
     results["hbg_d50_T3000_s"], vi_trace = best_of(
-        cgm.cgm_vi_run, hbg, cgm.VISolverConfig(horizon=3000), repeat=HBG_REPEAT
+        cgm.cgm_vi_run, hbg, cgm.VISolverConfig(horizon=3000)
     )
 
     results["reference_d50_s"], (x_star, f_star, cert) = best_of(
@@ -119,7 +129,7 @@ def main(argv=None):
         "blas_threads": int(os.environ["OPENBLAS_NUM_THREADS"]),
         "seed": SEED,
         "repeat": REPEAT,
-        "hbg_repeat": HBG_REPEAT,
+        "budget_s": BUDGET_S,
     }
     column = {"env": env, "results": measure(cgm, src)}
     data = json.loads(args.out.read_text()) if args.out.exists() else {}

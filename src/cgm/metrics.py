@@ -10,6 +10,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .problems import hbg_operator
+
 ABS_SLACK = 1e-9
 REL_SLACK = 1e-7
 
@@ -75,11 +77,9 @@ def _check(name, lhs_arr, rhs_arr):
 def hbg_gap_closed_form(x, beta):
     """Strong gap max_{y in product simplex} <F(x), x - y> in closed form."""
     d = x.size // 2
-    x1, x2 = x[:d], x[d:]
-    top = 2.0 * beta * x1 + (1.0 - beta) * x2
-    bot = -(1.0 - beta) * x1 + 2.0 * beta * x2
-    fx_dot_x = float(top @ x1 + bot @ x2)
-    return fx_dot_x - float(np.min(top)) - float(np.min(bot))
+    fx = hbg_operator(beta)(x).reshape(2, d)  # the top and bottom blocks of F(x)
+    top_min, bot_min = fx.min(axis=1).tolist()
+    return float(fx[0] @ x[:d] + fx[1] @ x[d:]) - top_min - bot_min
 
 
 def empirical_grad_bound(constraints, xs):

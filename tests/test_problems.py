@@ -258,7 +258,8 @@ class TestMembershipLaws:
             feasible = lambda rng: _random_product_simplex(rng, 6)
         for x, y, alpha in _membership_samples(problem, feasible, 150, seed=3):
             values = problem.constraints.values(x)
-            a, b = build_polytope(problem.constraints, x, alpha, values).matrix()
+            polytope = build_polytope(problem.constraints, x, alpha, values)
+            a, b = polytope.a, polytope.b
             if a.shape[0] == 0:
                 continue
             direction = alpha * (y - x)
@@ -276,7 +277,7 @@ class TestMembershipLaws:
         for x, y, alpha in _membership_samples(problem, feasible, 150, seed=5):
             values = problem.constraints.values(x)
             polytope = build_polytope(problem.constraints, x, alpha, values)
-            a, b = polytope.matrix()
+            a, b = polytope.a, polytope.b
             if a.shape[0] == 0:
                 continue
             v = alpha * (feasible(rng) - x)  # a known member

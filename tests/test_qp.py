@@ -206,7 +206,7 @@ def test_projection_is_feasible_and_certified(seed):
         result = project_velocity(c, polytope)
     except Infeasible:
         return
-    a, b = polytope.matrix()
+    a, b = polytope.a, polytope.b
     assert np.max(a @ result.v - b) <= 1e-8
     assert kkt_residual_qp(result, c, polytope) <= 1e-6
 
@@ -235,7 +235,7 @@ def test_duals_are_nonnegative_and_complementary():
         except Infeasible:
             continue
         assert np.min(result.dual) >= 0.0
-        a, b = polytope.matrix()
+        a, b = polytope.a, polytope.b
         slack = a @ result.v - b
         assert np.max(np.abs(result.dual * slack)) <= 1e-6
 
@@ -333,7 +333,7 @@ def test_fallback_settles_on_duplicate_rows_with_large_multipliers():
     result = project_velocity(c, polytope)
     assert result.path == "gi"
     assert result.iterations <= polytope.b.size
-    a, b = polytope.matrix()
+    a, b = polytope.a, polytope.b
     assert np.max(a @ result.v - b) <= 1e-8
 
 

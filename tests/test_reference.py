@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from cgm.problems import rap_generate
+from cgm.problems import rap_constraints, rap_generate
 import cgm.reference
 from cgm.reference import BarrierFailure, kkt_residual, solve_rap_reference
 
@@ -43,6 +43,15 @@ class TestSolve:
         # the log-barrier solve this one replaced stalled in its last
         # central-path stages on the first three and raised BarrierFailure
         # before gap 1e-6 on the last three
+        problem = rap_generate(d, seed=seed)
+        x, _, cert = solve_rap_reference(problem.data)
+        assert cert.ok
+        assert np.all(problem.constraints.values(x) <= 1e-10)
+
+    @pytest.mark.parametrize("d, seed", [(50, 295), (300, 0), (200, 19)])
+    def test_certifies_where_the_polish_needs_a_small_gap(self, d, seed):
+        # the first two certify only below gap 1e-9; at d=200 seed 19 a weakly
+        # active bound defeats a primal-dual (x_i < z_i) active-set guess
         problem = rap_generate(d, seed=seed)
         x, _, cert = solve_rap_reference(problem.data)
         assert cert.ok
@@ -88,3 +97,19 @@ class TestSolve:
         x = np.array(rap_problem.x0)
         with pytest.raises(ValueError):
             kkt_residual(rap_problem.data, x, (np.zeros(3), 0.0))
+
+
+def test_rows_match_the_constraint_set():
+    # the reference and CGM share one feasible set: the sum, budget and risk
+    # rows are rows d, d + 2 and d + 3 of rap_constraints
+    data = rap_generate(50, seed=3).data
+    constraints = rap_constraints(data)
+    rows = [50, 52, 53]
+    rng = np.random.default_rng(0)
+    for _ in range(20):
+        x = rng.random(50) * rng.choice([1e-3, 1.0, 10.0])
+        values, jac = cgm.reference._rows(data, x)
+        expected = constraints.values(x)[rows]
+        scale = np.array([np.sum(x) + 1.0, data.r @ x + data.Rmax, x @ data.E @ x + data.Emax])
+        assert np.all(np.abs(values - expected) <= 1e-14 * scale)
+        assert np.array_equal(jac, constraints.gradients(x, rows))
