@@ -4,6 +4,7 @@ Run from the root of a checkout:
 
     python3 benchmarks/bench.py --column change --out BENCH.json
     python3 benchmarks/bench.py --column parent --src ../parent/src --out BENCH.json
+    python3 benchmarks/bench.py --src-parent ../parent/src --out BENCH.json
 
 Each entry is the best ``time.perf_counter`` wall time of one call at a fixed
 seed, with one BLAS thread, over at least REPEAT = 3 calls repeated until
@@ -14,14 +15,23 @@ instance. ``--src`` selects the source tree whose ``cgm`` package is timed
 (default: this checkout's ``src``), so two commits can be measured by the same
 script and settings. Results are merged into --out under the name given by
 --column, next to the environment they were taken in.
+
+``--src-parent`` measures the parent tree and --src in PAIRS pairs of fresh
+subprocesses of this script, alternating which side runs first, so slow
+spells of a shared host fall on both sides. The columns ``parent`` and
+``change`` then hold each entry's best over the pairs, and ``paired`` holds,
+per entry, the median change/parent ratio, the pairs the change won (ties
+count for neither) and every pair's times.
 """
 
 import argparse
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -34,6 +44,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SEED = 42
 REPEAT = 3
 BUDGET_S = 5.0
+PAIRS = 10
 SETUP_PROBE = """
 import sys, time
 start = time.perf_counter()
@@ -110,15 +121,60 @@ def measure(cgm, src):
     return results
 
 
+def paired(src, parent_src, out_dir):
+    """Columns and paired record of PAIRS alternating subprocess runs of both trees."""
+    runs = {"parent": [], "change": []}
+    for k in range(PAIRS):
+        for side in ("parent", "change")[:: 1 if k % 2 == 0 else -1]:
+            path = out_dir / f"{side}-{k}.json"
+            tree = parent_src if side == "parent" else src
+            command = [sys.executable, __file__, "--column", side, "--src", str(tree)]
+            subprocess.run(command + ["--out", str(path)], check=True, capture_output=True)
+            runs[side].append(json.loads(path.read_text())["columns"][side])
+    record = {}
+    for name in runs["change"][0]["results"]:
+        parent = [run["results"][name] for run in runs["parent"]]
+        change = [run["results"][name] for run in runs["change"]]
+        record[name] = {
+            "median_ratio": statistics.median(c / p for c, p in zip(change, parent)),
+            "wins": sum(c < p for c, p in zip(change, parent)),
+            "pairs": PAIRS,
+            "parent": parent,
+            "change": change,
+        }
+    columns = {
+        side: {"env": runs[side][0]["env"],
+               "results": {name: min(run["results"][name] for run in runs[side])
+                           for name in record}}
+        for side in runs
+    }
+    return columns, record
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--column", required=True, help="name of this measurement")
+    parser.add_argument("--column", help="name of this measurement (without --src-parent)")
     parser.add_argument("--out", required=True, type=Path, help="JSON file to merge into")
     parser.add_argument("--src", type=Path, default=ROOT / "src",
                         help="source tree holding the cgm package to time")
+    parser.add_argument("--src-parent", type=Path,
+                        help="parent source tree to measure against --src in alternating pairs")
     args = parser.parse_args(argv)
+    if (args.column is None) == (args.src_parent is None):
+        parser.error("give exactly one of --column and --src-parent")
 
     src = args.src.resolve()
+    data = json.loads(args.out.read_text()) if args.out.exists() else {}
+    if args.src_parent is not None:
+        with tempfile.TemporaryDirectory() as tmp:
+            columns, record = paired(src, args.src_parent.resolve(), Path(tmp))
+        data.setdefault("columns", {}).update(columns)
+        data["paired"] = record
+        args.out.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+        print(json.dumps({name: {k: entry[k] for k in ("median_ratio", "wins", "pairs")}
+                          for name, entry in record.items()}, indent=2))
+        return 0
+
     sys.path.insert(0, str(src))
     import cgm
 
@@ -132,7 +188,6 @@ def main(argv=None):
         "budget_s": BUDGET_S,
     }
     column = {"env": env, "results": measure(cgm, src)}
-    data = json.loads(args.out.read_text()) if args.out.exists() else {}
     data.setdefault("columns", {})[args.column] = column
     args.out.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
     print(json.dumps({args.column: column["results"]}, indent=2))

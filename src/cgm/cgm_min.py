@@ -65,15 +65,13 @@ def validate_schedule(config, problem):
 
 
 def cgm_step(direction, constraints, x, alpha, eta):
-    """One CGM iteration x + eta v for the operator value direction at x.
+    """One CGM iteration x + eta v for the operator value direction at finite x.
 
     v is -direction when no row is violated; otherwise it is the projection of
     -direction onto the velocity polytope of the violated rows. The rows are
-    evaluated once; diag reports the max violation of the input x and the QP
-    path taken ("" when no QP ran).
+    evaluated once; diag reports the violated rows and max violation of the
+    input x and the QP's n_active, kkt_residual and path ("" when no QP ran).
     """
-    if not np.isfinite(x).all():
-        raise ValueError("x must be finite")
     values = constraints.values(x)
     violated = violated_set(values)
     diag = {
@@ -86,7 +84,7 @@ def cgm_step(direction, constraints, x, alpha, eta):
     if not violated.size:
         v = -direction
     else:
-        polytope = build_polytope(constraints, x, alpha, values)
+        polytope = build_polytope(constraints, x, alpha, values, violated)
         result = project_velocity(direction, polytope)
         v = result.v
         diag.update(
@@ -102,6 +100,8 @@ def cgm_min_step(problem, x, alpha, eta):
     if not 0 < eta <= eta_max * (1 + 1e-12):
         raise ValueError(f"eta={eta} outside (0, {eta_max}]")
     x = np.asarray(x, dtype=float)
+    if not np.isfinite(x).all():
+        raise ValueError("x must be finite")
     return cgm_step(problem.grad_f(x), problem.constraints, x, alpha, eta)
 
 
@@ -109,7 +109,8 @@ def cgm_iterate(step, constraints, x0, etas):
     """Run x_{t+1}, v_t, diag = step(x_t, etas[t]) from x0 for len(etas) steps.
 
     Returns the CgmTrace fields as a dict. A failing step or a non-finite
-    iterate aborts with the iteration index.
+    iterate aborts with the iteration index; as x_{t+1} = x_t + eta v_t, one
+    check per iterate covers x0 and every v_t, and step may assume finite x.
     """
     T = etas.size
     x = np.array(x0, dtype=float)
@@ -117,7 +118,9 @@ def cgm_iterate(step, constraints, x0, etas):
     vs = np.empty((T, x.size))
     viol = np.empty(T + 1)
     wall = np.empty(T)
+    n_violated = np.zeros(T, dtype=int)
     n_active = np.zeros(T, dtype=int)
+    kkt_residual = np.zeros(T)
     qp_path = np.full(T, "", dtype="U6")
     xs[0] = x
     for t in range(T):
@@ -127,17 +130,20 @@ def cgm_iterate(step, constraints, x0, etas):
         except Exception as exc:
             raise RuntimeError(f"iteration {t} failed: {exc}") from exc
         wall[t] = time.perf_counter() - tic
-        if not (np.isfinite(x).all() and np.isfinite(v).all()):
+        if not np.isfinite(x).all():
             raise RuntimeError(f"iteration {t}: non-finite iterate")
         xs[t + 1] = x
         vs[t] = v
         viol[t] = diag["max_violation"]
+        n_violated[t] = diag["violated"]
         n_active[t] = diag["n_active"]
+        kkt_residual[t] = diag["kkt_residual"]
         qp_path[t] = diag["qp_path"]
     viol[T] = constraints.max_violation(x)
     return dict(
         xs=xs, vs=vs, etas=etas, max_violation=viol, wall_s=wall,
-        n_active=n_active, qp_path=qp_path,
+        n_violated=n_violated, n_active=n_active, kkt_residual=kkt_residual,
+        qp_path=qp_path,
     )
 
 
@@ -145,8 +151,9 @@ def cgm_iterate(step, constraints, x0, etas):
 class CgmTrace:
     """Per-iteration record of a CGM run; xs has T+1 states, vs/etas have T.
 
-    max_violation has T+1 entries; n_active and qp_path record each step's
-    projection ("" where no QP ran).
+    max_violation has T+1 entries; n_violated counts each step's violated
+    rows, and n_active, kkt_residual and qp_path record its projection (0, 0
+    and "" where no QP ran).
     """
 
     xs: np.ndarray
@@ -154,7 +161,9 @@ class CgmTrace:
     etas: np.ndarray
     max_violation: np.ndarray
     wall_s: np.ndarray
+    n_violated: np.ndarray
     n_active: np.ndarray
+    kkt_residual: np.ndarray
     qp_path: np.ndarray
 
     @property
@@ -187,7 +196,8 @@ def cgm_min_run(problem, config, reference=None):
 
     reference, when given, is an (x_star, f_star) pair used to fill the
     residual columns of the trace. QP failures and non-finite iterates abort
-    with the iteration index.
+    with the iteration index. Validated schedules keep every eta within the
+    (0, 1/ell_f] that cgm_min_step checks, so the loop calls cgm_step directly.
     """
     validate_schedule(config, problem)
     alpha = problem.mu if config.alpha is None else config.alpha
@@ -203,7 +213,7 @@ def cgm_min_run(problem, config, reference=None):
         etas = step_varying(np.arange(T), problem.mu, kappa)
 
     arrays = cgm_iterate(
-        lambda x, eta: cgm_min_step(problem, x, alpha, eta),
+        lambda x, eta: cgm_step(problem.grad_f(x), problem.constraints, x, alpha, eta),
         problem.constraints, problem.x0, etas,
     )
     trace = MinTrace(

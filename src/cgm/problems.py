@@ -132,13 +132,13 @@ class ConstraintSet:
         k, p = self.n_bounds, self.c.size
         idx = np.asarray(idx, dtype=int)
         out = np.zeros((idx.size, self.W.shape[1]))
-        bound = idx < k
-        out[bound, idx[bound]] = -1.0
         for r, i in enumerate(idx.tolist()):
             if i >= k + p:
                 out[r] = self.smooth[i - k - p].gradient(x)
             elif i >= k:
                 out[r] = self.W[i - k]
+            else:
+                out[r, i] = -1.0
         return out
 
     def max_violation(self, x):
@@ -287,19 +287,18 @@ def violated_set(values):
     return np.flatnonzero(values > 0.0)
 
 
-def build_polytope(constraints, x, alpha, values):
-    """Rows (grad g_i(x), -alpha g_i(x)) over the violated rows of values = g(x).
+def build_polytope(constraints, x, alpha, values, violated):
+    """Rows grad g_i(x) v <= -alpha g_i(x) over violated = violated_set(values = g(x)).
 
-    The violated bound rows come first, in index order, and are marked as
-    such (bound_idx) for the projection. x must be finite; the solvers check
-    each iterate before calling this. A non-finite row that reaches the
-    polytope is rejected by VelocityPolytope.
+    The violated bound rows become floors on their coordinates (bound_idx) and
+    the others the general rows (g, h). x must be finite; the solvers check
+    each iterate. A non-finite general row is rejected by VelocityPolytope.
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    x = np.asarray(x, dtype=float)
-    idx = violated_set(values)
+    s = int(np.searchsorted(violated, constraints.n_bounds))
+    rhs = -alpha * values[violated]
     return VelocityPolytope(
-        constraints.gradients(x, idx), -alpha * values[idx],
-        bound_idx=idx[idx < constraints.n_bounds],
+        constraints.gradients(x, violated[s:]), rhs[s:],
+        bound_idx=violated[:s], floor=-rhs[:s],
     )

@@ -1,15 +1,17 @@
 """Least-distance projection onto a small polytope of halfspace rows.
 
-Solves min_{v : A v <= b} ||v + c||^2. Coordinate-bound rows are handled in
-closed form and the few general rows by a primal-dual active-set (semismooth
-Newton) iteration on their multipliers (Hintermueller, Ito & Kunisch, 2002).
-Polytopes it cannot settle fall back to a dual active-set solve on all rows
-(Goldfarb & Idnani, 1983). A KKT checker certifies every solution; an
-exhaustive active-set oracle is kept for the tests.
+Solves min ||v + c||^2 over v[bound_idx] >= floor and g v <= h. The bounds
+are handled in closed form and the few general rows by a primal-dual
+active-set (semismooth Newton) iteration on their multipliers (Hintermueller,
+Ito & Kunisch, 2002). Polytopes it cannot settle fall back to a dual
+active-set solve on all dense rows (Goldfarb & Idnani, 1983). A KKT checker
+certifies every solution; an exhaustive active-set oracle is kept for the
+tests.
 """
 
 import logging
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -35,46 +37,62 @@ class MaxIterations(QpError):
 
 @dataclass(frozen=True)
 class VelocityPolytope:
-    """Halfspace rows a v <= b in R^n; an (0, n) matrix a means all of R^n.
+    """The polytope {v : v[bound_idx] >= floor, g v <= h} in R^n, n = g.shape[1].
 
-    The first bound_idx.size rows are coordinate bounds: row j is
-    -e_{bound_idx[j]}, so it reads v_{bound_idx[j]} >= -b[j]. kept holds the
-    indices of the non-degenerate rows; a degenerate row (zero normal,
-    rhs >= 0) is vacuous.
+    bound_idx holds distinct coordinates with lower bounds floor; g (p, n) and
+    h (p,) are the general rows, of which kept masks the non-degenerate ones
+    (a zero normal with h >= 0 is vacuous). The dense rows a v <= b, bound
+    rows first as -e_i, are built on demand for the fallback, oracle and tests.
     """
 
-    a: np.ndarray
-    b: np.ndarray
-    bound_idx: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
+    g: np.ndarray
+    h: np.ndarray
+    bound_idx: np.ndarray
+    floor: np.ndarray
     kept: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        a = np.asarray(self.a, dtype=float)
-        b = np.asarray(self.b, dtype=float)
-        bounds = np.asarray(self.bound_idx, dtype=int)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "bound_idx", bounds)
-        if a.ndim != 2 or a.shape[1] < 1 or b.shape != (a.shape[0],):
-            raise ValueError("need a of shape (m, n) with n >= 1 and b of shape (m,)")
-        if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        g, h = self.g, self.h
+        if g.ndim != 2 or g.shape[1] < 1 or h.shape != g.shape[:1]:
+            raise ValueError("need g of shape (p, n) with n >= 1 and h of shape (p,)")
+        if not (np.isfinite(g).all() and np.isfinite(h).all()):
             raise ValueError("halfspace rows must be finite")
-        norms = np.linalg.norm(a, axis=1)
-        s = bounds.size
-        if bounds.ndim != 1 or s > a.shape[0]:
-            raise ValueError("need bound_idx of shape (s,) with s <= m")
-        if s and not (
-            (norms[:s] == 1.0).all() and (a[np.arange(s), bounds] == -1.0).all()
-        ):
-            raise ValueError("bound row j must be -e_{bound_idx[j]}")
-        degenerate = norms < DEGENERATE_NORMAL
-        if degenerate.any() and (b[degenerate] < 0).any():
+        degenerate = (g * g).sum(axis=1) < DEGENERATE_NORMAL**2
+        if degenerate.any() and (h[degenerate] < 0).any():
             raise Infeasible("zero normal with negative rhs: 0 <= rhs is violated")
-        object.__setattr__(self, "kept", np.flatnonzero(~degenerate))
+        object.__setattr__(self, "kept", ~degenerate)
+
+    @classmethod
+    def from_rows(cls, a, b, bound_idx=()):
+        """The polytope a v <= b whose first s rows are -e_{bound_idx[j]}, j < s."""
+        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+        bounds = np.asarray(bound_idx, dtype=int)
+        s = bounds.size
+        polytope = cls(a[s:], b[s:], bounds, -b[:s])  # checks the general rows
+        if not (bounds.ndim == 1 and s <= b.size and np.isfinite(b[:s]).all()
+                and ((0 <= bounds) & (bounds < a.shape[1])).all()
+                and np.unique(bounds).size == s and np.array_equal(polytope.a, a)):
+            raise ValueError("bound rows must be -e_i for distinct i in bound_idx, finite rhs")
+        return polytope
+
+    @cached_property
+    def a(self):
+        bounds = np.zeros((self.bound_idx.size, self.g.shape[1]))
+        bounds[np.arange(self.bound_idx.size), self.bound_idx] = -1.0
+        return np.vstack((bounds, self.g))
+
+    @cached_property
+    def b(self):
+        return np.concatenate((-self.floor, self.h))
 
     def matrix(self):
-        """The stacked (a, b) pair; perfbench's tracer counts QP rows through it."""
+        """The dense (a, b) pair; perfbench's tracer counts QP rows through it."""
         return self.a, self.b
+
+    def kept_rows(self):
+        """(indices, a, b) of the non-degenerate dense rows: all bound rows, then kept."""
+        keep = np.flatnonzero(np.concatenate((np.ones(self.bound_idx.size, bool), self.kept)))
+        return keep, self.a[keep], self.b[keep]
 
 
 @dataclass
@@ -115,14 +133,12 @@ def _active_set(c, polytope, gate):
     or no such candidate within ACTIVE_SET_ITERATIONS, gives None. Without
     bound rows, F is every coordinate and the floor and mask work is skipped.
     """
-    a, b = polytope.a, polytope.b
-    bounds = polytope.bound_idx
+    bounds, g, h = polytope.bound_idx, polytope.g, polytope.h
     s = bounds.size
-    g, h = a[s:], b[s:]
     u = -c
     if s:
         floor = np.full(u.size, -np.inf)
-        floor[bounds] = -b[:s]
+        floor[bounds] = polytope.floor
         free = floor == -np.inf
     active = np.ones(h.size, dtype=bool)
     for iteration in range(1, ACTIVE_SET_ITERATIONS + 1):
@@ -169,8 +185,7 @@ def _goldfarb_idnani(c, polytope):
     polished on the Gram system of the active rows, as the oracle solves it.
     Returns the certified result; MaxIterations after 10 steps per kept row.
     """
-    keep = polytope.kept
-    a, b = polytope.a[keep], polytope.b[keep]
+    keep, a, b = polytope.kept_rows()
     norms = np.linalg.norm(a, axis=1)
     tol = KKT_TOL * (1.0 + np.abs(b) + norms * np.linalg.norm(c))
     v, lam, active, p = -c, np.zeros(keep.size), [], None
@@ -226,19 +241,17 @@ def project_velocity(target, polytope):
     if not np.isfinite(c).all():
         raise ValueError("target must be finite")
 
-    keep = polytope.kept
-    a, b = polytope.a, polytope.b
-    if not keep.size or (a[keep] @ -c <= b[keep]).all():
-        return _certified(c, polytope, -c, np.zeros(b.size), "direct")
+    bounds, keep = polytope.bound_idx, polytope.kept
+    if (c[bounds] <= -polytope.floor).all() and (polytope.g[keep] @ -c <= polytope.h[keep]).all():
+        return _certified(c, polytope, -c, np.zeros(bounds.size + polytope.h.size), "direct")
 
     gate = max(KKT_TOL, 1e3 * KKT_TOL * (1.0 + np.linalg.norm(c)))
     result = _active_set(c, polytope, gate)
     if result is not None:
         return result
-    n_bounds = polytope.bound_idx.size
     logger.warning(
         "active set unsettled on %d bound and %d general rows: dual fallback",
-        n_bounds, b.size - n_bounds,
+        bounds.size, polytope.h.size,
     )
     result = _goldfarb_idnani(c, polytope)
     if result.kkt_residual > gate:
@@ -253,8 +266,7 @@ def brute_force_projection(target, polytope):
     Among objective ties the lexicographically smallest subset wins.
     """
     c = np.asarray(target, dtype=float)
-    keep = polytope.kept
-    a, b = polytope.a[keep], polytope.b[keep]
+    keep, a, b = polytope.kept_rows()
     if (a @ -c - b).max(initial=-np.inf) <= 1e-9:
         return -c  # objective 0, which no subset can beat
     best_v, best_obj = None, np.inf
@@ -277,19 +289,26 @@ def brute_force_projection(target, polytope):
 
 
 def kkt_residual_qp(result, target, polytope):
-    """Max of stationarity norm, positive primal violation, and complementarity."""
+    """Max of stationarity norm, positive primal violation, and complementarity.
+
+    Those of the dense rows a v <= b (the dual lists the bound rows first),
+    evaluated on the bound coordinates and the general rows without forming a.
+    """
     c = np.asarray(target, dtype=float)
     v = result.v
     lam = result.dual
-    if lam.size != polytope.b.size:
+    bounds, g, h = polytope.bound_idx, polytope.g, polytope.h
+    s = bounds.size
+    if lam.size != s + h.size:
         raise ValueError("dual length must equal row count")
-    a, b = polytope.a, polytope.b
-    if a.shape[0] == 0:
-        return float(np.linalg.norm(v + c))
-    slack = a @ v - b
-    stationarity = np.linalg.norm(v + c + a.T @ lam)
-    primal = max(0.0, float(np.max(slack)))
+    gradient = v + c + g.T @ lam[s:]
+    slack = g @ v - h
+    if s:
+        gradient[bounds] -= lam[:s]
+        slack = np.concatenate((polytope.floor - v[bounds], slack))
+    stationarity = np.linalg.norm(gradient)
+    primal = float(slack.max(initial=0.0))
     # scale by multiplier size: near-parallel rows make lam huge while the
     # product lam*slack stays a faithful zero up to roundoff in slack alone
-    comp = float(np.max(np.abs(lam * slack) / (1.0 + lam)))
+    comp = float((np.abs(lam * slack) / (1.0 + lam)).max(initial=0.0))
     return max(float(stationarity), primal, comp)

@@ -16,7 +16,7 @@ from cgm.cgm_min import MinSolverConfig, cgm_min_run
 from cgm.cgm_vi import VISolverConfig, cgm_vi_run
 from cgm.harness import ExperimentConfig, run_experiment
 from cgm.metrics import ABS_SLACK, REL_SLACK, certify_min, certify_vi, hbg_gap_closed_form
-from cgm.problems import build_polytope, hbg_instantiate, rap_generate
+from cgm.problems import build_polytope, hbg_instantiate, rap_generate, violated_set
 from cgm.qp import Infeasible, brute_force_projection, project_velocity
 from test_problems import _random_product_simplex, feasible_rap_point
 from test_qp import random_instance
@@ -79,7 +79,9 @@ def test_criterion_02_membership_laws():
             y = feasible(rng)
             alpha = float(rng.uniform(0.01, 2.0))
             values = problem.constraints.values(x)
-            polytope = build_polytope(problem.constraints, x, alpha, values)
+            polytope = build_polytope(
+                problem.constraints, x, alpha, values, violated_set(values)
+            )
             a, b = polytope.a, polytope.b
             if a.shape[0] == 0:
                 continue

@@ -16,7 +16,15 @@ from cgm.cgm_min import (
     step_varying,
     validate_schedule,
 )
-from cgm.problems import ConstraintSet, rap_generate
+from cgm.cgm_vi import VISolverConfig, cgm_vi_run
+from cgm.problems import (
+    ConstraintSet,
+    MinProblem,
+    hbg_instantiate,
+    rap_generate,
+    violated_set,
+)
+from cgm.qp import KKT_TOL
 
 
 @pytest.fixture(scope="module")
@@ -85,11 +93,11 @@ class TestStep:
         assert diag["max_violation"] == small_problem.constraints.max_violation(x)
         assert diag["qp_path"] in ("direct", "dual", "gi")
         # velocity must satisfy every polytope row
-        from cgm.problems import build_polytope
+        from cgm.problems import build_polytope, violated_set
 
         constraints = small_problem.constraints
         values = constraints.values(x)
-        polytope = build_polytope(constraints, x, small_problem.mu, values)
+        polytope = build_polytope(constraints, x, small_problem.mu, values, violated_set(values))
         a, b = polytope.a, polytope.b
         assert float(np.max(a @ v - b)) <= 1e-8
 
@@ -119,6 +127,32 @@ class TestRun:
         assert trace.n_active.shape == trace.qp_path.shape == (T,)
         assert np.all(trace.n_active[trace.qp_path == ""] == 0)
         assert trace.horizon == T
+
+    @pytest.mark.parametrize("family", ["rap", "hbg", "interior"])
+    def test_trace_records_violations_and_kkt_residuals(self, family):
+        # rap and hbg run a QP at every step; the interior run never does
+        if family == "hbg":
+            problem = hbg_instantiate(10, 0.8, seed=0)
+            trace = cgm_vi_run(problem, VISolverConfig(horizon=200))
+            constraints = problem.constraints.append(trace.aux.as_constraint())
+            direction = problem.op_F
+        else:
+            problem = rap_generate(50, seed=0) if family == "rap" else MinProblem(
+                value_f=lambda x: 0.5 * float(x @ x), grad_f=lambda x: x, mu=1.0, ell_f=1.0,
+                constraints=ConstraintSet(n_bounds=0, W=[[1.0, 0.0]], c=[-1.0]),
+                x0=np.array([0.5, 0.5]), dim=2,
+            )
+            trace = cgm_min_run(problem, MinSolverConfig(horizon=200))
+            constraints, direction = problem.constraints, problem.grad_f
+        qp = trace.qp_path != ""
+        assert trace.n_violated.shape == trace.kkt_residual.shape == (trace.horizon,)
+        assert qp.all() if family != "interior" else not qp.any()
+        for t in range(trace.horizon):
+            x = trace.xs[t]
+            assert trace.n_violated[t] == violated_set(constraints.values(x)).size
+            assert qp[t] == (trace.n_violated[t] > 0)
+            gate = max(KKT_TOL, 1e3 * KKT_TOL * (1.0 + np.linalg.norm(direction(x))))
+            assert 0.0 <= trace.kkt_residual[t] <= (gate if qp[t] else 0.0)
 
     def test_constraints_evaluated_once_per_iterate(self, small_problem, monkeypatch):
         # the start-point feasibility check, one evaluation per step, and x^T

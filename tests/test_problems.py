@@ -14,6 +14,7 @@ from cgm.problems import (
     rap_unconstrained_min,
     violated_set,
 )
+from cgm.qp import VelocityPolytope
 
 
 def feasible_rap_point(problem, rng):
@@ -217,23 +218,21 @@ class TestVelocityPolytope:
         with np.errstate(invalid="ignore"):  # inf - inf in the affine rows
             values = problem.constraints.values(x)
         with pytest.raises(ValueError):
-            build_polytope(problem.constraints, x, 1.0, values)
+            build_polytope(problem.constraints, x, 1.0, values, violated_set(values))
 
     def test_polytope_rows_follow_violations(self):
         problem = rap_generate(10, seed=1)
         x = -np.abs(np.random.default_rng(0).random(10))  # violates all bounds
         values = problem.constraints.values(x)
         violated = violated_set(values)
-        polytope = build_polytope(problem.constraints, x, 1.0, values)
+        polytope = build_polytope(problem.constraints, x, 1.0, values, violated)
         assert polytope.b.size == violated.size
 
     def test_nonpositive_alpha_rejected(self):
         problem = rap_generate(5, seed=1)
         with pytest.raises(ValueError):
-            build_polytope(
-                problem.constraints, problem.x0, 0.0,
-                problem.constraints.values(problem.x0),
-            )
+            values = problem.constraints.values(problem.x0)
+            build_polytope(problem.constraints, problem.x0, 0.0, values, violated_set(values))
 
 
 def _membership_samples(problem, feasible_point, count, seed):
@@ -258,7 +257,7 @@ class TestMembershipLaws:
             feasible = lambda rng: _random_product_simplex(rng, 6)
         for x, y, alpha in _membership_samples(problem, feasible, 150, seed=3):
             values = problem.constraints.values(x)
-            polytope = build_polytope(problem.constraints, x, alpha, values)
+            polytope = build_polytope(problem.constraints, x, alpha, values, violated_set(values))
             a, b = polytope.a, polytope.b
             if a.shape[0] == 0:
                 continue
@@ -276,7 +275,7 @@ class TestMembershipLaws:
         rng = np.random.default_rng(4)
         for x, y, alpha in _membership_samples(problem, feasible, 150, seed=5):
             values = problem.constraints.values(x)
-            polytope = build_polytope(problem.constraints, x, alpha, values)
+            polytope = build_polytope(problem.constraints, x, alpha, values, violated_set(values))
             a, b = polytope.a, polytope.b
             if a.shape[0] == 0:
                 continue
@@ -284,6 +283,36 @@ class TestMembershipLaws:
             assert float(np.max(a @ v - b)) <= 1e-9
             shifted = v + (y - x)
             assert float(np.max(a @ shifted - b)) <= 1e-9
+
+
+def _same_bits(x, y):
+    return x.shape == y.shape and x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("family", ["rap", "hbg"])
+def test_dense_view_is_the_violated_rows(family):
+    # the structured polytope's dense rows are bitwise the violated rows
+    # (gradient, -alpha value), and splitting them again gives the same parts
+    if family == "rap":
+        problem = rap_generate(12, seed=9)
+        feasible = lambda rng: feasible_rap_point(problem, rng)
+    else:
+        problem = hbg_instantiate(6, 0.6, seed=9)
+        feasible = lambda rng: _random_product_simplex(rng, 6)
+    constraints = problem.constraints
+    bounded = 0
+    for x, _, alpha in _membership_samples(problem, feasible, 150, seed=3):
+        values = constraints.values(x)
+        idx = violated_set(values)
+        polytope = build_polytope(constraints, x, alpha, values, idx)
+        assert _same_bits(polytope.a, constraints.gradients(x, idx))
+        assert _same_bits(polytope.b, -alpha * values[idx])
+        assert polytope.matrix()[0] is polytope.a
+        again = VelocityPolytope.from_rows(polytope.a, polytope.b, polytope.bound_idx)
+        for part in ("g", "h", "bound_idx", "floor", "kept"):
+            assert _same_bits(getattr(again, part), getattr(polytope, part)), part
+        bounded += polytope.bound_idx.size > 0 and polytope.h.size > 0
+    assert bounded > 0
 
 
 def _random_product_simplex(rng, d):

@@ -10,10 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cgm.cgm_min
 import cgm.qp
 from cgm.cgm_min import MinSolverConfig, cgm_min_run
 from cgm.cgm_vi import VISolverConfig, cgm_vi_run
-from cgm.problems import build_polytope, hbg_instantiate, rap_generate
+from cgm.problems import build_polytope, hbg_instantiate, rap_generate, violated_set
 from cgm.qp import (
     Infeasible,
     MaxIterations,
@@ -29,7 +30,7 @@ def random_instance(rng, n, m):
     a = rng.standard_normal((m, n))
     b = rng.standard_normal(m)
     c = rng.standard_normal(n)
-    return c, VelocityPolytope(a, b)
+    return c, VelocityPolytope.from_rows(a, b)
 
 
 def degenerate_instance(rng, n, m):
@@ -40,11 +41,11 @@ def degenerate_instance(rng, n, m):
     a = np.vstack([a, a[i], a[j] + 1e-6 * rng.standard_normal(n)])
     b = np.append(b, [b[i], b[j] + 1e-6 * rng.standard_normal()])
     c = rng.standard_normal(n)
-    return c, VelocityPolytope(a, b)
+    return c, VelocityPolytope.from_rows(a, b)
 
 
 def test_no_rows_returns_negated_target():
-    polytope = VelocityPolytope(np.zeros((0, 3)), np.zeros(0))
+    polytope = VelocityPolytope.from_rows(np.zeros((0, 3)), np.zeros(0))
     c = np.array([1.0, -2.0, 0.5])
     result = project_velocity(c, polytope)
     np.testing.assert_allclose(result.v, -c)
@@ -52,7 +53,7 @@ def test_no_rows_returns_negated_target():
 
 
 def test_inactive_rows_fast_path():
-    polytope = VelocityPolytope(np.array([[1.0, 0.0]]), np.array([100.0]))
+    polytope = VelocityPolytope.from_rows(np.array([[1.0, 0.0]]), np.array([100.0]))
     result = project_velocity(np.array([-1.0, 2.0]), polytope)
     np.testing.assert_allclose(result.v, [1.0, -2.0])
     assert result.n_active == 0
@@ -62,7 +63,7 @@ def test_inactive_rows_fast_path():
 
 def test_single_active_row_projection():
     # -c = (1, 0) violates v_0 <= 0; the projection lands on the boundary
-    polytope = VelocityPolytope(np.array([[1.0, 0.0]]), np.array([0.0]))
+    polytope = VelocityPolytope.from_rows(np.array([[1.0, 0.0]]), np.array([0.0]))
     result = project_velocity(np.array([-1.0, 0.0]), polytope)
     np.testing.assert_allclose(result.v, [0.0, 0.0], atol=1e-12)
     np.testing.assert_allclose(result.dual, [1.0], atol=1e-12)
@@ -74,18 +75,22 @@ def test_bound_rows_must_be_negative_unit_rows():
     # rows -e_1 and a general row; bound_idx names the coordinate of each bound row
     a = np.array([[0.0, -1.0], [1.0, 1.0]])
     b = np.array([0.5, 1.0])
-    assert VelocityPolytope(a, b, bound_idx=[1]).bound_idx.tolist() == [1]
+    assert VelocityPolytope.from_rows(a, b, bound_idx=[1]).bound_idx.tolist() == [1]
     for bad_a, bound_idx in (
         (a, [0]),  # -e_1 is not -e_0
         (np.array([[0.0, 1.0], [1.0, 1.0]]), [1]),  # +e_1
         (np.array([[0.5, -1.0], [1.0, 1.0]]), [1]),  # extra entry
         (np.array([[0.0, -2.0], [1.0, 1.0]]), [1]),  # scaled
         (a, [1, 0]),  # the general row is not a bound row
+        (a, [2]),  # no coordinate 2 in R^2
+        (np.array([[0.0, -1.0], [0.0, -1.0]]), [1, 1]),  # one coordinate bounded twice
     ):
         with pytest.raises(ValueError):
-            VelocityPolytope(bad_a, b, bound_idx=bound_idx)
+            VelocityPolytope.from_rows(bad_a, b, bound_idx=bound_idx)
     with pytest.raises(ValueError):
-        VelocityPolytope(a, b, bound_idx=[1, 0, 1])  # more bound rows than rows
+        VelocityPolytope.from_rows(a, b, bound_idx=[1, 0, 1])  # more bound rows than rows
+    with pytest.raises(ValueError):
+        VelocityPolytope.from_rows(a, np.array([np.inf, 1.0]), bound_idx=[1])  # floor
 
 
 def bounded_instance(rng, n, k):
@@ -94,7 +99,7 @@ def bounded_instance(rng, n, k):
     a = np.vstack([-np.eye(n)[bound_idx], rng.standard_normal((k, n))])
     b = np.concatenate([rng.standard_normal(bound_idx.size), rng.standard_normal(k)])
     c = 2.0 * rng.standard_normal(n)
-    return c, VelocityPolytope(a, b, bound_idx=bound_idx)
+    return c, VelocityPolytope.from_rows(a, b, bound_idx=bound_idx)
 
 
 @settings(max_examples=150, deadline=None)
@@ -118,7 +123,7 @@ def test_bound_rows_match_oracle(seed):
 
 
 def test_infeasible_pair_raises():
-    polytope = VelocityPolytope(np.array([[1.0], [-1.0]]), np.array([-1.0, -1.0]))
+    polytope = VelocityPolytope.from_rows(np.array([[1.0], [-1.0]]), np.array([-1.0, -1.0]))
     with pytest.raises(Infeasible):
         project_velocity(np.array([0.0]), polytope)
 
@@ -130,36 +135,36 @@ def test_empty_polytope_beyond_oracle_size_raises():
     e0 = np.eye(n)[0]
     a = np.vstack([rng.standard_normal((18, n)), e0, -e0])
     b = np.append(np.full(18, 5.0), [-1.0, -1.0])
-    polytope = VelocityPolytope(a, b)
+    polytope = VelocityPolytope.from_rows(a, b)
     with pytest.raises(Infeasible):
         project_velocity(rng.standard_normal(n), polytope)
 
 
 def test_zero_normal_negative_rhs_rejected():
     with pytest.raises(Infeasible):
-        VelocityPolytope(np.zeros((1, 2)), np.array([-0.5]))
+        VelocityPolytope.from_rows(np.zeros((1, 2)), np.array([-0.5]))
     # checked across the whole array: one bad row among good ones
     with pytest.raises(Infeasible):
-        VelocityPolytope(np.array([[1.0, 0.0], [0.0, 0.0]]), np.array([-1.0, -0.5]))
+        VelocityPolytope.from_rows(np.array([[1.0, 0.0], [0.0, 0.0]]), np.array([-1.0, -0.5]))
 
 
 def test_zero_normal_nonnegative_rhs_is_vacuous():
-    polytope = VelocityPolytope(np.zeros((1, 2)), np.array([1.0]))
+    polytope = VelocityPolytope.from_rows(np.zeros((1, 2)), np.array([1.0]))
     result = project_velocity(np.array([3.0, 4.0]), polytope)
     np.testing.assert_allclose(result.v, [-3.0, -4.0])
 
 
 def test_row_dimension_mismatch_rejected():
     with pytest.raises(ValueError):
-        VelocityPolytope(np.ones((1, 3)), np.zeros(2))
+        VelocityPolytope.from_rows(np.ones((1, 3)), np.zeros(2))
     with pytest.raises(ValueError):
-        VelocityPolytope(np.ones(3), np.zeros(1))
+        VelocityPolytope.from_rows(np.ones(3), np.zeros(1))
     with pytest.raises(ValueError):
-        VelocityPolytope(np.array([[1.0, np.inf]]), np.zeros(1))
+        VelocityPolytope.from_rows(np.array([[1.0, np.inf]]), np.zeros(1))
 
 
 def test_nonfinite_target_rejected():
-    polytope = VelocityPolytope(np.zeros((0, 2)), np.zeros(0))
+    polytope = VelocityPolytope.from_rows(np.zeros((0, 2)), np.zeros(0))
     with pytest.raises(ValueError):
         project_velocity(np.array([np.nan, 0.0]), polytope)
 
@@ -212,7 +217,7 @@ def test_projection_is_feasible_and_certified(seed):
 
 
 def test_kkt_residual_flags_wrong_dual():
-    polytope = VelocityPolytope(np.array([[1.0, 0.0]]), np.array([0.0]))
+    polytope = VelocityPolytope.from_rows(np.array([[1.0, 0.0]]), np.array([0.0]))
     bogus = ProjectionResult(
         v=np.zeros(2), dual=np.array([5.0]), kkt_residual=0.0, n_active=0
     )
@@ -220,7 +225,7 @@ def test_kkt_residual_flags_wrong_dual():
 
 
 def test_kkt_residual_rejects_wrong_dual_length():
-    polytope = VelocityPolytope(np.zeros((0, 2)), np.zeros(0))
+    polytope = VelocityPolytope.from_rows(np.zeros((0, 2)), np.zeros(0))
     bad = ProjectionResult(v=np.zeros(2), dual=np.ones(3), kkt_residual=0.0, n_active=0)
     with pytest.raises(ValueError):
         kkt_residual_qp(bad, np.zeros(2), polytope)
@@ -248,7 +253,9 @@ def test_large_rap_polytopes_pass_kkt_gate():
     large = 0
     for x in trace.xs[:-1]:
         values = problem.constraints.values(x)
-        polytope = build_polytope(problem.constraints, x, trace.alpha, values)
+        polytope = build_polytope(
+            problem.constraints, x, trace.alpha, values, violated_set(values)
+        )
         if polytope.b.size <= 16:
             continue
         large += 1
@@ -264,7 +271,7 @@ def test_fallbacks_are_logged(monkeypatch, caplog):
     # with the active set stubbed out, the dual fallback logs one warning and
     # still returns the projection v = 0 (row 0 active, row 1 slack)
     monkeypatch.setattr(cgm.qp, "_active_set", lambda c, polytope, gate: None)
-    polytope = VelocityPolytope(np.eye(2), np.array([0.0, 5.0]))
+    polytope = VelocityPolytope.from_rows(np.eye(2), np.array([0.0, 5.0]))
     c = np.array([-1.0, 0.0])
     with caplog.at_level("WARNING", logger="cgm.qp"):
         result = project_velocity(c, polytope)
@@ -296,14 +303,14 @@ def test_fallback_answer_must_pass_the_gate(monkeypatch):
 
     monkeypatch.setattr(cgm.qp, "_active_set", lambda c, polytope, gate: None)
     monkeypatch.setattr(cgm.qp, "_goldfarb_idnani", perturbed)
-    polytope = VelocityPolytope(np.eye(2), np.array([0.0, 5.0]))
+    polytope = VelocityPolytope.from_rows(np.eye(2), np.array([0.0, 5.0]))
     with pytest.raises(MaxIterations):
         project_velocity(np.array([-1.0, 0.0]), polytope)
 
 
 def test_fallback_is_logged_with_row_counts(caplog):
     # a duplicated row makes the active-set system singular
-    polytope = VelocityPolytope(
+    polytope = VelocityPolytope.from_rows(
         np.array([[-1.0, 0.0], [0.0, 1.0], [0.0, 1.0]]), np.array([-1.0, 0.0, 0.0]),
         bound_idx=[0],
     )
@@ -429,3 +436,83 @@ def test_varying_schedule_qps_take_the_active_set(d, seed, horizon):
         rap_generate(d, seed=seed), MinSolverConfig(horizon=horizon, schedule="varying")
     )
     assert _qp_paths(trace) <= {"direct", "dual"}
+
+
+def dense_kkt_residual(result, target, polytope):
+    """kkt_residual_qp's formula on the dense rows a v <= b."""
+    c = np.asarray(target, dtype=float)
+    v, lam = result.v, result.dual
+    a, b = polytope.a, polytope.b
+    if a.shape[0] == 0:
+        return float(np.linalg.norm(v + c))
+    slack = a @ v - b
+    stationarity = np.linalg.norm(v + c + a.T @ lam)
+    primal = max(0.0, float(np.max(slack)))
+    comp = float(np.max(np.abs(lam * slack) / (1.0 + lam)))
+    return max(float(stationarity), primal, comp)
+
+
+def _assert_kkt_matches_dense(result, c, polytope):
+    dense = dense_kkt_residual(result, c, polytope)
+    structural = kkt_residual_qp(result, c, polytope)
+    assert abs(structural - dense) <= 1e-12 * (1.0 + abs(dense)), (structural, dense)
+    assert result.kkt_residual == structural
+
+
+def test_structural_kkt_matches_dense_on_trajectories(monkeypatch):
+    # every projection of the runs, on the polytope and target the step passed
+    real = cgm.cgm_min.project_velocity
+    checked = []
+
+    def checked_projection(c, polytope):
+        result = real(c, polytope)
+        _assert_kkt_matches_dense(result, c, polytope)
+        checked.append(polytope.bound_idx.size)
+        return result
+
+    monkeypatch.setattr(cgm.cgm_min, "project_velocity", checked_projection)
+    for schedule in ("constant", "varying"):
+        cgm_min_run(rap_generate(50, seed=0), MinSolverConfig(horizon=500, schedule=schedule))
+    rap_qps = len(checked)
+    cgm_vi_run(hbg_instantiate(50, 0.8, seed=0), VISolverConfig(horizon=1000))
+    assert rap_qps >= 500 and max(checked[:rap_qps]) > 0
+    assert len(checked) - rap_qps >= 500 and max(checked[rap_qps:]) == 0
+
+
+def test_structural_kkt_matches_dense_on_bounded_batch():
+    for seed in range(3000):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 6))
+        k = int(rng.integers(0, 4))
+        c, polytope = bounded_instance(rng, n, k)
+        try:
+            result = project_velocity(c, polytope)
+        except Infeasible:
+            continue
+        _assert_kkt_matches_dense(result, c, polytope)
+
+
+def test_polytopes_round_tripped_through_dense_rows_keep_trajectories(monkeypatch):
+    # a polytope rebuilt from its dense view drives the solvers to the same bits
+    runs = {
+        "rap-constant": lambda: cgm_min_run(
+            rap_generate(50, seed=1), MinSolverConfig(horizon=300, schedule="constant")
+        ),
+        "rap-varying": lambda: cgm_min_run(
+            rap_generate(50, seed=1), MinSolverConfig(horizon=300, schedule="varying")
+        ),
+        "hbg": lambda: cgm_vi_run(hbg_instantiate(50, 0.8, seed=1), VISolverConfig(horizon=300)),
+    }
+    direct = {name: run() for name, run in runs.items()}
+    real = cgm.cgm_min.build_polytope
+
+    def round_tripped(*args):
+        polytope = real(*args)
+        return VelocityPolytope.from_rows(polytope.a, polytope.b, polytope.bound_idx)
+
+    monkeypatch.setattr(cgm.cgm_min, "build_polytope", round_tripped)
+    for name, run in runs.items():
+        trace = run()
+        assert trace.xs.tobytes() == direct[name].xs.tobytes(), name
+        assert trace.vs.tobytes() == direct[name].vs.tobytes(), name
+        np.testing.assert_array_equal(trace.qp_path, direct[name].qp_path, err_msg=name)
