@@ -15,7 +15,7 @@ from .plots import emit_plots, render_line_chart
 from .problems import (
     ConstraintSet,
     MinProblem,
-    SmoothConstraint,
+    QuadraticRow,
     VIProblem,
     build_polytope,
     hbg_instantiate,
@@ -44,7 +44,7 @@ __all__ = [
     "MinSolverConfig",
     "MinTrace",
     "ProjectionResult",
-    "SmoothConstraint",
+    "QuadraticRow",
     "VelocityPolytope",
     "VIProblem",
     "VISolverConfig",

@@ -11,7 +11,7 @@ from typing import Optional
 import numpy as np
 
 from .cgm_min import CgmTrace, cgm_iterate, cgm_step
-from .problems import SmoothConstraint
+from .problems import QuadraticRow
 
 
 class DegenerateStart(Exception):
@@ -43,31 +43,6 @@ class VISolverConfig:
             raise ValueError("delta must be >= 1")
 
 
-@dataclass(frozen=True)
-class AuxConstraint:
-    """Ball row ||x - center||^2 <= radius_sq appended as constraint m+1."""
-
-    center: np.ndarray
-    radius_sq: float
-
-    def __post_init__(self):
-        if self.radius_sq <= 0:
-            raise ValueError("radius_sq must be positive")
-
-    def as_constraint(self):
-        center = self.center
-        radius_sq = self.radius_sq
-
-        def value(x):
-            diff = x - center
-            return float(diff @ diff) - radius_sq
-
-        def gradient(x):
-            return 2.0 * (x - center)
-
-        return SmoothConstraint(value=value, gradient=gradient, smoothness=2.0)
-
-
 @dataclass(kw_only=True)
 class VITrace(CgmTrace):
     """A CGM-VI run over constraints [m+1], with each state's distance to x0."""
@@ -75,7 +50,7 @@ class VITrace(CgmTrace):
     dist_x0: np.ndarray
     kappa: float
     delta: float
-    aux: AuxConstraint
+    aux: QuadraticRow  # the ball ||x - x0||^2 <= r, appended as row m+1
     normFx0_sq: float
 
     @property
@@ -104,9 +79,8 @@ def cgm_vi_run(problem, config):
     delta = tight if config.delta is None else config.delta
     if delta < tight:
         raise ValueError(f"delta={delta} below admissible minimum {tight}")
-    radius_sq = delta / problem.ell_F**2 * (norm_f0_sq + problem.B)
-    aux = AuxConstraint(center=np.array(problem.x0, dtype=float), radius_sq=radius_sq)
-    constraints = problem.constraints.append(aux.as_constraint())
+    aux = QuadraticRow(problem.x0, delta / problem.ell_F**2 * (norm_f0_sq + problem.B))
+    constraints = problem.constraints.append(aux)
 
     kappa = problem.ell_F / problem.mu
     arrays = cgm_iterate(

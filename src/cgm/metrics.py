@@ -155,7 +155,7 @@ def certify_vi(trace, problem):
 
     c3 = math.sqrt((2.0 * delta + 1.25) * energy / ell_f_op**2)
     c4 = math.sqrt((16.0 * delta + 20.0) * energy)
-    constraints = problem.constraints.append(trace.aux.as_constraint())
+    constraints = problem.constraints.append(trace.aux)
     ell_g = constraints.smoothness
     l_g = empirical_grad_bound(constraints, trace.xs)
 

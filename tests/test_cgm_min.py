@@ -134,7 +134,7 @@ class TestRun:
         if family == "hbg":
             problem = hbg_instantiate(10, 0.8, seed=0)
             trace = cgm_vi_run(problem, VISolverConfig(horizon=200))
-            constraints = problem.constraints.append(trace.aux.as_constraint())
+            constraints = problem.constraints.append(trace.aux)
             direction = problem.op_F
         else:
             problem = rap_generate(50, seed=0) if family == "rap" else MinProblem(

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from cgm.cgm_vi import (
-    AuxConstraint,
     DegenerateStart,
     VISolverConfig,
     cgm_vi_run,
@@ -14,7 +13,7 @@ from cgm.cgm_vi import (
     ergodic_average,
     step_vi,
 )
-from cgm.problems import ConstraintSet, VIProblem, hbg_instantiate
+from cgm.problems import ConstraintSet, QuadraticRow, VIProblem, hbg_instantiate
 
 
 @pytest.fixture(scope="module")
@@ -41,17 +40,18 @@ class TestDelta:
 
 
 class TestAuxConstraint:
+    # the ball row is a QuadraticRow with Q = None (the identity)
     def test_ball_membership_sign(self):
-        aux = AuxConstraint(center=np.zeros(2), radius_sq=1.0)
-        g = aux.as_constraint()
+        g = QuadraticRow(center=np.zeros(2), r=1.0)
         assert g.value(np.zeros(2)) == pytest.approx(-1.0)
         assert g.value(np.array([2.0, 0.0])) == pytest.approx(3.0)
         np.testing.assert_allclose(g.gradient(np.array([1.0, 1.0])), [2.0, 2.0])
         assert g.smoothness == 2.0
 
     def test_nonpositive_radius_rejected(self):
-        with pytest.raises(ValueError):
-            AuxConstraint(center=np.zeros(2), radius_sq=0.0)
+        for r in (0.0, -1.0):
+            with pytest.raises(ValueError):
+                QuadraticRow(center=np.zeros(2), r=r)
 
 
 class TestSchedule:
@@ -78,7 +78,7 @@ class TestRun:
         assert small_trace.horizon == T
 
     def test_iterates_stay_in_ball(self, small_trace):
-        radius = np.sqrt(small_trace.aux.radius_sq)
+        radius = np.sqrt(small_trace.aux.r)
         # ball violations are possible transiently but distances stay bounded
         assert float(np.max(small_trace.dist_x0)) <= 2.0 * radius
 
@@ -117,7 +117,7 @@ class TestRun:
         trace = cgm_vi_run(small_problem, VISolverConfig(horizon=T))
         assert len(calls) <= T + 2
         monkeypatch.undo()
-        constraints = small_problem.constraints.append(trace.aux.as_constraint())
+        constraints = small_problem.constraints.append(trace.aux)
         for x, viol in zip(trace.xs, trace.max_violation):
             assert viol == constraints.max_violation(x)
 

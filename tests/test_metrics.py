@@ -14,8 +14,7 @@ from cgm.metrics import (
     empirical_grad_bound,
     hbg_gap_closed_form,
 )
-from cgm.cgm_vi import AuxConstraint
-from cgm.problems import hbg_instantiate, rap_generate
+from cgm.problems import QuadraticRow, hbg_instantiate, rap_generate
 
 
 class TestCheck:
@@ -110,7 +109,7 @@ class TestMeasures:
         # fixed rows normed once must equal the norm of every row at every iterate
         rng = np.random.default_rng(8)
         rap = rap_generate(12, seed=4)
-        ball = AuxConstraint(center=problem.x0, radius_sq=0.5).as_constraint()
+        ball = QuadraticRow(center=problem.x0, r=0.5)
         cases = [
             (problem.constraints, xs),
             (rap.constraints, rng.random((30, 12))),

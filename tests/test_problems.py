@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+from cgm.cgm_min import MinSolverConfig, cgm_min_run
+from cgm.cgm_vi import VISolverConfig, cgm_vi_run
 from cgm.problems import (
     ConstraintSet,
+    QuadraticRow,
     RapData,
-    SmoothConstraint,
     build_polytope,
     hbg_instantiate,
     hbg_operator,
@@ -174,16 +176,18 @@ class TestConstraintSet:
     def test_append_and_smoothness(self):
         problem = rap_generate(6, seed=0)
         base = problem.constraints
-        ball = SmoothConstraint(
-            value=lambda x: float(x @ x) - 1.0, gradient=lambda x: 2.0 * x, smoothness=9e9
-        )
-        grown = base.append(ball)
+        q_mat = 4.5e9 * np.eye(6)
+        grown = base.append(QuadraticRow(np.zeros(6), 1.0, q_mat))
         assert len(grown) == len(base) + 1
         assert grown.smoothness == 9e9
         assert base.smoothness == 2.0 * float(np.max(np.linalg.eigvalsh(problem.data.E)))
         x = np.full(6, 0.5)
-        assert grown.values(x)[-1] == float(x @ x) - 1.0
-        np.testing.assert_array_equal(grown.gradients(x, [len(base)]), [2.0 * x])
+        assert grown.values(x)[-1] == float(x @ q_mat @ x) - 1.0
+        np.testing.assert_array_equal(grown.gradients(x, [len(base)]), [2.0 * (q_mat @ x)])
+        ball = base.append(QuadraticRow(np.zeros(6), 1.0))
+        assert ball.smoothness == base.smoothness
+        assert ball.values(x)[-1] == float(x @ x) - 1.0
+        np.testing.assert_array_equal(ball.gradients(x, [len(base)]), [2.0 * x])
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
@@ -192,6 +196,65 @@ class TestConstraintSet:
             ConstraintSet(n_bounds=0, W=np.ones((2, 3)), c=np.zeros(3))
         with pytest.raises(ValueError):
             ConstraintSet(n_bounds=4, W=np.zeros((0, 3)), c=np.zeros(0))
+
+    def test_missized_quadratic_row_rejected(self):
+        # caught here, not later as a broadcast error inside values()
+        base = ConstraintSet(n_bounds=3, W=np.ones((1, 3)), c=np.zeros(1))
+        with pytest.raises(ValueError):
+            base.append(QuadraticRow(np.zeros(2), 1.0))
+        with pytest.raises(ValueError):
+            ConstraintSet(n_bounds=3, W=np.ones((1, 3)), c=np.zeros(1),
+                          smooth=(QuadraticRow(np.zeros(4), 1.0),))
+
+
+class TestQuadraticRow:
+    def test_arithmetic_matches_closed_forms_bitwise(self):
+        # iterates stay bitwise only if each row keeps its per-point arithmetic
+        rng = np.random.default_rng(21)
+        rap = rap_generate(50, seed=5)
+        risk = rap.constraints.smooth[0]
+        e_mat, emax = rap.data.E, rap.data.Emax
+        center, r = rng.random(30), 0.7
+        ball = QuadraticRow(center, r)
+        for _ in range(200):
+            x = rng.random(50)
+            x /= np.sum(x)
+            assert risk.value(x) == float(x @ e_mat @ x) - emax
+            assert np.array_equal(risk.gradient(x), 2.0 * (e_mat @ x))
+            y = rng.standard_normal(30)
+            diff = y - center
+            assert ball.value(y) == float(diff @ diff) - r
+            assert np.array_equal(ball.gradient(y), 2.0 * (y - center))
+
+    @pytest.mark.parametrize("family", ["rap", "hbg"])
+    def test_batched_bound_equals_per_point_loop(self, family):
+        # on RAP d=50 seed 7, T=2000 the plain batched norms were measured to
+        # miss the loop's maximum in the last bit, so this exercises the
+        # re-evaluation of the near-maximal points
+        if family == "rap":
+            problem = rap_generate(50, seed=7)
+            trace = cgm_min_run(problem, MinSolverConfig(horizon=2000, schedule="constant"))
+            row = problem.constraints.smooth[0]
+        else:
+            problem = hbg_instantiate(50, 0.8, seed=1)
+            trace = cgm_vi_run(problem, VISolverConfig(horizon=1000))
+            row = trace.aux
+        expected = max(float(np.linalg.norm(row.gradient(x))) for x in trace.xs)
+        assert row.grad_norm_bound(trace.xs) == expected
+
+    def test_center_must_be_finite_1d(self):
+        with pytest.raises(ValueError):
+            QuadraticRow(np.zeros((2, 2)), 1.0)
+        with pytest.raises(ValueError):
+            QuadraticRow(np.array([0.0, np.nan]), 1.0)
+        with pytest.raises(ValueError):
+            QuadraticRow(np.array([0.0, np.inf]), 1.0)
+
+    def test_q_must_be_square_of_center_size(self):
+        with pytest.raises(ValueError):
+            QuadraticRow(np.zeros(3), 1.0, np.eye(2))
+        with pytest.raises(ValueError):
+            QuadraticRow(np.zeros(3), 1.0, np.ones(3))
 
 
 class TestVelocityPolytope:
