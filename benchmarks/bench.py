@@ -1,4 +1,4 @@
-"""Direct wall-time benchmark of the solvers, the reference and the certificates.
+"""Direct wall-time benchmark of the solvers, the reference, the certificates and the CLI.
 
 Run from the root of a checkout:
 
@@ -11,10 +11,12 @@ seed, with one BLAS thread, over at least REPEAT = 3 calls repeated until
 BUDGET_S = 5 s have passed, so millisecond entries take the best of hundreds of
 calls and second-long ones the best of a few. ``setup_s`` follows the same
 rule over fresh interpreters that import ``cgm`` and build the d=50 RAP
-instance. ``--src`` selects the source tree whose ``cgm`` package is timed
-(default: this checkout's ``src``), so two commits can be measured by the same
-script and settings. Results are merged into --out under the name given by
---column, next to the environment they were taken in.
+instance, and ``cli_hbg_d50_T1000_s`` over whole ``cgm-bench`` runs (HBG d=50,
+T=1000 with baselines, bound checks and plots, into a temporary directory).
+``--src`` selects the source tree whose ``cgm`` package is timed (default:
+this checkout's ``src``), so two commits can be measured by the same script
+and settings. Results are merged into --out under the name given by --column,
+next to the environment they were taken in.
 
 ``--src-parent`` measures the parent tree and --src in PAIRS pairs of fresh
 subprocesses of this script, alternating which side runs first, so slow
@@ -25,6 +27,8 @@ count for neither) and every pair's times.
 """
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import platform
@@ -118,7 +122,22 @@ def measure(cgm, src):
         cgm.certify_min, min_traces["constant"], rap, (x_star, f_star), floor
     )
     results["certify_vi_T3000_s"], _ = best_of(cgm.certify_vi, vi_trace, hbg)
+
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+        argv = ["--problem", "hbg", "--d", "50", "--iters", "1000", "--seed", str(SEED),
+                "--baselines", "--check-bounds", "--plots", "--out", tmp]
+        results["cli_hbg_d50_T1000_s"] = best_over_budget(lambda: cli_seconds(cgm, argv))
     return results
+
+
+def cli_seconds(cgm, argv):
+    """Wall seconds of one ``cgm-bench`` run; raises unless it exits 0."""
+    tic = time.perf_counter()
+    code = cgm.cli.main(argv)
+    seconds = time.perf_counter() - tic
+    if code != 0:
+        raise RuntimeError(f"cgm-bench {' '.join(argv)} exited {code}")
+    return seconds
 
 
 def paired(src, parent_src, out_dir):
@@ -177,6 +196,7 @@ def main(argv=None):
 
     sys.path.insert(0, str(src))
     import cgm
+    import cgm.cli
 
     env = {
         "nproc": os.cpu_count(),

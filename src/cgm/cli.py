@@ -28,17 +28,8 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    overrides = {
-        "problem": args.problem,
-        "d": args.d,
-        "beta": args.beta,
-        "seed": args.seed,
-        "iters": args.iters,
-        "schedule": args.schedule,
-        "baselines": args.baselines,
-        "check_bounds": args.check_bounds,
-        "out": args.out,
-    }
+    overrides = {key: value for key, value in vars(args).items()
+                 if key not in ("config", "plots")}
     try:
         config = parse_config(args.config, overrides)
         summary = run_experiment(config)

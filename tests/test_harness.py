@@ -5,17 +5,20 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import cgm
 from cgm.cli import main as cli_main
 from cgm.harness import (
+    GDA_ETA,
     ExperimentConfig,
     ParseError,
     ValidationError,
     parse_config,
     run_experiment,
 )
+from cgm.metrics import hbg_gap_closed_form
 from cgm.plots import EmptySeries, emit_plots, read_csv, render_line_chart
 
 
@@ -78,6 +81,16 @@ class TestParseConfig:
         with pytest.raises(ValidationError, match="iters"):
             ExperimentConfig(problem="rap", horizons=())
 
+    @pytest.mark.parametrize("line, message", [
+        ("d = abc", "bad value for 'd': 'abc'"),
+        ("check_bounds = maybe", "bad flag value for 'check_bounds': 'maybe'"),
+    ], ids=["int", "flag"])
+    def test_bad_file_value_names_its_line(self, tmp_path, capsys, line, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"problem = rap\niters = 10\n{line}\n")
+        assert cli_main(["--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"error: {cfg}:3: {message}\n"
+
 
 class TestRunExperiment:
     def test_rap_outputs(self, tmp_path):
@@ -123,6 +136,67 @@ class TestRunExperiment:
             return ["\n".join(line.split(",")[:-1]) for line in lines]
 
         assert strip_wall(run_to("a")) == strip_wall(run_to("b"))
+
+    def test_csv_cells_match_the_traces(self, tmp_path):
+        def expect_rows(path, columns):
+            lines = Path(path).read_text().splitlines()
+            assert lines[0].split(",") == [*columns, "wall_ms"]
+            horizon = len(columns["iter"])
+            for t, line in enumerate(lines[1:horizon + 1], start=1):
+                cells = dict(zip(lines[0].split(","), line.split(",")))
+                assert cells["iter"] == str(t)
+                for name, values in columns.items():
+                    assert float(cells[name]) == values[t - 1], (path, name, t)
+            assert len(lines) == horizon + 1 or lines[horizon + 1].startswith("certificate")
+
+        horizon = 30
+        for schedule in ("constant", "varying"):
+            config = ExperimentConfig(
+                problem="rap", horizons=(horizon,), d=8, seed=4, schedule=schedule,
+                check_bounds=True, out_dir=str(tmp_path),
+            )
+            (path,) = run_experiment(config)["files"]
+            problem = cgm.rap_generate(8, seed=4)
+            x_star, f_star, _ = cgm.solve_rap_reference(problem.data)
+            trace = cgm.cgm_min_run(
+                problem, cgm.MinSolverConfig(horizon=horizon, schedule=schedule),
+                reference=(x_star, f_star),
+            )
+            expect_rows(path, {
+                "iter": range(1, horizon + 1),
+                "eta": trace.etas,
+                "f_resid": trace.f_resid[1:],
+                "abs_f_resid": [abs(r) for r in trace.f_resid[1:]],
+                "max_violation": trace.max_violation[1:],
+                "v_norm": trace.v_norms,
+                "dist_x0": np.linalg.norm(trace.xs - trace.xs[0], axis=1)[1:],
+            })
+
+        config = ExperimentConfig(
+            problem="hbg", horizons=(horizon,), d=6, beta=0.7, seed=5,
+            run_baselines=True, out_dir=str(tmp_path),
+        )
+        vi_path, gda_path, eg_path = run_experiment(config)["files"]
+        problem = cgm.hbg_instantiate(6, 0.7, seed=5)
+        trace = cgm.cgm_vi_run(problem, cgm.VISolverConfig(horizon=horizon))
+        x_star = np.full(12, 1.0 / 6)
+        expect_rows(vi_path, {
+            "iter": range(1, horizon + 1),
+            "eta": trace.etas,
+            "gap": [hbg_gap_closed_form(x, 0.7) for x in trace.xs[1:]],
+            "max_violation": trace.max_violation[1:],
+            "v_norm": trace.v_norms,
+            "dist_x0": trace.dist_x0[1:],
+            "rel_err": [
+                float(np.linalg.norm(x - x_star)) / float(np.linalg.norm(x_star))
+                for x in trace.xs[1:]
+            ],
+        })
+        for path, run, eta in (
+            (gda_path, cgm.gda_run, GDA_ETA), (eg_path, cgm.eg_run, 1.0 / problem.ell_F)
+        ):
+            baseline = run(problem, eta, horizon)
+            expect_rows(path, {"iter": range(1, horizon + 1), "rel_err": baseline.rel_err})
 
 
 class TestPlots:
@@ -178,6 +252,14 @@ class TestCli:
         code = cli_main(["--problem", "hbg", "--beta", "2.0", "--iters", "10"])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--problem", "hbg", "--d", "0"], "error: d: hbg requires d >= 1\n"),
+        (["--problem", "rap", "--seed", "-1"], "error: seed: must be non-negative\n"),
+    ], ids=["hbg_d0", "negative_seed"])
+    def test_cli_invalid_d_or_seed_exit_code(self, tmp_path, capsys, argv, message):
+        assert cli_main([*argv, "--iters", "10", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == message
 
     def test_console_script_installed(self):
         # the subprocess imports the same cgm package, installed or not
