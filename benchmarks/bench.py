@@ -13,6 +13,7 @@ calls and second-long ones the best of a few. ``setup_s`` follows the same
 rule over fresh interpreters that import ``cgm`` and build the d=50 RAP
 instance, and ``cli_hbg_d50_T1000_s`` over whole ``cgm-bench`` runs (HBG d=50,
 T=1000 with baselines, bound checks and plots, into a temporary directory).
+``baselines_hbg_d50_T1000_s`` times GDA and then EG on the HBG d=50 instance.
 ``--src`` selects the source tree whose ``cgm`` package is timed (default:
 this checkout's ``src``), so two commits can be measured by the same script
 and settings. Results are merged into --out under the name given by --column,
@@ -122,12 +123,19 @@ def measure(cgm, src):
         cgm.certify_min, min_traces["constant"], rap, (x_star, f_star), floor
     )
     results["certify_vi_T3000_s"], _ = best_of(cgm.certify_vi, vi_trace, hbg)
+    results["baselines_hbg_d50_T1000_s"], _ = best_of(baselines_hbg, cgm, hbg)
 
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
         argv = ["--problem", "hbg", "--d", "50", "--iters", "1000", "--seed", str(SEED),
                 "--baselines", "--check-bounds", "--plots", "--out", tmp]
         results["cli_hbg_d50_T1000_s"] = best_over_budget(lambda: cli_seconds(cgm, argv))
     return results
+
+
+def baselines_hbg(cgm, problem):
+    """GDA and then EG on the HBG instance, T=1000, with the step sizes cgm-bench uses."""
+    cgm.gda_run(problem, cgm.harness.GDA_ETA, 1000)
+    cgm.eg_run(problem, 1.0 / problem.ell_F, 1000)
 
 
 def cli_seconds(cgm, argv):

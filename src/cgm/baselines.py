@@ -1,11 +1,14 @@
 """Projection-based baselines on a product of unit simplices.
 
 Projected gradient descent-ascent and the extragradient method, both keeping
-every iterate exactly feasible via sort-and-threshold simplex projection.
+every iterate exactly feasible via sort-and-threshold simplex projection,
+which projects all blocks of a point with one sort.
 """
 
+import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -14,31 +17,50 @@ class UnsupportedConstraintSet(Exception):
     """Baselines only handle problems whose feasible set is simplex blocks."""
 
 
+def _project_rows(rows):
+    """Project each row of a (blocks, width) array onto the unit simplex by sort and threshold.
+
+    Entries of -inf pad a short row: they sort last, never pass the threshold
+    and come out 0, so every real entry is bitwise what its own row would give.
+    """
+    u = np.sort(rows, axis=1)[:, ::-1]
+    blocks, width = rows.shape
+    # (cumsum - 1) / k at every k; the threshold tau is its entry at the last k that passes
+    thresholds = (u.cumsum(axis=1) - 1.0) / np.arange(1.0, width + 1.0)
+    rho = width - 1 - (u > thresholds)[:, ::-1].argmax(axis=1)
+    out = rows - thresholds[np.arange(blocks), rho][:, None]
+    return np.maximum(out, 0.0, out=out)
+
+
 def project_simplex(y):
     """Euclidean projection of y onto {x >= 0, sum(x) = 1} by sort and threshold."""
     y = np.asarray(y, dtype=float)
-    if not np.all(np.isfinite(y)):
-        raise ValueError("y must be finite")
-    u = np.sort(y)[::-1]
-    css = np.cumsum(u)
-    rho = np.nonzero(u > (css - 1.0) / np.arange(1.0, y.size + 1.0))[0][-1]
-    tau = (css[rho] - 1.0) / (rho + 1.0)
-    return np.maximum(y - tau, 0.0)
+    return SimplexProjector(block_sizes=(y.size,))(y)
 
 
 @dataclass(frozen=True)
 class SimplexProjector:
-    """Blockwise projection onto a product of unit simplices."""
+    """Projection onto a product of unit simplices, every block in one sort."""
 
     block_sizes: tuple
+    _mask: Optional[np.ndarray] = field(init=False, repr=False, compare=False, default=None)
+
+    def __post_init__(self):
+        sizes = np.asarray(self.block_sizes, dtype=int)
+        if sizes.min() != sizes.max():
+            # the (blocks, width) layout of unequal blocks: -inf fills the unmasked slots
+            mask = np.arange(sizes.max()) < sizes[:, None]
+            object.__setattr__(self, "_mask", mask)
 
     def __call__(self, x):
-        out = np.empty_like(x, dtype=float)
-        start = 0
-        for size in self.block_sizes:
-            out[start : start + size] = project_simplex(x[start : start + size])
-            start += size
-        return out
+        x = np.asarray(x, dtype=float)
+        if not np.isfinite(x).all():
+            raise ValueError("x must be finite")
+        if self._mask is None:
+            return _project_rows(x.reshape(len(self.block_sizes), -1)).reshape(x.shape)
+        rows = np.full(self._mask.shape, -np.inf)
+        rows[self._mask] = x
+        return _project_rows(rows)[self._mask]
 
 
 @dataclass
@@ -80,7 +102,8 @@ def _run(problem, T, step_fn, x_star):
         x = step_fn(x, proj)
         wall[t] = time.perf_counter() - tic
         xs[t + 1] = x
-        rel[t] = float(np.linalg.norm(x - x_star)) / ref_norm
+        diff = x - x_star
+        rel[t] = math.sqrt(float(diff @ diff)) / ref_norm  # bitwise np.linalg.norm
     return BaselineTrace(xs=xs, rel_err=rel, wall_s=wall)
 
 

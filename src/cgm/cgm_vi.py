@@ -11,6 +11,7 @@ from typing import Optional
 import numpy as np
 
 from .cgm_min import CgmTrace, cgm_iterate, cgm_step
+from .metrics import row_norms
 from .problems import QuadraticRow
 
 
@@ -89,6 +90,6 @@ def cgm_vi_run(problem, config):
     )
     xs = arrays["xs"]
     return VITrace(
-        **arrays, dist_x0=np.array([float(np.linalg.norm(x - xs[0])) for x in xs]),
+        **arrays, dist_x0=row_norms(xs, xs[0]),
         kappa=kappa, delta=delta, aux=aux, normFx0_sq=norm_f0_sq,
     )

@@ -16,7 +16,7 @@ import numpy as np
 from .baselines import eg_run, gda_run
 from .cgm_min import MinSolverConfig, cgm_min_run
 from .cgm_vi import VISolverConfig, cgm_vi_run
-from .metrics import certify_min, certify_vi, hbg_gap_closed_form
+from .metrics import certify_min, certify_vi, hbg_gap_closed_form, row_norms
 from .problems import hbg_instantiate, rap_generate, rap_unconstrained_min
 from .reference import solve_rap_reference
 
@@ -124,12 +124,16 @@ def parse_config(path=None, overrides=None):
             kwargs[field] = convert(value)
         except ValueError as exc:
             raise ParseError(f"{where}bad {what} for {key!r}: {value!r}") from exc
-    return ExperimentConfig(**kwargs)
+    try:
+        return ExperimentConfig(**kwargs)
+    except ValidationError as exc:
+        # each message starts with its config key; a value read from a file gets its line
+        _, where = raw.get(str(exc).partition(":")[0], (None, ""))
+        raise ValidationError(f"{where}{exc}") from exc
 
 
 def _atomic_write(path, text):
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", newline="\n") as handle:
@@ -180,11 +184,11 @@ def _run_hbg_cell(config, horizon, problem):
     columns = {
         "iter": range(1, horizon + 1),
         "eta": trace.etas,
-        "gap": [hbg_gap_closed_form(x, beta) for x in trace.xs[1:]],
+        "gap": hbg_gap_closed_form(trace.xs[1:], beta),
         "max_violation": trace.max_violation[1:],
         "v_norm": trace.v_norms,
         "dist_x0": trace.dist_x0[1:],
-        "rel_err": [float(np.linalg.norm(x - x_star)) / ref_norm for x in trace.xs[1:]],
+        "rel_err": row_norms(trace.xs[1:], x_star) / ref_norm,
         "wall_ms": np.cumsum(trace.wall_s) * 1e3,
     }
     report = certify_vi(trace, problem) if config.check_bounds else None
@@ -207,10 +211,17 @@ def _run_baseline_cell(config, horizon, problem, label, run, eta):
 def run_experiment(config):
     """Execute every (solver, horizon) cell; returns a summary dict.
 
+    The output directory is created first; when it names a file, nothing is
+    solved and ValidationError is raised.
+
     Summary fields: files (paths in cell order), reports (per file when
     bound checking was requested), all_pass, exit_code (nonzero iff a bound
     certificate failed while check_bounds was set).
     """
+    try:
+        Path(config.out_dir).mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as exc:
+        raise ValidationError(f"out: {config.out_dir} is not a directory") from exc
     if config.problem == "rap":
         problem = rap_generate(config.d, seed=config.seed)
         x_star, f_star, cert = solve_rap_reference(problem.data)

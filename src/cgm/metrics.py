@@ -14,6 +14,7 @@ from .problems import hbg_operator
 
 ABS_SLACK = 1e-9
 REL_SLACK = 1e-7
+ROW_BLOCK = 128  # rows per block of a trajectory-wide column
 
 
 class ReferenceMissing(Exception):
@@ -74,12 +75,54 @@ def _check(name, lhs_arr, rhs_arr):
     return CertificateRecord(name=name, lhs=lhs, rhs=rhs, slack=slack, passed=passed)
 
 
+def _by_blocks(fn, xs):
+    """fn(block) over xs in blocks of ROW_BLOCK rows, one value per row.
+
+    Blocks bound the temporaries of a trajectory-wide column.
+    """
+    out = np.empty(len(xs))
+    for start in range(0, len(xs), ROW_BLOCK):
+        out[start : start + ROW_BLOCK] = fn(xs[start : start + ROW_BLOCK])
+    return out
+
+
+def _row_dots(a, b):
+    """a[..., i, :] @ b[..., i, :] per row, bitwise the 1-D product of the two rows.
+
+    A stacked (1, n) @ (n, 1) matmul takes the 1-D dot path; einsum does not
+    and differs in the last bit.
+    """
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
+def row_norms(xs, center):
+    """||x - center|| for every row x of xs, bitwise np.linalg.norm(x - center)."""
+
+    def norms(block):
+        diff = block - center
+        return np.sqrt(_row_dots(diff, diff))
+
+    return _by_blocks(norms, xs)
+
+
+def _hbg_gaps(x, beta):
+    d = x.shape[-1] // 2
+    fx = hbg_operator(beta)(x)
+    top, bot = fx[..., :d], fx[..., d:]
+    dots = _row_dots(top, x[..., :d]) + _row_dots(bot, x[..., d:])
+    return dots - top.min(axis=-1) - bot.min(axis=-1)
+
+
 def hbg_gap_closed_form(x, beta):
-    """Strong gap max_{y in product simplex} <F(x), x - y> in closed form."""
-    d = x.size // 2
-    fx = hbg_operator(beta)(x).reshape(2, d)  # the top and bottom blocks of F(x)
-    top_min, bot_min = fx.min(axis=1).tolist()
-    return float(fx[0] @ x[:d] + fx[1] @ x[d:]) - top_min - bot_min
+    """Strong gap max_{y in product simplex} <F(x), x - y> in closed form.
+
+    x is one point (the gap comes back as a float) or a trajectory of points as
+    rows (one gap per row, each bitwise the gap of that point alone).
+    """
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 1:
+        return float(_hbg_gaps(x, beta))
+    return _by_blocks(lambda block: _hbg_gaps(block, beta), x)
 
 
 def empirical_grad_bound(constraints, xs):

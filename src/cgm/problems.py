@@ -254,12 +254,13 @@ def rap_unconstrained_min(data):
 
 
 def hbg_operator(beta):
-    def op_F(x, beta=beta):
-        d = x.size // 2
-        x1, x2 = x[:d], x[d:]
-        top = 2.0 * beta * x1 + (1.0 - beta) * x2
-        bot = -(1.0 - beta) * x1 + 2.0 * beta * x2
-        return np.concatenate([top, bot])
+    """F(x) = (2 beta x1 + (1 - beta) x2, -(1 - beta) x1 + 2 beta x2) on points (..., 2d)."""
+    two_beta = 2.0 * beta
+    mix = np.array([[1.0 - beta], [-(1.0 - beta)]])  # the weights of the swapped blocks
+
+    def op_F(x):
+        blocks = x.reshape(*x.shape[:-1], 2, x.shape[-1] // 2)
+        return (two_beta * blocks + mix * blocks[..., ::-1, :]).reshape(x.shape)
 
     return op_F
 

@@ -13,7 +13,43 @@ from cgm.baselines import (
     gda_run,
     project_simplex,
 )
+from cgm.harness import GDA_ETA
 from cgm.problems import hbg_instantiate, rap_generate
+
+
+def _per_block_projection(x, block_sizes):
+    # the per-block sort and threshold that SimplexProjector replaced, kept as its oracle
+    out = np.empty_like(x)
+    start = 0
+    for size in block_sizes:
+        y = x[start : start + size]
+        u = np.sort(y)[::-1]
+        css = np.cumsum(u)
+        rho = np.nonzero(u > (css - 1.0) / np.arange(1.0, size + 1.0))[0][-1]
+        tau = (css[rho] - 1.0) / (rho + 1.0)
+        out[start : start + size] = np.maximum(y - tau, 0.0)
+        start += size
+    return out
+
+
+def _per_block_run(problem, eta, T, extragradient):
+    # GDA or EG through the per-block oracle, rel_err from np.linalg.norm per iterate
+    x_star = np.full(problem.dim, 1.0 / (problem.dim // 2))
+    ref_norm = float(np.linalg.norm(x_star))
+
+    def proj(y):
+        return _per_block_projection(y, problem.simplex_blocks)
+
+    xs, rel = [np.array(problem.x0, dtype=float)], []
+    for _ in range(T):
+        x = xs[-1]
+        if extragradient:
+            x = proj(x - eta * problem.op_F(proj(x - eta * problem.op_F(x))))
+        else:
+            x = proj(x - eta * problem.op_F(x))
+        xs.append(x)
+        rel.append(float(np.linalg.norm(x - x_star)) / ref_norm)
+    return np.array(xs), np.array(rel)
 
 
 def _simplex_oracle(y):
@@ -85,6 +121,28 @@ class TestSimplexProjector:
         np.testing.assert_allclose(out[:2], project_simplex(x[:2]))
         np.testing.assert_allclose(out[2:], project_simplex(x[2:]))
 
+    @pytest.mark.parametrize("block_sizes", [(50, 50), (3, 3, 3), (2, 3), (1, 7, 4), (6, 1)])
+    def test_matches_per_block_loop_bitwise(self, block_sizes):
+        proj = SimplexProjector(block_sizes=block_sizes)
+        rng = np.random.default_rng(len(block_sizes) + sum(block_sizes))
+        n = sum(block_sizes)
+        draws = [np.full(n, 0.3), np.zeros(n), np.arange(float(n))]
+        for scale in (0.01, 1.0, 30.0, 1e4):
+            for _ in range(40):
+                x = rng.standard_normal(n) * scale
+                # rounding leaves exact ties within and across blocks
+                draws += [x, np.round(x, 1), np.round(x)]
+        for x in draws:
+            assert np.array_equal(proj(x), _per_block_projection(x, block_sizes))
+            head = x[: block_sizes[0]]  # project_simplex is the one-block case
+            oracle = _per_block_projection(head, block_sizes[:1])
+            assert np.array_equal(project_simplex(head), oracle)
+
+    def test_nonfinite_rejected(self):
+        for block_sizes in ((2, 2), (1, 3)):
+            with pytest.raises(ValueError):
+                SimplexProjector(block_sizes=block_sizes)(np.array([0.1, np.nan, 0.2, 0.3]))
+
 
 @pytest.fixture(scope="module")
 def problem():
@@ -119,6 +177,17 @@ class TestRuns:
         x_star = np.array(problem.x0)
         trace = gda_run(problem, 0.005, 5, x_star=x_star)
         assert trace.rel_err[0] >= 0.0
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_runs_match_per_block_loop_bitwise(self, seed):
+        problem = hbg_instantiate(50, 0.8, seed=seed)
+        for run, eta, extragradient in (
+            (gda_run, GDA_ETA, False), (eg_run, 1.0 / problem.ell_F, True)
+        ):
+            trace = run(problem, eta, 1000)
+            xs, rel = _per_block_run(problem, eta, 1000, extragradient)
+            assert np.array_equal(trace.xs, xs)
+            assert np.array_equal(trace.rel_err, rel)
 
     def test_non_simplex_problem_rejected(self):
         rap = rap_generate(6, seed=0)

@@ -91,6 +91,17 @@ class TestParseConfig:
         assert cli_main(["--config", str(cfg)]) == 2
         assert capsys.readouterr().err == f"error: {cfg}:3: {message}\n"
 
+    @pytest.mark.parametrize("line, message", [
+        ("d = 0", "d: hbg requires d >= 1"),
+        ("seed = -1", "seed: must be non-negative"),
+        ("beta = 1.5", "beta: must lie in (0, 1)"),
+    ], ids=["d", "seed", "beta"])
+    def test_out_of_range_file_value_names_its_line(self, tmp_path, capsys, line, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"problem = hbg\niters = 10\n{line}\n")
+        assert cli_main(["--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"error: {cfg}:3: {message}\n"
+
 
 class TestRunExperiment:
     def test_rap_outputs(self, tmp_path):
@@ -260,6 +271,19 @@ class TestCli:
     def test_cli_invalid_d_or_seed_exit_code(self, tmp_path, capsys, argv, message):
         assert cli_main([*argv, "--iters", "10", "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err == message
+
+    def test_cli_out_is_a_file(self, tmp_path, capsys, monkeypatch):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solver ran before the output directory was checked")
+
+        monkeypatch.setattr("cgm.harness.hbg_instantiate", no_solve)
+        argv = ["--problem", "hbg", "--d", "3", "--iters", "5", "--out", str(taken)]
+        assert cli_main(argv) == 2
+        assert capsys.readouterr().err == f"error: out: {taken} is not a directory\n"
+        assert taken.read_text() == ""
 
     def test_console_script_installed(self):
         # the subprocess imports the same cgm package, installed or not

@@ -6,6 +6,7 @@ import pytest
 from cgm.metrics import (
     ABS_SLACK,
     REL_SLACK,
+    ROW_BLOCK,
     BoundsReport,
     CertificateRecord,
     ReferenceMissing,
@@ -13,8 +14,9 @@ from cgm.metrics import (
     certify_min,
     empirical_grad_bound,
     hbg_gap_closed_form,
+    row_norms,
 )
-from cgm.problems import QuadraticRow, hbg_instantiate, rap_generate
+from cgm.problems import QuadraticRow, hbg_instantiate, hbg_operator, rap_generate
 
 
 class TestCheck:
@@ -141,3 +143,35 @@ class TestCertify:
         assert "velocity_bound_C1" in names
         assert "feasibility_constant_step" in names
         assert report.constants["C1"] > 0
+
+
+def _gap_per_point(x, beta):
+    # the one-point closed form: 1-D products of the blocks of F(x) with those of x
+    d = x.size // 2
+    fx = hbg_operator(beta)(x).reshape(2, d)
+    top_min, bot_min = fx.min(axis=1).tolist()
+    return float(fx[0] @ x[:d] + fx[1] @ x[d:]) - top_min - bot_min
+
+
+class TestTrajectoryColumns:
+    """Trajectory-wide columns equal their per-point formulas bitwise, across row blocks."""
+
+    def test_batched_gap_equals_per_point(self, vi_trace):
+        xs = vi_trace["trace"].xs
+        assert len(xs) > 2 * ROW_BLOCK and len(xs) % ROW_BLOCK
+        expected = np.array([_gap_per_point(x, 0.8) for x in xs])
+        assert np.array_equal(hbg_gap_closed_form(xs, 0.8), expected)
+        single = hbg_gap_closed_form(xs[7], 0.8)
+        assert type(single) is float and single == expected[7]
+
+    def test_batched_gap_off_the_simplex(self):
+        xs = np.random.default_rng(6).standard_normal((ROW_BLOCK + 3, 12))
+        expected = [_gap_per_point(x, 0.6) for x in xs]
+        assert np.array_equal(hbg_gap_closed_form(xs, 0.6), expected)
+
+    def test_row_norms_equal_per_point(self, vi_trace):
+        trace = vi_trace["trace"]
+        xs = trace.xs
+        center = np.full(xs.shape[1], 1.0 / (xs.shape[1] // 2))
+        assert np.array_equal(row_norms(xs, center), [np.linalg.norm(x - center) for x in xs])
+        assert np.array_equal(trace.dist_x0, [np.linalg.norm(x - xs[0]) for x in xs])

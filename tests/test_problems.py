@@ -109,6 +109,23 @@ class TestHbgGeneration:
             out, [2 * beta, 1 - beta, -(1 - beta), 2 * beta]
         )
 
+    @pytest.mark.parametrize("beta", [0.3, 0.7, 0.8])
+    def test_operator_on_a_batch_matches_per_point_formula_bitwise(self, beta):
+        def per_point(x):
+            d = x.size // 2
+            x1, x2 = x[:d], x[d:]
+            top = 2.0 * beta * x1 + (1.0 - beta) * x2
+            bot = -(1.0 - beta) * x1 + 2.0 * beta * x2
+            return np.concatenate([top, bot])
+
+        op = hbg_operator(beta)
+        xs = np.random.default_rng(4).standard_normal((3, 5, 2 * 7))
+        batch = op(xs)
+        assert batch.shape == xs.shape
+        for idx in np.ndindex(xs.shape[:-1]):
+            assert np.array_equal(batch[idx], per_point(xs[idx]))
+            assert np.array_equal(op(xs[idx]), per_point(xs[idx]))
+
     def test_strong_monotonicity_and_lipschitz(self):
         problem = hbg_instantiate(10, 0.7, seed=0)
         rng = np.random.default_rng(1)
