@@ -19,16 +19,25 @@ this checkout's ``src``), so two commits can be measured by the same script
 and settings. Results are merged into --out under the name given by --column,
 next to the environment they were taken in.
 
-``--src-parent`` measures the parent tree and --src in PAIRS pairs of fresh
-subprocesses of this script, alternating which side runs first, so slow
-spells of a shared host fall on both sides. The columns ``parent`` and
-``change`` then hold each entry's best over the pairs, and ``paired`` holds,
-per entry, the median change/parent ratio, the pairs the change won (ties
-count for neither) and every pair's times.
+``--src-parent`` loads the parent tree's ``cgm`` and --src's into this one
+process, under the package names ``cgm_parent`` and ``cgm_change`` (every
+import inside ``cgm`` is relative), and interleaves them call by call, so a
+slow spell of a shared host or a heap state falls on both sides. Each entry
+runs PAIRS pairs; a pair runs rounds of one call of each side, back to back,
+swapping which goes first every round, for at least REPEAT rounds and
+PAIR_BUDGET_S seconds. A pair's ratio is the median over its rounds of the
+change/parent time ratio, so host drift slower than one round cancels; it
+also keeps each side's best time. Only ``setup_s`` still starts an
+interpreter per call. The columns ``parent`` and ``change`` then hold each
+entry's best over the pairs, and ``paired`` holds, per entry, the median of
+the pair ratios, the pairs the change won (ratio below 1), every pair's ratio
+and every pair's best times.
 """
 
 import argparse
 import contextlib
+import importlib
+import importlib.util
 import io
 import json
 import os
@@ -50,6 +59,9 @@ SEED = 42
 REPEAT = 3
 BUDGET_S = 5.0
 PAIRS = 10
+PAIR_BUDGET_S = 1.0
+# entries reported in other units than seconds per call
+SCALE = {"rap_d200_T20_varying_ms_per_iter": 1e3 / 20}
 SETUP_PROBE = """
 import sys, time
 start = time.perf_counter()
@@ -60,6 +72,19 @@ print(time.perf_counter() - start)
 """
 
 
+def load(src, name):
+    """The cgm package of the source tree src, imported as the package `name`."""
+    init = Path(src) / "cgm" / "__init__.py"
+    spec = importlib.util.spec_from_file_location(
+        name, init, submodule_search_locations=[str(init.parent)]
+    )
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    importlib.import_module(f"{name}.cli")
+    return package
+
+
 def best_over_budget(sample):
     """Min of sample() over at least REPEAT calls that together span BUDGET_S seconds."""
     best, calls, start = float("inf"), 0, time.perf_counter()
@@ -68,68 +93,56 @@ def best_over_budget(sample):
     return best
 
 
-def best_of(fn, *args, **kwargs):
-    """(best wall seconds of fn(*args, **kwargs) over the budget, result of the last call)."""
-    last = [None]
+def timer(fn, *args):
+    """A sample: the wall seconds of one fn(*args) call."""
 
     def sample():
         tic = time.perf_counter()
-        last[0] = fn(*args, **kwargs)
+        fn(*args)
         return time.perf_counter() - tic
 
-    return best_over_budget(sample), last[0]
+    return sample
 
 
 def setup_seconds(src):
-    """Best over the budget of fresh interpreters importing cgm from src and building RAP d=50."""
+    """Seconds of one fresh interpreter importing cgm from src and building RAP d=50."""
     probe = [sys.executable, "-c", SETUP_PROBE, str(src), str(SEED)]
-    return best_over_budget(
-        lambda: float(subprocess.run(probe, capture_output=True, text=True, check=True).stdout)
-    )
+    return float(subprocess.run(probe, capture_output=True, text=True, check=True).stdout)
 
 
-def measure(cgm, src):
-    results = {"setup_s": setup_seconds(src)}
+def samples(cgm, src, out_dir):
+    """{entry: sample} for the package cgm loaded from src, on inputs it builds once.
+
+    A sample is a zero-argument function returning the wall seconds of one
+    call; the CLI entry writes into out_dir.
+    """
     rap = cgm.rap_generate(50, seed=SEED)
-    min_traces = {}
-    for schedule in ("constant", "varying"):
-        config = cgm.MinSolverConfig(horizon=2000, schedule=schedule)
-        results[f"rap_d50_T2000_{schedule}_s"], min_traces[schedule] = best_of(
-            cgm.cgm_min_run, rap, config
-        )
-
     rap200 = cgm.rap_generate(200, seed=SEED)
-    config = cgm.MinSolverConfig(horizon=20, schedule="varying")
-    seconds, _ = best_of(cgm.cgm_min_run, rap200, config)
-    results["rap_d200_T20_varying_ms_per_iter"] = seconds / 20 * 1e3
-
     hbg = cgm.hbg_instantiate(50, 0.8, seed=SEED)
-    results["hbg_d50_T3000_s"], vi_trace = best_of(
-        cgm.cgm_vi_run, hbg, cgm.VISolverConfig(horizon=3000)
-    )
-
-    results["reference_d50_s"], (x_star, f_star, cert) = best_of(
-        cgm.solve_rap_reference, rap.data
-    )
-    if not cert.ok:
+    x_star, f_star, cert = cgm.solve_rap_reference(rap.data)
+    if not (cert.ok and cgm.solve_rap_reference(rap200.data)[2].ok):
         raise RuntimeError("reference certificate failed")
-    results["reference_d200_s"], (_, _, cert200) = best_of(
-        cgm.solve_rap_reference, rap200.data
-    )
-    if not cert200.ok:
-        raise RuntimeError("reference certificate failed at d=200")
+    min_trace = cgm.cgm_min_run(rap, cgm.MinSolverConfig(horizon=2000, schedule="constant"))
+    vi_config = cgm.VISolverConfig(horizon=3000)
+    vi_trace = cgm.cgm_vi_run(hbg, vi_config)
     floor = cgm.rap_unconstrained_min(rap.data)[1]
-    results["certify_min_T2000_s"], _ = best_of(
-        cgm.certify_min, min_traces["constant"], rap, (x_star, f_star), floor
-    )
-    results["certify_vi_T3000_s"], _ = best_of(cgm.certify_vi, vi_trace, hbg)
-    results["baselines_hbg_d50_T1000_s"], _ = best_of(baselines_hbg, cgm, hbg)
-
-    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
-        argv = ["--problem", "hbg", "--d", "50", "--iters", "1000", "--seed", str(SEED),
-                "--baselines", "--check-bounds", "--plots", "--out", tmp]
-        results["cli_hbg_d50_T1000_s"] = best_over_budget(lambda: cli_seconds(cgm, argv))
-    return results
+    argv = ["--problem", "hbg", "--d", "50", "--iters", "1000", "--seed", str(SEED),
+            "--baselines", "--check-bounds", "--plots", "--out", str(out_dir)]
+    return {
+        "setup_s": lambda: setup_seconds(src),
+        **{f"rap_d50_T2000_{schedule}_s": timer(
+            cgm.cgm_min_run, rap, cgm.MinSolverConfig(horizon=2000, schedule=schedule))
+           for schedule in ("constant", "varying")},
+        "rap_d200_T20_varying_ms_per_iter": timer(
+            cgm.cgm_min_run, rap200, cgm.MinSolverConfig(horizon=20, schedule="varying")),
+        "hbg_d50_T3000_s": timer(cgm.cgm_vi_run, hbg, vi_config),
+        "reference_d50_s": timer(cgm.solve_rap_reference, rap.data),
+        "reference_d200_s": timer(cgm.solve_rap_reference, rap200.data),
+        "certify_min_T2000_s": timer(cgm.certify_min, min_trace, rap, (x_star, f_star), floor),
+        "certify_vi_T3000_s": timer(cgm.certify_vi, vi_trace, hbg),
+        "baselines_hbg_d50_T1000_s": timer(baselines_hbg, cgm, hbg),
+        "cli_hbg_d50_T1000_s": lambda: cli_seconds(cgm, argv),
+    }
 
 
 def baselines_hbg(cgm, problem):
@@ -139,43 +152,48 @@ def baselines_hbg(cgm, problem):
 
 
 def cli_seconds(cgm, argv):
-    """Wall seconds of one ``cgm-bench`` run; raises unless it exits 0."""
-    tic = time.perf_counter()
-    code = cgm.cli.main(argv)
-    seconds = time.perf_counter() - tic
+    """Wall seconds of one ``cgm-bench`` run, its output discarded; raises unless it exits 0."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        tic = time.perf_counter()
+        code = cgm.cli.main(argv)
+        seconds = time.perf_counter() - tic
     if code != 0:
         raise RuntimeError(f"cgm-bench {' '.join(argv)} exited {code}")
     return seconds
 
 
-def paired(src, parent_src, out_dir):
-    """Columns and paired record of PAIRS alternating subprocess runs of both trees."""
-    runs = {"parent": [], "change": []}
-    for k in range(PAIRS):
-        for side in ("parent", "change")[:: 1 if k % 2 == 0 else -1]:
-            path = out_dir / f"{side}-{k}.json"
-            tree = parent_src if side == "parent" else src
-            command = [sys.executable, __file__, "--column", side, "--src", str(tree)]
-            subprocess.run(command + ["--out", str(path)], check=True, capture_output=True)
-            runs[side].append(json.loads(path.read_text())["columns"][side])
+def pair(parent, change, k):
+    """(parent best, change best, median change/parent ratio of back-to-back calls) of a pair."""
+    sides, best, ratios = (parent, change), [float("inf"), float("inf")], []
+    start = time.perf_counter()
+    while len(ratios) < REPEAT or time.perf_counter() - start < PAIR_BUDGET_S:
+        seconds = [0.0, 0.0]
+        for i in (0, 1)[:: 1 if (k + len(ratios)) % 2 == 0 else -1]:
+            seconds[i] = sides[i]()
+            best[i] = min(best[i], seconds[i])
+        ratios.append(seconds[1] / seconds[0])
+    return best[0], best[1], statistics.median(ratios)
+
+
+def paired(parent_samples, change_samples):
+    """Columns and paired record of PAIRS interleaved pairs per entry."""
     record = {}
-    for name in runs["change"][0]["results"]:
-        parent = [run["results"][name] for run in runs["parent"]]
-        change = [run["results"][name] for run in runs["change"]]
+    for name, change in change_samples.items():
+        scale = SCALE.get(name, 1.0)
+        pairs = [pair(parent_samples[name], change, k) for k in range(PAIRS)]
+        ratios = [ratio for _, _, ratio in pairs]
         record[name] = {
-            "median_ratio": statistics.median(c / p for c, p in zip(change, parent)),
-            "wins": sum(c < p for c, p in zip(change, parent)),
+            "median_ratio": statistics.median(ratios),
+            "wins": sum(ratio < 1 for ratio in ratios),
             "pairs": PAIRS,
-            "parent": parent,
-            "change": change,
+            "ratios": ratios,
+            "parent": [p * scale for p, _, _ in pairs],
+            "change": [c * scale for _, c, _ in pairs],
         }
-    columns = {
-        side: {"env": runs[side][0]["env"],
-               "results": {name: min(run["results"][name] for run in runs[side])
-                           for name in record}}
-        for side in runs
-    }
-    return columns, record
+    return {
+        side: {name: min(entry[side]) for name, entry in record.items()}
+        for side in ("parent", "change")
+    }, record
 
 
 def main(argv=None):
@@ -185,27 +203,13 @@ def main(argv=None):
     parser.add_argument("--src", type=Path, default=ROOT / "src",
                         help="source tree holding the cgm package to time")
     parser.add_argument("--src-parent", type=Path,
-                        help="parent source tree to measure against --src in alternating pairs")
+                        help="parent source tree to interleave with --src, call by call")
     args = parser.parse_args(argv)
     if (args.column is None) == (args.src_parent is None):
         parser.error("give exactly one of --column and --src-parent")
 
     src = args.src.resolve()
     data = json.loads(args.out.read_text()) if args.out.exists() else {}
-    if args.src_parent is not None:
-        with tempfile.TemporaryDirectory() as tmp:
-            columns, record = paired(src, args.src_parent.resolve(), Path(tmp))
-        data.setdefault("columns", {}).update(columns)
-        data["paired"] = record
-        args.out.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-        print(json.dumps({name: {k: entry[k] for k in ("median_ratio", "wins", "pairs")}
-                          for name, entry in record.items()}, indent=2))
-        return 0
-
-    sys.path.insert(0, str(src))
-    import cgm
-    import cgm.cli
-
     env = {
         "nproc": os.cpu_count(),
         "python": platform.python_version(),
@@ -213,12 +217,29 @@ def main(argv=None):
         "blas_threads": int(os.environ["OPENBLAS_NUM_THREADS"]),
         "seed": SEED,
         "repeat": REPEAT,
-        "budget_s": BUDGET_S,
     }
-    column = {"env": env, "results": measure(cgm, src)}
-    data.setdefault("columns", {})[args.column] = column
+    with tempfile.TemporaryDirectory() as tmp:
+        if args.src_parent is not None:
+            parent_src = args.src_parent.resolve()
+            parent = samples(load(parent_src, "cgm_parent"), parent_src, Path(tmp, "parent"))
+            change = samples(load(src, "cgm_change"), src, Path(tmp, "change"))
+            best, record = paired(parent, change)
+            env.update(pairs=PAIRS, pair_budget_s=PAIR_BUDGET_S, interleaved=True)
+            for side in best:
+                data.setdefault("columns", {})[side] = {"env": env, "results": best[side]}
+            data["paired"] = record
+            summary = {name: {k: entry[k] for k in ("median_ratio", "wins", "pairs")}
+                       for name, entry in record.items()}
+        else:
+            env.update(budget_s=BUDGET_S)
+            results = {
+                name: best_over_budget(sample) * SCALE.get(name, 1.0)
+                for name, sample in samples(load(src, "cgm"), src, Path(tmp)).items()
+            }
+            data.setdefault("columns", {})[args.column] = {"env": env, "results": results}
+            summary = {args.column: results}
     args.out.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-    print(json.dumps({args.column: column["results"]}, indent=2))
+    print(json.dumps(summary, indent=2))
     return 0
 
 

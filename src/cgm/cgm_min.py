@@ -143,7 +143,7 @@ def cgm_iterate(step, constraints, x0, etas):
     return dict(
         xs=xs, vs=vs, etas=etas, max_violation=viol, wall_s=wall,
         n_violated=n_violated, n_active=n_active, kkt_residual=kkt_residual,
-        qp_path=qp_path,
+        qp_path=qp_path, v_norms=np.linalg.norm(vs, axis=1),
     )
 
 
@@ -153,7 +153,8 @@ class CgmTrace:
 
     max_violation has T+1 entries; n_violated counts each step's violated
     rows, and n_active, kkt_residual and qp_path record its projection (0, 0
-    and "" where no QP ran).
+    and "" where no QP ran). v_norms holds each ||v_t||, computed once per run
+    for the CSV column and the certificates.
     """
 
     xs: np.ndarray
@@ -165,14 +166,11 @@ class CgmTrace:
     n_active: np.ndarray
     kkt_residual: np.ndarray
     qp_path: np.ndarray
+    v_norms: np.ndarray
 
     @property
     def horizon(self):
         return self.vs.shape[0]
-
-    @property
-    def v_norms(self):
-        return np.linalg.norm(self.vs, axis=1)
 
 
 @dataclass(kw_only=True)

@@ -148,8 +148,9 @@ def _atomic_write(path, text):
 def _write_csv(path, columns, report=None):
     """Write a header of the column names, one row per iteration, then the report."""
     lines = [",".join(columns)]
-    for row in zip(*columns.values(), strict=True):
-        lines.append(",".join(f"{v:.17g}" for v in row))
+    row_format = ",".join(["%.17g"] * len(columns))
+    values = [np.asarray(column).tolist() for column in columns.values()]
+    lines.extend(row_format % row for row in zip(*values, strict=True))
     if report is not None:
         lines.extend(report.csv_lines())
     _atomic_write(path, "\n".join(lines) + "\n")

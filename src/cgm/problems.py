@@ -124,6 +124,7 @@ class ConstraintSet:
     W: np.ndarray
     c: np.ndarray
     smooth: tuple = ()
+    _affine: tuple = field(init=False, repr=False, compare=False)  # (w_j, c_j) pairs
 
     def __post_init__(self):
         W = np.array(self.W, dtype=float)
@@ -133,6 +134,7 @@ class ConstraintSet:
         object.__setattr__(self, "smooth", tuple(self.smooth))
         if W.ndim != 2 or c.shape != W.shape[:1] or not 0 <= self.n_bounds <= W.shape[1]:
             raise ValueError("need W of shape (p, n), c of shape (p,), n_bounds <= n")
+        object.__setattr__(self, "_affine", tuple(zip(W, c.tolist())))
         if any(g.center.size != W.shape[1] for g in self.smooth):
             raise ValueError("need every quadratic row's center of size n = W.shape[1]")
 
@@ -153,7 +155,7 @@ class ConstraintSet:
         out = np.empty(len(self))
         k = self.n_bounds
         out[:k] = -x[:k]
-        for j, (w, c) in enumerate(zip(self.W, self.c.tolist()), start=k):
+        for j, (w, c) in enumerate(self._affine, start=k):
             out[j] = float(w @ x) + c
         for j, g in enumerate(self.smooth, start=k + self.c.size):
             out[j] = g.value(x)

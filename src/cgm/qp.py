@@ -15,6 +15,7 @@ from functools import cached_property
 from itertools import combinations
 
 import numpy as np
+from numpy.linalg._umath_linalg import solve1 as _gesv
 
 logger = logging.getLogger(__name__)
 
@@ -41,8 +42,9 @@ class VelocityPolytope:
 
     bound_idx holds distinct coordinates with lower bounds floor; g (p, n) and
     h (p,) are the general rows, of which kept masks the non-degenerate ones
-    (a zero normal with h >= 0 is vacuous). The dense rows a v <= b, bound
-    rows first as -e_i, are built on demand for the fallback, oracle and tests.
+    (a zero normal with h >= 0 is vacuous) and all_kept says none is degenerate.
+    The dense rows a v <= b, bound rows first as -e_i, are built on demand for
+    the fallback, oracle and tests.
     """
 
     g: np.ndarray
@@ -50,6 +52,7 @@ class VelocityPolytope:
     bound_idx: np.ndarray
     floor: np.ndarray
     kept: np.ndarray = field(init=False, repr=False, compare=False)
+    all_kept: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         g, h = self.g, self.h
@@ -58,9 +61,10 @@ class VelocityPolytope:
         if not (np.isfinite(g).all() and np.isfinite(h).all()):
             raise ValueError("halfspace rows must be finite")
         degenerate = (g * g).sum(axis=1) < DEGENERATE_NORMAL**2
-        if degenerate.any() and (h[degenerate] < 0).any():
-            raise Infeasible("zero normal with negative rhs: 0 <= rhs is violated")
         object.__setattr__(self, "kept", ~degenerate)
+        object.__setattr__(self, "all_kept", not degenerate.any())
+        if not self.all_kept and (h[degenerate] < 0).any():
+            raise Infeasible("zero normal with negative rhs: 0 <= rhs is violated")
 
     @classmethod
     def from_rows(cls, a, b, bound_idx=()):
@@ -105,14 +109,33 @@ class ProjectionResult:
     iterations: int = 0  # active-set iterations or "gi" steps; 0 on "direct"
 
 
-def _certified(c, polytope, v, dual, path, iterations=0):
-    """The result for (v, dual) with its KKT residual filled in."""
-    result = ProjectionResult(
-        v=v, dual=dual, kkt_residual=np.nan, n_active=int(np.count_nonzero(dual > 0)),
-        path=path, iterations=iterations,
+def _certified(c, polytope, v, dual, path, iterations=0, g_dual=None, slack=None):
+    """The result for (v, dual) with its KKT residual, as kkt_residual_qp defines it.
+
+    The general rows' products g_dual = g' dual[s:] and slack = g v - h are computed unless given.
+    """
+    bounds, s = polytope.bound_idx, polytope.bound_idx.size
+    if g_dual is None:
+        g_dual, slack = polytope.g.T @ dual[s:], polytope.g @ v - polytope.h
+    gradient = v + c + g_dual
+    if s:
+        gradient[bounds] -= dual[:s]
+        slack = np.concatenate((polytope.floor - v[bounds], slack))
+    stationarity = np.linalg.norm(gradient)
+    primal = float(slack.max(initial=0.0))
+    # scale by multiplier size: near-parallel rows make dual huge while the
+    # product dual*slack stays a faithful zero up to roundoff in slack alone
+    comp = float((np.abs(dual * slack) / (1.0 + dual)).max(initial=0.0))
+    return ProjectionResult(
+        v=v, dual=dual, kkt_residual=max(float(stationarity), primal, comp),
+        n_active=int(np.count_nonzero(dual > 0)), path=path, iterations=iterations,
     )
-    result.kkt_residual = kkt_residual_qp(result, c, polytope)
-    return result
+
+
+def _solve(gram, rhs):
+    """np.linalg.solve's LAPACK gesv without its wrapper; singular gives non-finite, no error."""
+    with np.errstate(all="ignore"):
+        return _gesv(gram, rhs)
 
 
 def _active_set(c, polytope, gate):
@@ -140,32 +163,33 @@ def _active_set(c, polytope, gate):
         floor = np.full(u.size, -np.inf)
         floor[bounds] = polytope.floor
         free = floor == -np.inf
-    active = np.ones(h.size, dtype=bool)
+    active, g_active, h_active = None, g, h  # None: every row, so no copies
     for iteration in range(1, ACTIVE_SET_ITERATIONS + 1):
-        mu = np.zeros(h.size)
-        g_active = g[active]
-        try:
-            if s:
-                gram = (g_active * free) @ g_active.T
-                rhs = g_active @ np.where(free, u, floor) - h[active]
-            else:
-                gram, rhs = g_active @ g_active.T, g_active @ u - h[active]
-            mu[active] = np.linalg.solve(gram, rhs)
-        except np.linalg.LinAlgError:
-            return None
+        if s:
+            gram = (g_active * free) @ g_active.T
+            rhs = g_active @ np.where(free, u, floor) - h_active
+        else:
+            gram, rhs = g_active @ g_active.T, g_active @ u - h_active
+        if active is None:
+            mu = _solve(gram, rhs)
+        else:
+            mu = np.zeros(h.size)
+            mu[active] = _solve(gram, rhs)
         if not np.isfinite(mu).all():
             return None
-        w = u - g.T @ mu
+        g_mu = g.T @ mu
+        w = u - g_mu
         v = np.maximum(w, floor) if s else w
         slack = g @ v - h
         if mu.min(initial=0.0) >= 0 and slack.max(initial=-np.inf) <= gate:
             dual = np.concatenate(((v - w)[bounds], mu)) if s else mu
-            result = _certified(c, polytope, v, dual, "dual", iteration)
+            result = _certified(c, polytope, v, dual, "dual", iteration, g_mu, slack)
             if result.kkt_residual <= gate:
                 return result
         if s:
             free = w >= floor
-        active = np.where(active, mu > 0, slack > 0)
+        active = mu > 0 if active is None else np.where(active, mu > 0, slack > 0)
+        g_active, h_active = g[active], h[active]
     return None
 
 
@@ -241,9 +265,10 @@ def project_velocity(target, polytope):
     if not np.isfinite(c).all():
         raise ValueError("target must be finite")
 
-    bounds, keep = polytope.bound_idx, polytope.kept
-    if (c[bounds] <= -polytope.floor).all() and (polytope.g[keep] @ -c <= polytope.h[keep]).all():
-        return _certified(c, polytope, -c, np.zeros(bounds.size + polytope.h.size), "direct")
+    bounds, keep, u = polytope.bound_idx, polytope.kept, -c
+    g, h = (polytope.g, polytope.h) if polytope.all_kept else (polytope.g[keep], polytope.h[keep])
+    if (c[bounds] <= -polytope.floor).all() and (g @ u <= h).all():
+        return _certified(c, polytope, u, np.zeros(bounds.size + polytope.h.size), "direct")
 
     gate = max(KKT_TOL, 1e3 * KKT_TOL * (1.0 + np.linalg.norm(c)))
     result = _active_set(c, polytope, gate)
@@ -294,21 +319,7 @@ def kkt_residual_qp(result, target, polytope):
     Those of the dense rows a v <= b (the dual lists the bound rows first),
     evaluated on the bound coordinates and the general rows without forming a.
     """
-    c = np.asarray(target, dtype=float)
-    v = result.v
-    lam = result.dual
-    bounds, g, h = polytope.bound_idx, polytope.g, polytope.h
-    s = bounds.size
-    if lam.size != s + h.size:
+    if result.dual.size != polytope.bound_idx.size + polytope.h.size:
         raise ValueError("dual length must equal row count")
-    gradient = v + c + g.T @ lam[s:]
-    slack = g @ v - h
-    if s:
-        gradient[bounds] -= lam[:s]
-        slack = np.concatenate((polytope.floor - v[bounds], slack))
-    stationarity = np.linalg.norm(gradient)
-    primal = float(slack.max(initial=0.0))
-    # scale by multiplier size: near-parallel rows make lam huge while the
-    # product lam*slack stays a faithful zero up to roundoff in slack alone
-    comp = float((np.abs(lam * slack) / (1.0 + lam)).max(initial=0.0))
-    return max(float(stationarity), primal, comp)
+    c = np.asarray(target, dtype=float)
+    return _certified(c, polytope, result.v, result.dual, result.path).kkt_residual

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ from cgm.cgm_min import MinSolverConfig, cgm_min_run
 from cgm.cgm_vi import VISolverConfig, cgm_vi_run
 from cgm.problems import build_polytope, hbg_instantiate, rap_generate, violated_set
 from cgm.qp import (
+    KKT_TOL,
     Infeasible,
     MaxIterations,
     ProjectionResult,
@@ -152,6 +154,15 @@ def test_zero_normal_nonnegative_rhs_is_vacuous():
     polytope = VelocityPolytope.from_rows(np.zeros((1, 2)), np.array([1.0]))
     result = project_velocity(np.array([3.0, 4.0]), polytope)
     np.testing.assert_allclose(result.v, [-3.0, -4.0])
+    # a normal below DEGENERATE_NORMAL does not count in the direct test, even
+    # when -c violates it by roundoff, next to a kept row
+    polytope = VelocityPolytope.from_rows(
+        np.array([[1e-15, 0.0], [0.0, 1.0]]), np.array([0.0, 1.0])
+    )
+    assert list(polytope.kept) == [False, True] and not polytope.all_kept
+    result = project_velocity(np.array([-1.0, 0.0]), polytope)
+    assert result.path == "direct"
+    np.testing.assert_array_equal(result.v, [1.0, 0.0])
 
 
 def test_row_dimension_mismatch_rejected():
@@ -315,7 +326,8 @@ def test_fallback_is_logged_with_row_counts(caplog):
         bound_idx=[0],
     )
     c = np.array([0.0, -1.0])
-    with caplog.at_level("WARNING", logger="cgm.qp"):
+    with caplog.at_level("WARNING", logger="cgm.qp"), warnings.catch_warnings():
+        warnings.simplefilter("error")  # the singular Gram solve warns about nothing
         result = project_velocity(c, polytope)
     np.testing.assert_allclose(result.v, brute_force_projection(c, polytope), atol=1e-12)
     assert result.path == "gi"
@@ -450,6 +462,94 @@ def dense_kkt_residual(result, target, polytope):
     primal = max(0.0, float(np.max(slack)))
     comp = float(np.max(np.abs(lam * slack) / (1.0 + lam)))
     return max(float(stationarity), primal, comp)
+
+
+def reference_active_set(c, polytope, gate):
+    """_active_set as it was before its lean form: np.linalg.solve, every product recomputed."""
+    bounds, g, h = polytope.bound_idx, polytope.g, polytope.h
+    s = bounds.size
+    u = -c
+    if s:
+        floor = np.full(u.size, -np.inf)
+        floor[bounds] = polytope.floor
+        free = floor == -np.inf
+    active = np.ones(h.size, dtype=bool)
+    for iteration in range(1, cgm.qp.ACTIVE_SET_ITERATIONS + 1):
+        mu = np.zeros(h.size)
+        g_active = g[active]
+        try:
+            if s:
+                gram = (g_active * free) @ g_active.T
+                rhs = g_active @ np.where(free, u, floor) - h[active]
+            else:
+                gram, rhs = g_active @ g_active.T, g_active @ u - h[active]
+            mu[active] = np.linalg.solve(gram, rhs)
+        except np.linalg.LinAlgError:
+            return None
+        if not np.isfinite(mu).all():
+            return None
+        w = u - g.T @ mu
+        v = np.maximum(w, floor) if s else w
+        slack = g @ v - h
+        if mu.min(initial=0.0) >= 0 and slack.max(initial=-np.inf) <= gate:
+            dual = np.concatenate(((v - w)[bounds], mu)) if s else mu
+            result = ProjectionResult(v=v, dual=dual, kkt_residual=np.nan, n_active=0,
+                                      path="dual", iterations=iteration)
+            result.kkt_residual = kkt_residual_qp(result, c, polytope)
+            if result.kkt_residual <= gate:
+                return result
+        if s:
+            free = w >= floor
+        active = np.where(active, mu > 0, slack > 0)
+    return None
+
+
+def reference_projection(c, polytope):
+    """project_velocity's direct test and reference_active_set, without the fallback."""
+    bounds, keep = polytope.bound_idx, polytope.kept
+    if (c[bounds] <= -polytope.floor).all() and (polytope.g[keep] @ -c <= polytope.h[keep]).all():
+        dual = np.zeros(bounds.size + polytope.h.size)
+        result = ProjectionResult(v=-c, dual=dual, kkt_residual=np.nan, n_active=0, path="direct")
+        result.kkt_residual = kkt_residual_qp(result, c, polytope)
+        return result
+    gate = max(KKT_TOL, 1e3 * KKT_TOL * (1.0 + np.linalg.norm(c)))
+    return reference_active_set(c, polytope, gate)
+
+
+def test_projections_match_the_reference_active_set_bitwise(monkeypatch):
+    # every projection of the runs: the gesv helper and the shared products
+    # leave each result's bits as the reference computes them
+    real = cgm.cgm_min.project_velocity
+    paths = []
+
+    def checked_projection(c, polytope):
+        result = real(c, polytope)
+        expected = reference_projection(c, polytope)
+        for part in ("v", "dual"):
+            assert getattr(result, part).tobytes() == getattr(expected, part).tobytes(), part
+        assert (result.kkt_residual, result.path, result.iterations) == (
+            expected.kkt_residual, expected.path, expected.iterations)
+        paths.append(result.path)
+        return result
+
+    monkeypatch.setattr(cgm.cgm_min, "project_velocity", checked_projection)
+    for schedule in ("constant", "varying"):
+        cgm_min_run(rap_generate(50, seed=0), MinSolverConfig(horizon=500, schedule=schedule))
+    cgm_vi_run(hbg_instantiate(50, 0.8, seed=0), VISolverConfig(horizon=1000))
+    assert paths.count("dual") >= 1900 and set(paths) == {"direct", "dual"}
+
+
+def test_gram_solve_matches_numpy_bitwise():
+    rng = np.random.default_rng(5)
+    for k in (1, 2, 3):
+        for _ in range(200):
+            rows = rng.standard_normal((k, 50)) * 10.0 ** rng.integers(-3, 4)
+            for gram in (rows @ rows.T, rng.standard_normal((k, k))):
+                rhs = rng.standard_normal(k)
+                assert cgm.qp._solve(gram, rhs).tobytes() == np.linalg.solve(gram, rhs).tobytes()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not np.isfinite(cgm.qp._solve(np.ones((2, 2)), np.ones(2))).any()
 
 
 def _assert_kkt_matches_dense(result, c, polytope):
