@@ -11,8 +11,9 @@ seed, with one BLAS thread, over at least REPEAT = 3 calls repeated until
 BUDGET_S = 5 s have passed, so millisecond entries take the best of hundreds of
 calls and second-long ones the best of a few. ``setup_s`` follows the same
 rule over fresh interpreters that import ``cgm`` and build the d=50 RAP
-instance, and ``cli_hbg_d50_T1000_s`` over whole ``cgm-bench`` runs (HBG d=50,
-T=1000 with baselines, bound checks and plots, into a temporary directory).
+instance, and ``cli_hbg_d50_T1000_s`` and ``cli_rap_d50_T500_s`` over whole
+``cgm-bench`` runs into a temporary directory, with the command lines of
+perfbench's hbg-d50 and rap-d50 workloads at seed 42.
 ``baselines_hbg_d50_T1000_s`` times GDA and then EG on the HBG d=50 instance.
 ``--src`` selects the source tree whose ``cgm`` package is timed (default:
 this checkout's ``src``), so two commits can be measured by the same script
@@ -32,6 +33,13 @@ interpreter per call. The columns ``parent`` and ``change`` then hold each
 entry's best over the pairs, and ``paired`` holds, per entry, the median of
 the pair ratios, the pairs the change won (ratio below 1), every pair's ratio
 and every pair's best times.
+
+A paired entry also gets the two verdicts a gain claim cites, which are
+printed with it: whether its median ratio lies outside the A/A band, the
+lowest to highest median ratio over the entries of ``BENCH_15_AA.json`` (an
+interleaved run of one tree against a copy of itself), and whether the
+quartiles of its pair ratios exclude 1. The 9-of-10 wins count alone flags
+sub-percent load-order effects on code a change does not touch.
 """
 
 import argparse
@@ -60,6 +68,7 @@ REPEAT = 3
 BUDGET_S = 5.0
 PAIRS = 10
 PAIR_BUDGET_S = 1.0
+AA_RUN = ROOT / "BENCH_15_AA.json"
 # entries reported in other units than seconds per call
 SCALE = {"rap_d200_T20_varying_ms_per_iter": 1e3 / 20}
 SETUP_PROBE = """
@@ -126,8 +135,11 @@ def samples(cgm, src, out_dir):
     vi_config = cgm.VISolverConfig(horizon=3000)
     vi_trace = cgm.cgm_vi_run(hbg, vi_config)
     floor = cgm.rap_unconstrained_min(rap.data)[1]
-    argv = ["--problem", "hbg", "--d", "50", "--iters", "1000", "--seed", str(SEED),
-            "--baselines", "--check-bounds", "--plots", "--out", str(out_dir)]
+    hbg_argv = ["--problem", "hbg", "--d", "50", "--beta", "0.8", "--baselines",
+                "--check-bounds", "--plots", "--iters", "1000", "--seed", str(SEED),
+                "--out", str(out_dir)]
+    rap_argv = ["--problem", "rap", "--d", "50", "--schedule", "constant", "--check-bounds",
+                "--plots", "--iters", "500", "--seed", str(SEED), "--out", str(out_dir)]
     return {
         "setup_s": lambda: setup_seconds(src),
         **{f"rap_d50_T2000_{schedule}_s": timer(
@@ -141,7 +153,8 @@ def samples(cgm, src, out_dir):
         "certify_min_T2000_s": timer(cgm.certify_min, min_trace, rap, (x_star, f_star), floor),
         "certify_vi_T3000_s": timer(cgm.certify_vi, vi_trace, hbg),
         "baselines_hbg_d50_T1000_s": timer(baselines_hbg, cgm, hbg),
-        "cli_hbg_d50_T1000_s": lambda: cli_seconds(cgm, argv),
+        "cli_hbg_d50_T1000_s": lambda: cli_seconds(cgm, hbg_argv),
+        "cli_rap_d50_T500_s": lambda: cli_seconds(cgm, rap_argv),
     }
 
 
@@ -175,17 +188,28 @@ def pair(parent, change, k):
     return best[0], best[1], statistics.median(ratios)
 
 
-def paired(parent_samples, change_samples):
-    """Columns and paired record of PAIRS interleaved pairs per entry."""
+def aa_band(path=AA_RUN):
+    """(lowest, highest) median ratio over the entries of an A/A paired run."""
+    medians = [entry["median_ratio"] for entry in json.loads(path.read_text())["paired"].values()]
+    return min(medians), max(medians)
+
+
+def paired(parent_samples, change_samples, band):
+    """Columns and paired record of PAIRS interleaved pairs per entry, judged by the A/A band."""
     record = {}
     for name, change in change_samples.items():
         scale = SCALE.get(name, 1.0)
         pairs = [pair(parent_samples[name], change, k) for k in range(PAIRS)]
         ratios = [ratio for _, _, ratio in pairs]
+        median = statistics.median(ratios)
+        low, _, high = statistics.quantiles(ratios, n=4)
         record[name] = {
-            "median_ratio": statistics.median(ratios),
+            "median_ratio": median,
             "wins": sum(ratio < 1 for ratio in ratios),
             "pairs": PAIRS,
+            "outside_aa_band": not band[0] <= median <= band[1],
+            "ratio_quartiles": [low, high],
+            "quartiles_exclude_1": high < 1 or low > 1,
             "ratios": ratios,
             "parent": [p * scale for p, _, _ in pairs],
             "change": [c * scale for _, c, _ in pairs],
@@ -223,13 +247,16 @@ def main(argv=None):
             parent_src = args.src_parent.resolve()
             parent = samples(load(parent_src, "cgm_parent"), parent_src, Path(tmp, "parent"))
             change = samples(load(src, "cgm_change"), src, Path(tmp, "change"))
-            best, record = paired(parent, change)
-            env.update(pairs=PAIRS, pair_budget_s=PAIR_BUDGET_S, interleaved=True)
+            band = aa_band()
+            best, record = paired(parent, change, band)
+            env.update(pairs=PAIRS, pair_budget_s=PAIR_BUDGET_S, interleaved=True,
+                       aa_band=list(band))
             for side in best:
                 data.setdefault("columns", {})[side] = {"env": env, "results": best[side]}
             data["paired"] = record
-            summary = {name: {k: entry[k] for k in ("median_ratio", "wins", "pairs")}
-                       for name, entry in record.items()}
+            verdicts = ("median_ratio", "wins", "pairs", "outside_aa_band",
+                        "ratio_quartiles", "quartiles_exclude_1")
+            summary = {name: {k: entry[k] for k in verdicts} for name, entry in record.items()}
         else:
             env.update(budget_s=BUDGET_S)
             results = {

@@ -5,31 +5,17 @@ every iterate exactly feasible via sort-and-threshold simplex projection,
 which projects all blocks of a point with one sort.
 """
 
-import math
 import time
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
+from .metrics import row_norms
+
 
 class UnsupportedConstraintSet(Exception):
     """Baselines only handle problems whose feasible set is simplex blocks."""
-
-
-def _project_rows(rows):
-    """Project each row of a (blocks, width) array onto the unit simplex by sort and threshold.
-
-    Entries of -inf pad a short row: they sort last, never pass the threshold
-    and come out 0, so every real entry is bitwise what its own row would give.
-    """
-    u = np.sort(rows, axis=1)[:, ::-1]
-    blocks, width = rows.shape
-    # (cumsum - 1) / k at every k; the threshold tau is its entry at the last k that passes
-    thresholds = (u.cumsum(axis=1) - 1.0) / np.arange(1.0, width + 1.0)
-    rho = width - 1 - (u > thresholds)[:, ::-1].argmax(axis=1)
-    out = rows - thresholds[np.arange(blocks), rho][:, None]
-    return np.maximum(out, 0.0, out=out)
 
 
 def project_simplex(y):
@@ -40,27 +26,46 @@ def project_simplex(y):
 
 @dataclass(frozen=True)
 class SimplexProjector:
-    """Projection onto a product of unit simplices, every block in one sort."""
+    """Projection onto a product of unit simplices, every block in one sort.
+
+    The blocks are the rows of a (blocks, width) array: a reshape when they are
+    equal, else -inf fills the slots past each block's end. Padded entries sort
+    last, never pass the threshold and come out 0, so every real entry is
+    bitwise what its own block alone would give.
+    """
 
     block_sizes: tuple
     _mask: Optional[np.ndarray] = field(init=False, repr=False, compare=False, default=None)
+    _divisors: np.ndarray = field(init=False, repr=False, compare=False)
+    _last: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         sizes = np.asarray(self.block_sizes, dtype=int)
-        if sizes.min() != sizes.max():
-            # the (blocks, width) layout of unequal blocks: -inf fills the unmasked slots
-            mask = np.arange(sizes.max()) < sizes[:, None]
-            object.__setattr__(self, "_mask", mask)
+        width = int(sizes.max())
+        if sizes.min() != width:
+            object.__setattr__(self, "_mask", np.arange(width) < sizes[:, None])
+        object.__setattr__(self, "_divisors", np.arange(1.0, width + 1.0))
+        # flat index of each row's last slot in the (blocks, width) layout
+        object.__setattr__(self, "_last", np.arange(1, sizes.size + 1) * width - 1)
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
         if not np.isfinite(x).all():
             raise ValueError("x must be finite")
         if self._mask is None:
-            return _project_rows(x.reshape(len(self.block_sizes), -1)).reshape(x.shape)
-        rows = np.full(self._mask.shape, -np.inf)
-        rows[self._mask] = x
-        return _project_rows(rows)[self._mask]
+            rows = x.reshape(self._last.size, -1)
+        else:
+            rows = np.full(self._mask.shape, -np.inf)
+            rows[self._mask] = x
+        u = np.sort(rows, axis=1)[:, ::-1]
+        # (cumsum - 1) / k at every k; the threshold tau is its entry at the last k that passes
+        thresholds = u.cumsum(axis=1)
+        thresholds -= 1.0
+        thresholds /= self._divisors
+        from_end = (u > thresholds)[:, ::-1].argmax(axis=1)
+        out = rows - thresholds.take(self._last - from_end)[:, None]
+        np.maximum(out, 0.0, out=out)
+        return out.reshape(x.shape) if self._mask is None else out[self._mask]
 
 
 @dataclass
@@ -92,18 +97,15 @@ def _run(problem, T, step_fn, x_star):
         x_star = _analytic_solution(problem)
     n = problem.dim
     xs = np.empty((T + 1, n))
-    rel = np.empty(T)
     wall = np.empty(T)
     x = np.array(problem.x0, dtype=float)
     xs[0] = x
-    ref_norm = float(np.linalg.norm(x_star))
     for t in range(T):
         tic = time.perf_counter()
         x = step_fn(x, proj)
         wall[t] = time.perf_counter() - tic
         xs[t + 1] = x
-        diff = x - x_star
-        rel[t] = math.sqrt(float(diff @ diff)) / ref_norm  # bitwise np.linalg.norm
+    rel = row_norms(xs[1:], x_star) / float(np.linalg.norm(x_star))
     return BaselineTrace(xs=xs, rel_err=rel, wall_s=wall)
 
 

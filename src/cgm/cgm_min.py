@@ -181,19 +181,14 @@ class MinTrace(CgmTrace):
     alpha: float
     kappa: float
     f_values: np.ndarray
-    f_resid: Optional[np.ndarray] = None
-
-    def fill_reference(self, f_star):
-        """Populate residual columns once the reference optimum is known."""
-        self.f_resid = self.f_values - f_star
-        return self.f_resid
+    f_resid: Optional[np.ndarray] = None  # f_values - f_star, when a reference is given
 
 
 def cgm_min_run(problem, config, reference=None):
     """Run the full loop for config.horizon iterations from problem.x0.
 
-    reference, when given, is an (x_star, f_star) pair used to fill the
-    residual columns of the trace. QP failures and non-finite iterates abort
+    reference, when given, is an (x_star, f_star) pair; the trace's f_resid
+    is then f_values - f_star. QP failures and non-finite iterates abort
     with the iteration index. Validated schedules keep every eta within the
     (0, 1/ell_f] that cgm_min_step checks, so the loop calls cgm_step directly.
     """
@@ -214,10 +209,8 @@ def cgm_min_run(problem, config, reference=None):
         lambda x, eta: cgm_step(problem.grad_f(x), problem.constraints, x, alpha, eta),
         problem.constraints, problem.x0, etas,
     )
-    trace = MinTrace(
-        **arrays, config=config, alpha=alpha, kappa=kappa,
-        f_values=np.array([problem.value_f(x) for x in arrays["xs"]]),
+    f_values = np.array([problem.value_f(x) for x in arrays["xs"]])
+    return MinTrace(
+        **arrays, config=config, alpha=alpha, kappa=kappa, f_values=f_values,
+        f_resid=None if reference is None else f_values - reference[1],
     )
-    if reference is not None:
-        trace.fill_reference(reference[1])
-    return trace

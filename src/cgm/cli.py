@@ -2,6 +2,7 @@
 
 import argparse
 import sys
+from pathlib import Path
 
 from .harness import ParseError, ValidationError, parse_config, run_experiment
 from .plots import emit_plots
@@ -42,7 +43,8 @@ def main(argv=None):
         status = "pass" if report.all_pass else "FAIL"
         print(f"bounds[{report.track}] {status}: {path}")
     if args.plots:
-        for path in emit_plots(summary["files"], config.out_dir):
+        runs = [(Path(path).stem, columns) for path, columns in summary["columns"].items()]
+        for path in emit_plots(runs, config.out_dir):
             print(path)
     return summary["exit_code"]
 

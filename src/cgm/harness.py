@@ -132,7 +132,8 @@ def parse_config(path=None, overrides=None):
         raise ValidationError(f"{where}{exc}") from exc
 
 
-def _atomic_write(path, text):
+def atomic_write(path, text):
+    """Write text to a temporary file beside path, then rename it over path."""
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
@@ -146,14 +147,20 @@ def _atomic_write(path, text):
 
 
 def _write_csv(path, columns, report=None):
-    """Write a header of the column names, one row per iteration, then the report."""
+    """Write a header of the column names, one row per iteration, then the report.
+
+    Returns the columns as float arrays: the values written, each of which
+    %.17g formats so that it reads back exactly.
+    """
+    columns = {name: np.asarray(column, dtype=float) for name, column in columns.items()}
     lines = [",".join(columns)]
     row_format = ",".join(["%.17g"] * len(columns))
-    values = [np.asarray(column).tolist() for column in columns.values()]
+    values = [column.tolist() for column in columns.values()]
     lines.extend(row_format % row for row in zip(*values, strict=True))
     if report is not None:
         lines.extend(report.csv_lines())
-    _atomic_write(path, "\n".join(lines) + "\n")
+    atomic_write(path, "\n".join(lines) + "\n")
+    return columns
 
 
 def _run_rap_cell(config, horizon, problem, reference, f_floor):
@@ -173,8 +180,7 @@ def _run_rap_cell(config, horizon, problem, reference, f_floor):
     # straight after the solver and 0.79 ms here (glibc heap state; same work)
     report = certify_min(trace, problem, reference, f_floor) if config.check_bounds else None
     path = Path(config.out_dir) / f"rap_cgm_{config.schedule}_T{horizon}.csv"
-    _write_csv(path, columns, report)
-    return path, report
+    return path, _write_csv(path, columns, report), report
 
 
 def _run_hbg_cell(config, horizon, problem):
@@ -194,19 +200,18 @@ def _run_hbg_cell(config, horizon, problem):
     }
     report = certify_vi(trace, problem) if config.check_bounds else None
     path = Path(config.out_dir) / f"hbg_cgm_vi_T{horizon}.csv"
-    _write_csv(path, columns, report)
-    return path, report
+    return path, _write_csv(path, columns, report), report
 
 
 def _run_baseline_cell(config, horizon, problem, label, run, eta):
     trace = run(problem, eta, horizon)
     path = Path(config.out_dir) / f"hbg_{label}_T{horizon}.csv"
-    _write_csv(path, {
+    columns = _write_csv(path, {
         "iter": range(1, horizon + 1),
         "rel_err": trace.rel_err,
         "wall_ms": np.cumsum(trace.wall_s) * 1e3,
     })
-    return path, None
+    return path, columns, None
 
 
 def run_experiment(config):
@@ -215,9 +220,10 @@ def run_experiment(config):
     The output directory is created first; when it names a file, nothing is
     solved and ValidationError is raised.
 
-    Summary fields: files (paths in cell order), reports (per file when
-    bound checking was requested), all_pass, exit_code (nonzero iff a bound
-    certificate failed while check_bounds was set).
+    Summary fields: files (paths in cell order), columns (per file, the
+    values written to it as float arrays by column name, in cell order),
+    reports (per file when bound checking was requested), all_pass, exit_code
+    (nonzero iff a bound certificate failed while check_bounds was set).
     """
     try:
         Path(config.out_dir).mkdir(parents=True, exist_ok=True)
@@ -248,12 +254,13 @@ def run_experiment(config):
         except Exception as exc:
             raise RuntimeError(f"cell {horizon} failed: {exc}") from exc
 
-    files = [str(path) for path, _ in results]
-    reports = {str(path): report for path, report in results if report is not None}
+    files = [str(path) for path, _, _ in results]
+    reports = {str(path): report for path, _, report in results if report is not None}
     all_pass = all(report.all_pass for report in reports.values())
     exit_code = 0 if (not config.check_bounds or all_pass) else 1
     return {
         "files": files,
+        "columns": {str(path): columns for path, columns, _ in results},
         "reports": reports,
         "all_pass": all_pass,
         "exit_code": exit_code,

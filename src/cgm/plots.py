@@ -1,11 +1,16 @@
-"""Self-contained SVG rendering of run CSVs.
+"""Self-contained SVG rendering of run columns.
 
 Charts are log-scale line plots built as plain SVG text with no external
 assets: one polyline per series, axis frame, decade ticks, and a text legend.
 """
 
 import math
+from itertools import chain, repeat
 from pathlib import Path
+
+import numpy as np
+
+from .harness import atomic_write
 
 WIDTH = 640
 HEIGHT = 420
@@ -21,31 +26,12 @@ class EmptySeries(Exception):
     pass
 
 
-def read_csv(path):
-    """Column dict of a run CSV; stops at an appended certificate section."""
-    lines = Path(path).read_text().splitlines()
-    if not lines:
-        raise EmptySeries(f"{path}: no content")
-    header = lines[0].split(",")
-    columns = {name: [] for name in header}
-    for line in lines[1:]:
-        parts = line.split(",")
-        if len(parts) != len(header):
-            break  # certificate/constants section uses its own layout
-        try:
-            values = [float(p) for p in parts]
-        except ValueError:
-            break
-        for name, value in zip(header, values):
-            columns[name].append(value)
-    return columns
-
-
-def _log_points(xs, ys):
-    pts = [(x, math.log10(max(y, FLOOR))) for x, y in zip(xs, ys)]
-    if not pts:
+def _log10(ys):
+    # libm one value at a time: numpy's SIMD log10 may differ in the last bit
+    logs = list(map(math.log10, map(max, np.asarray(ys, dtype=float).tolist(), repeat(FLOOR))))
+    if not logs:
         raise EmptySeries("series has no points")
-    return pts
+    return logs
 
 
 def _scale(value, lo, hi, out_lo, out_hi):
@@ -62,10 +48,11 @@ def render_line_chart(series, title, x_label, y_label):
     """
     if not series:
         raise EmptySeries("no series given")
-    logged = [(label, _log_points(xs, ys)) for label, xs, ys in series]
+    logged = [(label, np.asarray(xs, dtype=float), _log10(ys)) for label, xs, ys in series]
 
-    all_x = [p[0] for _, pts in logged for p in pts]
-    all_ly = [p[1] for _, pts in logged for p in pts]
+    # Python's min and max over every point in series order, which fixes where a NaN lands
+    all_x = list(chain.from_iterable(xs.tolist() for _, xs, _ in logged))
+    all_ly = list(chain.from_iterable(logs for _, _, logs in logged))
     x_lo, x_hi = min(all_x), max(all_x)
     y_lo, y_hi = math.floor(min(all_ly)), math.ceil(max(all_ly))
     if y_hi == y_lo:
@@ -113,13 +100,14 @@ def render_line_chart(series, title, x_label, y_label):
         f'transform="rotate(-90 16 {(px_top + px_bottom) / 2:.1f})">{y_label}</text>'
     )
 
-    for k, (label, pts) in enumerate(logged):
+    for k, (label, xs, logs) in enumerate(logged):
         color = PALETTE[k % len(PALETTE)]
-        coords = " ".join(
-            f"{_scale(x, x_lo, x_hi, px_left, px_right):.1f},"
-            f"{_scale(ly, y_lo, y_hi, px_bottom, px_top):.1f}"
-            for x, ly in pts
-        )
+        # one array expression per axis, in _scale's order of operations
+        px = _scale(xs, x_lo, x_hi, px_left, px_right)
+        py = _scale(np.asarray(logs), y_lo, y_hi, px_bottom, px_top)  # y_hi > y_lo
+        coords = " ".join(map(
+            "{:.1f},{:.1f}".format, np.broadcast_to(px, xs.shape).tolist(), py.tolist()
+        ))
         parts.append(
             f'<polyline points="{coords}" fill="none" stroke="{color}" '
             f'stroke-width="1.5"/>'
@@ -146,24 +134,29 @@ _PLOT_COLUMNS = {
 }
 
 
-def emit_plots(csv_paths, out_dir):
-    """One SVG per plottable metric, one series per CSV that carries it."""
+def emit_plots(runs, out_dir):
+    """One SVG per plottable metric, one series per run that carries it.
+
+    runs is a list of (name, columns) pairs, such as the file stems and the
+    ``columns`` of run_experiment's summary; a name labels its series, and
+    columns maps a column name to its values, with ``iter`` on the x axis.
+    Each SVG is written through a temporary file and a rename.
+    """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    loaded = [(Path(p).stem, read_csv(p)) for p in csv_paths]
     written = []
     for column, label in _PLOT_COLUMNS.items():
         series = [
-            (stem, cols["iter"], cols[column])
-            for stem, cols in loaded
-            if column in cols and cols[column]
+            (name, cols["iter"], cols[column])
+            for name, cols in runs
+            if column in cols and len(cols[column])
         ]
         if not series:
             continue
         svg = render_line_chart(series, title=label, x_label="iteration", y_label=label)
         path = out_dir / f"{column}.svg"
-        path.write_text(svg)
+        atomic_write(path, svg)
         written.append(str(path))
     if not written:
-        raise EmptySeries("no plottable columns in the given CSVs")
+        raise EmptySeries("no plottable columns in the given runs")
     return written

@@ -127,11 +127,20 @@ class TestSimplexProjector:
         rng = np.random.default_rng(len(block_sizes) + sum(block_sizes))
         n = sum(block_sizes)
         draws = [np.full(n, 0.3), np.zeros(n), np.arange(float(n))]
+        draws += [np.eye(n)[i] * peak for i in range(n) for peak in (1.0, 0.5, 2.0, -1.0)]
+        starts, sizes = np.cumsum((0, *block_sizes[:-1])), np.array(block_sizes)
+        for slot in range(sizes.max()):  # a vertex of every block at once
+            x = np.zeros(n)
+            x[starts + np.minimum(slot, sizes - 1)] = 1.0
+            draws.append(x)
         for scale in (0.01, 1.0, 30.0, 1e4):
             for _ in range(40):
                 x = rng.standard_normal(n) * scale
                 # rounding leaves exact ties within and across blocks
                 draws += [x, np.round(x, 1), np.round(x)]
+        for _ in range(40):
+            # magnitudes from 1e-12 to 1e12 side by side
+            draws.append(rng.standard_normal(n) * 10.0 ** rng.integers(-12, 13, n))
         for x in draws:
             assert np.array_equal(proj(x), _per_block_projection(x, block_sizes))
             head = x[: block_sizes[0]]  # project_simplex is the one-block case
@@ -188,6 +197,13 @@ class TestRuns:
             xs, rel = _per_block_run(problem, eta, 1000, extragradient)
             assert np.array_equal(trace.xs, xs)
             assert np.array_equal(trace.rel_err, rel)
+
+    @pytest.mark.parametrize("run", [gda_run, eg_run])
+    def test_rel_err_is_the_per_step_norm(self, problem, run):
+        x_star = np.random.default_rng(4).dirichlet(np.ones(problem.dim))
+        trace = run(problem, 0.05, 200, x_star=x_star)
+        expected = [np.linalg.norm(x - x_star) / np.linalg.norm(x_star) for x in trace.xs[1:]]
+        assert np.array_equal(trace.rel_err, expected)
 
     def test_non_simplex_problem_rejected(self):
         rap = rap_generate(6, seed=0)

@@ -1,6 +1,8 @@
 """Config parsing, experiment orchestration, CSV/SVG emission."""
 
+import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,11 +17,67 @@ from cgm.harness import (
     ExperimentConfig,
     ParseError,
     ValidationError,
+    _write_csv,
     parse_config,
     run_experiment,
 )
 from cgm.metrics import hbg_gap_closed_form
-from cgm.plots import EmptySeries, emit_plots, read_csv, render_line_chart
+from cgm import plots
+from cgm.plots import FLOOR, EmptySeries, emit_plots, render_line_chart
+
+
+def read_csv(path):
+    """Column dict of a run CSV; stops at an appended certificate section.
+
+    The round-trip oracle: SVGs drawn from a run's columns in memory must equal
+    those drawn from what this reads back from the run's CSVs.
+    """
+    lines = Path(path).read_text().splitlines()
+    if not lines:
+        raise EmptySeries(f"{path}: no content")
+    header = lines[0].split(",")
+    columns = {name: [] for name in header}
+    for line in lines[1:]:
+        parts = line.split(",")
+        if len(parts) != len(header):
+            break  # certificate/constants section uses its own layout
+        try:
+            values = [float(p) for p in parts]
+        except ValueError:
+            break
+        for name, value in zip(header, values):
+            columns[name].append(value)
+    return columns
+
+
+def _runs(summary):
+    """(file stem, columns) pairs of a run summary, as cgm-bench passes them to emit_plots."""
+    return [(Path(path).stem, columns) for path, columns in summary["columns"].items()]
+
+
+def _polyline_oracle(series):
+    """The points of each polyline, scaled and formatted one point at a time."""
+    def scale(value, lo, hi, out_lo, out_hi):
+        if hi <= lo:
+            return 0.5 * (out_lo + out_hi)
+        return out_lo + (value - lo) / (hi - lo) * (out_hi - out_lo)
+
+    logged = [(xs, [math.log10(max(y, FLOOR)) for y in ys]) for _, xs, ys in series]
+    all_x = [x for xs, _ in logged for x in xs]
+    all_ly = [ly for _, lys in logged for ly in lys]
+    x_lo, x_hi = min(all_x), max(all_x)
+    y_lo, y_hi = math.floor(min(all_ly)), math.ceil(max(all_ly))
+    if y_hi == y_lo:
+        y_hi = y_lo + 1
+    left, right = plots.MARGIN_LEFT, plots.WIDTH - plots.MARGIN_RIGHT
+    top, bottom = plots.MARGIN_TOP, plots.HEIGHT - plots.MARGIN_BOTTOM
+    return [
+        " ".join(
+            f"{scale(x, x_lo, x_hi, left, right):.1f},{scale(ly, y_lo, y_hi, bottom, top):.1f}"
+            for x, ly in zip(xs, lys)
+        )
+        for xs, lys in logged
+    ]
 
 
 class TestParseConfig:
@@ -229,12 +287,70 @@ class TestPlots:
             problem="rap", horizons=(40,), d=8, seed=2, out_dir=str(tmp_path)
         )
         summary = run_experiment(config)
-        written = emit_plots(summary["files"], tmp_path / "plots")
+        written = emit_plots(_runs(summary), tmp_path / "plots")
         assert any(path.endswith("abs_f_resid.svg") for path in written)
         for path in written:
             text = Path(path).read_text()
             assert text.startswith("<svg")
             assert "http" not in text.replace("http://www.w3.org", "")
+
+    @pytest.mark.parametrize("problem", ["rap", "hbg"])
+    def test_svgs_from_columns_match_the_csv_round_trip(self, tmp_path, problem):
+        config = ExperimentConfig(
+            problem=problem, horizons=(25, 40), d=6, beta=0.6, seed=3,
+            run_baselines=True, check_bounds=True, out_dir=str(tmp_path),
+        )
+        summary = run_experiment(config)
+        runs = _runs(summary)
+        # one more cell with a value below FLOOR, a zero, a negative value and a NaN
+        probe = tmp_path / "probe.csv"
+        runs.append(("probe", _write_csv(probe, {
+            "iter": range(1, 8),
+            "rel_err": [0.5, 1e-20, 0.0, -3.0, float("nan"), 2.5e-9, 1.0],
+            "max_violation": [0.0, 0.0, 1e-17, 4e-3, 0.0, 1e-300, 0.0],
+        })))
+        round_trip = [
+            (Path(path).stem, read_csv(path)) for path in [*summary["files"], probe]
+        ]
+        for (name, columns), (_, read_back) in zip(runs, round_trip, strict=True):
+            assert list(columns) == list(read_back), name
+            for column, values in columns.items():
+                assert np.array_equal(values, read_back[column], equal_nan=True), (name, column)
+        from_columns = emit_plots(runs, tmp_path / "columns")
+        from_csv = emit_plots(round_trip, tmp_path / "csv")
+        assert [Path(p).name for p in from_columns] == [Path(p).name for p in from_csv]
+        for ours, oracle in zip(from_columns, from_csv):
+            assert Path(ours).read_bytes() == Path(oracle).read_bytes(), ours
+
+    def test_polyline_matches_per_point_scaling(self):
+        series = [
+            ("a", [1.0, 2.0, 3.0, 4.0, 5.0], [0.3, 1e-20, 0.0, -1.0, 7e-5]),
+            ("b", [1.0, 2.0, 3.0, 4.0, 5.0], [2.0, float("nan"), 1e-16, 3e-17, 1e3]),
+            ("c", [2.0, 4.0], [1e-7, 1e-8]),
+        ]
+        # x = 114 on 1..201 rounds the other way if _scale multiplies before it divides
+        skewed = [("d", [1.0, 114.0, 201.0], [1.0, 0.5, 0.25])]
+        for chart in (series, series[1:2], [("one", [7.0], [0.25])], skewed):
+            svg = render_line_chart(chart, title="t", x_label="x", y_label="y")
+            assert re.findall(r'<polyline points="([^"]*)"', svg) == _polyline_oracle(chart)
+
+    def test_svg_is_replaced_whole_or_not_at_all(self, tmp_path, monkeypatch):
+        config = ExperimentConfig(
+            problem="hbg", horizons=(10,), d=4, beta=0.5, out_dir=str(tmp_path)
+        )
+        summary = run_experiment(config)
+        plots = tmp_path / "plots"
+        plots.mkdir()
+        (plots / "gap.svg").write_text("old")
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr("cgm.harness.os.replace", fail)
+        with pytest.raises(OSError, match="disk full"):
+            emit_plots(_runs(summary), plots)
+        assert (plots / "gap.svg").read_text() == "old"
+        assert [p.name for p in plots.iterdir()] == ["gap.svg"]
 
     def test_read_csv_stops_at_certificate_section(self, tmp_path):
         config = ExperimentConfig(
