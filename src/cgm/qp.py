@@ -22,6 +22,7 @@ logger = logging.getLogger(__name__)
 DEGENERATE_NORMAL = 1e-14
 KKT_TOL = 1e-10  # scale of the KKT gate every projection must pass
 ACTIVE_SET_ITERATIONS = 10  # cap of the bound-aware active-set solve
+ROUNDOFF = 1e-13  # slack, on a row's scale, that an accurate solve stays within
 
 
 class QpError(Exception):
@@ -132,6 +133,31 @@ def _certified(c, polytope, v, dual, path, iterations=0, g_dual=None, slack=None
     )
 
 
+def _row_scale(c, a, b):
+    """The scale 1 + |b_i| + ||a_i|| ||c|| of each row a_i v <= b_i for the target c."""
+    return 1.0 + np.abs(b) + np.linalg.norm(a, axis=1) * np.linalg.norm(c)
+
+
+def _on_rows(c, rows, b, rcond):
+    """Multipliers lam and shift = rows' lam that put v = -c - shift on the rows, rows v = b.
+
+    Solves the Gram system (rows rows') lam = -rows c - b, cutting its singular
+    values below rcond times the largest. The Gram matrix squares the rows'
+    condition number, so when there are at most n rows (they can all be met)
+    and one is left with a slack above ROUNDOFF on its scale, the least-norm
+    shift and lam are taken from the rows themselves (cut at sqrt(rcond)).
+    """
+    rhs = -rows @ c - b
+    lam = np.linalg.lstsq(rows @ rows.T, rhs, rcond=rcond)[0]
+    shift = rows.T @ lam
+    slack = rows @ (-c - shift) - b
+    if rows.shape[0] <= rows.shape[1] and (slack > ROUNDOFF * _row_scale(c, rows, b)).any():
+        cut = None if rcond is None else np.sqrt(rcond)
+        shift = np.linalg.lstsq(rows, rhs, rcond=cut)[0]
+        lam = np.linalg.lstsq(rows.T, shift, rcond=cut)[0]
+    return lam, shift
+
+
 def _solve(gram, rhs):
     """np.linalg.solve's LAPACK gesv without its wrapper; singular gives non-finite, no error."""
     with np.errstate(all="ignore"):
@@ -153,8 +179,11 @@ def _active_set(c, polytope, gate):
     mu > 0 and activates an inactive row once its slack is positive, and
     returns the first candidate with mu >= 0 that passes the gate. A singular
     system (duplicate or zero-normal rows, or a row with no free coordinate),
-    or no such candidate within ACTIVE_SET_ITERATIONS, gives None. Without
-    bound rows, F is every coordinate and the floor and mask work is skipped.
+    or no such candidate within ACTIVE_SET_ITERATIONS, gives None, and so does
+    a candidate that leaves a row's slack above ROUNDOFF on its scale: the
+    Gram system squares the rows' condition number, and the fallback re-solves
+    such a vertex on the rows. Without bound rows, F is every coordinate and
+    the floor and mask work is skipped.
     """
     bounds, g, h = polytope.bound_idx, polytope.g, polytope.h
     s = bounds.size
@@ -181,10 +210,13 @@ def _active_set(c, polytope, gate):
         w = u - g_mu
         v = np.maximum(w, floor) if s else w
         slack = g @ v - h
-        if mu.min(initial=0.0) >= 0 and slack.max(initial=-np.inf) <= gate:
+        worst = slack.max(initial=-np.inf)
+        if mu.min(initial=0.0) >= 0 and worst <= gate:
             dual = np.concatenate(((v - w)[bounds], mu)) if s else mu
             result = _certified(c, polytope, v, dual, "dual", iteration, g_mu, slack)
             if result.kkt_residual <= gate:
+                if worst > ROUNDOFF and (slack > ROUNDOFF * _row_scale(c, g, h)).any():
+                    return None  # the Gram solve lost a row's slack: re-solve on the rows
                 return result
         if s:
             free = w >= floor
@@ -206,12 +238,12 @@ def _goldfarb_idnani(c, polytope):
     with z ~ 0 and no droppable row certifies an empty polytope (Infeasible).
     Active rows stay linearly independent by construction, so duplicate rows
     never both enter. Once no row is violated, the multipliers and v are
-    polished on the Gram system of the active rows, as the oracle solves it.
+    polished on the active rows by _on_rows, as the oracle solves them.
     Returns the certified result; MaxIterations after 10 steps per kept row.
     """
     keep, a, b = polytope.kept_rows()
     norms = np.linalg.norm(a, axis=1)
-    tol = KKT_TOL * (1.0 + np.abs(b) + norms * np.linalg.norm(c))
+    tol = KKT_TOL * _row_scale(c, a, b)
     v, lam, active, p = -c, np.zeros(keep.size), [], None
     q, r_inv = np.zeros((c.size, 0)), np.zeros((0, 0))  # a[active].T = q @ inv(r_inv)
     for step in range(10 * keep.size + 1):
@@ -221,11 +253,10 @@ def _goldfarb_idnani(c, polytope):
             p = int(slack.argmax())
             if slack[p] <= tol[p]:
                 active.sort()
-                rows = a[active]
-                lam[active] = np.linalg.lstsq(rows @ rows.T, -rows @ c - b[active], rcond=None)[0]
+                lam[active], shift = _on_rows(c, a[active], b[active], None)
                 dual = np.zeros(polytope.b.size)
                 dual[keep] = lam
-                return _certified(c, polytope, -c - rows.T @ lam[active], dual, "gi", step)
+                return _certified(c, polytope, -c - shift, dual, "gi", step)
         d = q.T @ a[p]
         z, r = a[p] - q @ d, r_inv @ d
         norm_z = np.linalg.norm(z)
@@ -298,11 +329,10 @@ def brute_force_projection(target, polytope):
     for size in range(1, keep.size + 1):
         for subset in combinations(range(keep.size), size):
             idx = list(subset)
-            rows = a[idx]
-            lam = np.linalg.lstsq(rows @ rows.T, -rows @ c - b[idx], rcond=1e-11)[0]
+            lam, shift = _on_rows(c, a[idx], b[idx], 1e-11)
             if lam.min() < -1e-9:
                 continue
-            v = -c - rows.T @ lam
+            v = -c - shift
             if (a @ v - b).max() > 1e-9:
                 continue
             obj = float(np.dot(v + c, v + c))

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cgm.cgm_min
@@ -106,6 +106,8 @@ def bounded_instance(rng, n, k):
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(min_value=0, max_value=2**32 - 1))
+@example(2148883587)  # nearly parallel rows: the Gram vertex sat 2.8e-7 off the oracle's
+@example(23867184)  # the oracle's Gram vertex sat 1.9e-8 off the active set's
 def test_bound_rows_match_oracle(seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 6))
@@ -199,6 +201,9 @@ def test_oracle_equivalence_batch():
 
 @settings(max_examples=120, deadline=None)
 @given(st.integers(min_value=0, max_value=2**32 - 1))
+@example(761)  # nearly parallel rows: the Gram vertex sat 4.4e-8 off the oracle's
+@example(662110862)  # the oracle's Gram vertex missed a row by more than 1e-9
+@example(331237)  # likewise, with multipliers up to 5.2e6
 def test_oracle_equivalence_property(seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 5))
@@ -215,6 +220,7 @@ def test_oracle_equivalence_property(seed):
 
 @settings(max_examples=80, deadline=None)
 @given(st.integers(min_value=0, max_value=2**32 - 1))
+@example(1165)  # nearly parallel rows: the Gram vertex missed a row by 1.8e-8
 def test_projection_is_feasible_and_certified(seed):
     rng = np.random.default_rng(seed)
     c, polytope = random_instance(rng, 3, 5)
@@ -225,6 +231,33 @@ def test_projection_is_feasible_and_certified(seed):
     a, b = polytope.a, polytope.b
     assert np.max(a @ result.v - b) <= 1e-8
     assert kkt_residual_qp(result, c, polytope) <= 1e-6
+
+
+def test_ill_conditioned_vertices_are_solved_on_the_rows():
+    # draws whose active rows are nearly parallel, with multipliers of 3e5 to
+    # 1e8: the Gram system squares their condition number, so a vertex solved
+    # there missed a row by up to 3e-8, or sat up to 2.8e-7 off the oracle's,
+    # or the oracle found no feasible subset at all
+    for seed in (1165, 1609212826, 2569506634):
+        c, polytope = random_instance(np.random.default_rng(seed), 3, 5)
+        result = project_velocity(c, polytope)
+        assert result.path == "gi"  # the active set hands the vertex to the fallback
+        assert np.max(polytope.a @ result.v - polytope.b) <= 1e-11, seed
+        assert kkt_residual_qp(result, c, polytope) <= 1e-6, seed
+    draws = [(seed, "dense") for seed in (761, 1295048895, 662110862, 939195338)]
+    draws += [(seed, "bounded") for seed in (2148883587, 2447850742, 1411521251)]
+    for seed, family in draws:
+        rng = np.random.default_rng(seed)
+        if family == "dense":
+            n, m = int(rng.integers(1, 5)), int(rng.integers(1, 7))
+            c, polytope = random_instance(rng, n, m)
+        else:
+            n, k = int(rng.integers(1, 6)), int(rng.integers(0, 4))
+            c, polytope = bounded_instance(rng, n, k)
+        result = project_velocity(c, polytope)
+        oracle = brute_force_projection(c, polytope)
+        assert np.max(np.abs(result.v - oracle)) <= 1e-8, seed
+        assert np.max(polytope.a @ oracle - polytope.b) <= 1e-11, seed
 
 
 def test_kkt_residual_flags_wrong_dual():
