@@ -74,23 +74,17 @@ def cgm_step(direction, constraints, x, alpha, eta):
     """
     values = constraints.values(x)
     violated = violated_set(values)
-    diag = {
-        "violated": violated.size,
-        "max_violation": max_violation_of(values),
-        "n_active": 0,
-        "kkt_residual": 0.0,
-        "qp_path": "",
-    }
     if not violated.size:
         v = -direction
+        diag = {"violated": 0, "max_violation": max_violation_of(values),
+                "n_active": 0, "kkt_residual": 0.0, "qp_path": ""}
     else:
         polytope = build_polytope(constraints, x, alpha, values, violated)
         result = project_velocity(direction, polytope)
         v = result.v
-        diag.update(
-            n_active=result.n_active, kkt_residual=result.kkt_residual,
-            qp_path=result.path,
-        )
+        diag = {"violated": violated.size, "max_violation": max_violation_of(values),
+                "n_active": result.n_active, "kkt_residual": result.kkt_residual,
+                "qp_path": result.path}
     return x + eta * v, v, diag
 
 

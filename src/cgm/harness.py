@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .baselines import eg_run, gda_run
-from .cgm_min import MinSolverConfig, cgm_min_run
+from .cgm_min import MinSolverConfig, ScheduleInvalid, cgm_min_run, validate_schedule
 from .cgm_vi import VISolverConfig, cgm_vi_run
 from .metrics import certify_min, certify_vi, hbg_gap_closed_form, row_norms
 from .problems import hbg_instantiate, rap_generate, rap_unconstrained_min
@@ -133,11 +133,14 @@ def parse_config(path=None, overrides=None):
 
 
 def atomic_write(path, text):
-    """Write text to a temporary file beside path, then rename it over path."""
+    """Write text to a temp file beside path, in a plain write's mode, then rename it over path."""
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    umask = os.umask(0o022)
+    os.umask(umask)
     try:
         with os.fdopen(fd, "w", newline="\n") as handle:
+            os.fchmod(fd, 0o666 & ~umask)
             handle.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -231,6 +234,11 @@ def run_experiment(config):
         raise ValidationError(f"out: {config.out_dir} is not a directory") from exc
     if config.problem == "rap":
         problem = rap_generate(config.d, seed=config.seed)
+        try:  # every horizon, before the reference solve and the first cell
+            for horizon in config.horizons:
+                validate_schedule(MinSolverConfig(horizon, config.schedule), problem)
+        except ScheduleInvalid as exc:
+            raise ValidationError(f"iters: {exc}") from exc
         x_star, f_star, cert = solve_rap_reference(problem.data)
         if not cert.ok:
             raise RuntimeError("reference solve failed its KKT certificate")

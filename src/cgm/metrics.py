@@ -157,14 +157,8 @@ def certify_min(trace, problem, reference, f_star_unconstrained):
     )
     recs = report.records
 
-    if T >= 1:
-        recs.append(
-            _check(
-                "per_iteration_contraction",
-                resid[1:],
-                (1.0 - alpha * trace.etas) * resid[:-1],
-            )
-        )
+    contraction = (1.0 - alpha * trace.etas) * resid[:-1]
+    recs.append(_check("per_iteration_contraction", resid[1:], contraction))
     recs.append(_check("velocity_bound_C1", trace.v_norms, c1))
     dists = np.linalg.norm(trace.xs - x_star, axis=1)
     recs.append(_check("distance_bound_C2", dists, c2))
@@ -179,7 +173,7 @@ def certify_min(trace, problem, reference, f_star_unconstrained):
         if trace.config.schedule == "constant":
             rhs = c1 / mu * max(c1 * ell_g / (2.0 * mu), l_g) * math.log(T) / T
             recs.append(_check("feasibility_constant_step", viol, rhs))
-        else:
+        elif T >= 2:
             t_idx = np.arange(1, T)  # bounds g_i(x^{t+1}) for t >= 1
             rhs = 2.0 * c1 / (mu * (t_idx + kappa + 1.0)) * (
                 l_g + ell_g * c1 / (2.0 * mu)

@@ -115,16 +115,16 @@ class ConstraintSet:
 
     For x in R^n with n = W.shape[1], row i < n_bounds is -x_i, the next
     W.shape[0] rows are w_j . x + c_j, and the last rows are the QuadraticRows
-    in `smooth`. Each affine row is evaluated as its own dot product, so
-    values(x) matches the per-row arithmetic bit for bit and no row on the
-    feasibility boundary flips.
+    in `smooth`. The affine rows are one stacked (1, n) @ (n, 1) product, each
+    row's own dot routine (gemv W @ x is not), so values(x) matches the per-row
+    arithmetic bit for bit and no row on the feasibility boundary flips.
     """
 
     n_bounds: int
     W: np.ndarray
     c: np.ndarray
     smooth: tuple = ()
-    _affine: tuple = field(init=False, repr=False, compare=False)  # (w_j, c_j) pairs
+    _affine: np.ndarray = field(init=False, repr=False, compare=False)  # W[:, None, :]
 
     def __post_init__(self):
         W = np.array(self.W, dtype=float)
@@ -134,7 +134,7 @@ class ConstraintSet:
         object.__setattr__(self, "smooth", tuple(self.smooth))
         if W.ndim != 2 or c.shape != W.shape[:1] or not 0 <= self.n_bounds <= W.shape[1]:
             raise ValueError("need W of shape (p, n), c of shape (p,), n_bounds <= n")
-        object.__setattr__(self, "_affine", tuple(zip(W, c.tolist())))
+        object.__setattr__(self, "_affine", W[:, None, :])
         if any(g.center.size != W.shape[1] for g in self.smooth):
             raise ValueError("need every quadratic row's center of size n = W.shape[1]")
 
@@ -153,11 +153,10 @@ class ConstraintSet:
     def values(self, x):
         """All row values g_i(x) as an (m,) array."""
         out = np.empty(len(self))
-        k = self.n_bounds
+        k, p = self.n_bounds, self.c.size
         out[:k] = -x[:k]
-        for j, (w, c) in enumerate(self._affine, start=k):
-            out[j] = float(w @ x) + c
-        for j, g in enumerate(self.smooth, start=k + self.c.size):
+        out[k : k + p] = np.matmul(self._affine, x[:, None])[:, 0, 0] + self.c
+        for j, g in enumerate(self.smooth, start=k + p):
             out[j] = g.value(x)
         return out
 

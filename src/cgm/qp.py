@@ -10,6 +10,7 @@ tests.
 """
 
 import logging
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
@@ -59,9 +60,11 @@ class VelocityPolytope:
         g, h = self.g, self.h
         if g.ndim != 2 or g.shape[1] < 1 or h.shape != g.shape[:1]:
             raise ValueError("need g of shape (p, n) with n >= 1 and h of shape (p,)")
-        if not (np.isfinite(g).all() and np.isfinite(h).all()):
+        squares = (g * g).sum(axis=1)
+        # squares + h is finite when g and h are; g and h are read only when a square overflows
+        if not (np.isfinite(squares + h).all() or np.isfinite(g).all() and np.isfinite(h).all()):
             raise ValueError("halfspace rows must be finite")
-        degenerate = (g * g).sum(axis=1) < DEGENERATE_NORMAL**2
+        degenerate = squares < DEGENERATE_NORMAL**2
         object.__setattr__(self, "kept", ~degenerate)
         object.__setattr__(self, "all_kept", not degenerate.any())
         if not self.all_kept and (h[degenerate] < 0).any():
@@ -122,13 +125,13 @@ def _certified(c, polytope, v, dual, path, iterations=0, g_dual=None, slack=None
     if s:
         gradient[bounds] -= dual[:s]
         slack = np.concatenate((polytope.floor - v[bounds], slack))
-    stationarity = np.linalg.norm(gradient)
+    stationarity = math.sqrt(gradient.dot(gradient))  # np.linalg.norm's own arithmetic
     primal = float(slack.max(initial=0.0))
     # scale by multiplier size: near-parallel rows make dual huge while the
     # product dual*slack stays a faithful zero up to roundoff in slack alone
     comp = float((np.abs(dual * slack) / (1.0 + dual)).max(initial=0.0))
     return ProjectionResult(
-        v=v, dual=dual, kkt_residual=max(float(stationarity), primal, comp),
+        v=v, dual=dual, kkt_residual=max(stationarity, primal, comp),
         n_active=int(np.count_nonzero(dual > 0)), path=path, iterations=iterations,
     )
 
@@ -298,10 +301,10 @@ def project_velocity(target, polytope):
 
     bounds, keep, u = polytope.bound_idx, polytope.kept, -c
     g, h = (polytope.g, polytope.h) if polytope.all_kept else (polytope.g[keep], polytope.h[keep])
-    if (c[bounds] <= -polytope.floor).all() and (g @ u <= h).all():
+    if (not bounds.size or (c[bounds] <= -polytope.floor).all()) and (g @ u <= h).all():
         return _certified(c, polytope, u, np.zeros(bounds.size + polytope.h.size), "direct")
 
-    gate = max(KKT_TOL, 1e3 * KKT_TOL * (1.0 + np.linalg.norm(c)))
+    gate = max(KKT_TOL, 1e3 * KKT_TOL * (1.0 + math.sqrt(c.dot(c))))
     result = _active_set(c, polytope, gate)
     if result is not None:
         return result

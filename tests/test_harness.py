@@ -268,6 +268,26 @@ class TestRunExperiment:
             expect_rows(path, {"iter": range(1, horizon + 1), "rel_err": baseline.rel_err})
 
 
+def test_outputs_get_the_mode_of_a_plain_write(tmp_path):
+    plain = tmp_path / "plain.csv"
+    with open(plain, "w") as handle:
+        handle.write("x\n")
+    old = os.umask(0o027)
+    try:
+        restricted = tmp_path / "restricted.csv"
+        with open(restricted, "w") as handle:
+            handle.write("x\n")
+        cgm.harness.atomic_write(tmp_path / "restricted_atomic.csv", "x\n")
+    finally:
+        os.umask(old)
+    cgm.harness.atomic_write(tmp_path / "atomic.csv", "x\n")
+    mode = lambda name: (tmp_path / name).stat().st_mode & 0o777  # noqa: E731
+    assert mode("atomic.csv") == mode("plain.csv")
+    assert mode("restricted_atomic.csv") == mode("restricted.csv") == 0o640
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "atomic.csv", "plain.csv", "restricted.csv", "restricted_atomic.csv"]
+
+
 class TestPlots:
     def test_render_line_chart_svg(self):
         svg = render_line_chart(
@@ -400,6 +420,31 @@ class TestCli:
         assert cli_main(argv) == 2
         assert capsys.readouterr().err == f"error: out: {taken} is not a directory\n"
         assert taken.read_text() == ""
+
+    def test_varying_schedule_certifies_a_single_step(self, tmp_path, capsys):
+        # certify_min's varying-step record needs two iterates; at T=1 it is left out
+        argv = ["--problem", "rap", "--schedule", "varying", "--check-bounds", "--iters", "1",
+                "--out", str(tmp_path)]
+        assert cli_main(argv) == 0
+        assert "bounds[min] pass" in capsys.readouterr().out
+        text = (tmp_path / "rap_cgm_varying_T1.csv").read_text()
+        assert "\ncertificate,lhs,rhs,slack,pass\n" in text
+        assert "feasibility_varying_step" not in text
+
+    @pytest.mark.parametrize("iters, message", [
+        ("1", "constant schedule needs T >= 2"),
+        ("100,3", "T=3 violates T >= kappa*log(T) with kappa=4.49"),
+    ], ids=["T1", "T3"])
+    def test_bad_constant_horizon_rejected_before_any_solve(
+            self, tmp_path, capsys, monkeypatch, iters, message):
+        def no_reference(*args, **kwargs):
+            raise AssertionError("reference solved before the horizons were checked")
+
+        monkeypatch.setattr("cgm.harness.solve_rap_reference", no_reference)
+        argv = ["--problem", "rap", "--d", "10", "--iters", iters, "--out", str(tmp_path)]
+        assert cli_main(argv) == 2
+        assert capsys.readouterr().err == f"error: iters: {message}\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_console_script_installed(self):
         # the subprocess imports the same cgm package, installed or not

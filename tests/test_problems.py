@@ -190,6 +190,22 @@ class TestConstraintSet:
             expected = _per_row_values(y, 100, hbg_affine)
             assert np.array_equal(hbg.constraints.values(y), expected)
 
+    def test_stacked_affine_values_match_per_row_dots_bitwise(self):
+        # the affine block is one stacked (1, n) @ (n, 1) product, which takes
+        # each row's own dot routine; no affine row (p = 0), n = 1 and rows
+        # and points whose entries span many magnitudes included
+        rng = np.random.default_rng(17)
+        for n, p in ((1, 1), (1, 3), (3, 0), (7, 4), (50, 4), (100, 4), (257, 2)):
+            for _ in range(100):
+                W = rng.standard_normal((p, n)) * 10.0 ** rng.integers(-6, 7, size=(p, n))
+                c = rng.standard_normal(p) * 10.0 ** rng.integers(-6, 7, size=p)
+                x = rng.standard_normal(n) * 10.0 ** rng.integers(-6, 7, size=n)
+                k = int(rng.integers(0, n + 1))
+                expected = _per_row_values(x, k, zip(W, c.tolist()))
+                values = ConstraintSet(n_bounds=k, W=W, c=c).values(x)
+                assert values.shape == (k + p,)
+                assert values.tobytes() == expected.tobytes()
+
     def test_append_and_smoothness(self):
         problem = rap_generate(6, seed=0)
         base = problem.constraints

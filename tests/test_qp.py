@@ -176,6 +176,42 @@ def test_row_dimension_mismatch_rejected():
         VelocityPolytope.from_rows(np.array([[1.0, np.inf]]), np.zeros(1))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nonfinite_rows_rejected(bad):
+    # read off the squared row norms plus h, then g and h when those overflow
+    for g, h in (([[1.0, bad], [0.0, 1.0]], [1.0, 1.0]), ([[1.0, 0.0], [0.0, 1.0]], [1.0, bad]),
+                 ([[1e200, bad]], [0.0]), ([[1e200, 1.0]], [bad]), ([[bad, 0.0]], [-1e308])):
+        with pytest.raises(ValueError, match="finite"):
+            VelocityPolytope(np.array(g), np.array(h), np.zeros(0, int), np.zeros(0))
+
+
+def test_rows_whose_squares_overflow_are_accepted():
+    # 1e200 squares to inf, and 1.7e308 + 1e307 overflows, but every entry is finite
+    for g, h in (([[1e200, 0.0], [0.0, 1.0]], [1.0, -1e300]), ([[1e153, 0.0]], [1.7e308])):
+        polytope = VelocityPolytope(np.array(g), np.array(h), np.zeros(0, int), np.zeros(0))
+        assert polytope.all_kept
+
+
+def test_norms_are_bitwise_np_linalg_norm(monkeypatch):
+    # the KKT stationarity and the gate take sqrt(x . x), np.linalg.norm's arithmetic on 1-D x
+    rng = np.random.default_rng(8)
+    gates = []
+    real = cgm.qp._active_set
+    monkeypatch.setattr(
+        cgm.qp, "_active_set", lambda c, p, gate: gates.append(gate) or real(c, p, gate))
+    for n in (1, 2, 50, 257):
+        no_rows = VelocityPolytope.from_rows(np.zeros((0, n)), np.zeros(0))
+        row = VelocityPolytope.from_rows(-np.ones((1, n)), np.full(1, -1.0))  # sum(v) >= 1
+        for _ in range(100):
+            c = rng.standard_normal(n) * 10.0 ** rng.integers(-100, 101, size=n)
+            v = rng.standard_normal(n) * 10.0 ** rng.integers(-100, 101, size=n)
+            result = ProjectionResult(v=v, dual=np.zeros(0), kkt_residual=np.nan, n_active=0)
+            assert kkt_residual_qp(result, c, no_rows) == float(np.linalg.norm(v + c))
+            c = np.abs(rng.standard_normal(n)) * 10.0 ** rng.integers(-3, 4, size=n)
+            project_velocity(c, row)
+            assert gates.pop() == max(KKT_TOL, 1e3 * KKT_TOL * (1.0 + np.linalg.norm(c)))
+
+
 def test_nonfinite_target_rejected():
     polytope = VelocityPolytope.from_rows(np.zeros((0, 2)), np.zeros(0))
     with pytest.raises(ValueError):
