@@ -14,7 +14,11 @@ rule over fresh interpreters that import ``cgm`` and build the d=50 RAP
 instance, and ``cli_hbg_d50_T1000_s`` and ``cli_rap_d50_T500_s`` over whole
 ``cgm-bench`` runs into a temporary directory, with the command lines of
 perfbench's hbg-d50 and rap-d50 workloads at seed 42.
-``baselines_hbg_d50_T1000_s`` times GDA and then EG on the HBG d=50 instance.
+``cli_hbg_d50_T100_1000_3000_s`` times the hbg-d50 command line with the
+horizons 100, 1000 and 3000, where the cells of one experiment share runs.
+``baselines_hbg_d50_T1000_s`` times GDA and EG on the HBG d=50 instance the
+way ``run_experiment`` runs them: in lockstep through ``gda_eg_run`` where the
+tree has it, else GDA and then EG.
 ``--src`` selects the source tree whose ``cgm`` package is timed (default:
 this checkout's ``src``), so two commits can be measured by the same script
 and settings. Results are merged into --out under the name given by --column,
@@ -25,8 +29,10 @@ process, under the package names ``cgm_parent`` and ``cgm_change`` (every
 import inside ``cgm`` is relative), and interleaves them call by call, so a
 slow spell of a shared host or a heap state falls on both sides. Each entry
 runs PAIRS pairs; a pair runs rounds of one call of each side, back to back,
-swapping which goes first every round, for at least REPEAT rounds and
-PAIR_BUDGET_S seconds. A pair's ratio is the median over its rounds of the
+swapping which goes first every round, for at least PAIR_ROUNDS = 9 rounds and
+PAIR_BUDGET_S seconds, so a pair's budget scales with the entry's call time
+(a pair of a 0.3 s call used to hold 3 rounds, and one slow spell set its
+ratio). A pair's ratio is the median over its rounds of the
 change/parent time ratio, so host drift slower than one round cancels; it
 also keeps each side's best time. Only ``setup_s`` still starts an
 interpreter per call. The columns ``parent`` and ``change`` then hold each
@@ -37,7 +43,7 @@ and every pair's best times.
 A paired entry also gets the two verdicts a gain claim cites, which are
 printed with it: whether the quartiles of its pair ratios exclude 1, and
 whether they lie wholly outside the entry's own A/A band, the lowest to
-highest pair ratio of the same entry in ``BENCH_17_AA.json`` (an interleaved
+highest pair ratio of the same entry in ``BENCH_18_AA.json`` (an interleaved
 run of one tree against a copy of itself). Entries are judged by their own
 band because their noise differs: a quiet solver entry and the interpreter
 start of ``setup_s`` do not share one range. An entry the A/A run lacks reads
@@ -71,7 +77,8 @@ REPEAT = 3
 BUDGET_S = 5.0
 PAIRS = 10
 PAIR_BUDGET_S = 1.0
-AA_RUN = ROOT / "BENCH_17_AA.json"
+PAIR_ROUNDS = 9
+AA_RUN = ROOT / "BENCH_18_AA.json"
 # entries reported in other units than seconds per call
 SCALE = {"rap_d200_T20_varying_ms_per_iter": 1e3 / 20}
 SETUP_PROBE = """
@@ -139,8 +146,7 @@ def samples(cgm, src, out_dir):
     vi_trace = cgm.cgm_vi_run(hbg, vi_config)
     floor = cgm.rap_unconstrained_min(rap.data)[1]
     hbg_argv = ["--problem", "hbg", "--d", "50", "--beta", "0.8", "--baselines",
-                "--check-bounds", "--plots", "--iters", "1000", "--seed", str(SEED),
-                "--out", str(out_dir)]
+                "--check-bounds", "--plots", "--seed", str(SEED), "--out", str(out_dir)]
     rap_argv = ["--problem", "rap", "--d", "50", "--schedule", "constant", "--check-bounds",
                 "--plots", "--iters", "500", "--seed", str(SEED), "--out", str(out_dir)]
     return {
@@ -156,15 +162,21 @@ def samples(cgm, src, out_dir):
         "certify_min_T2000_s": timer(cgm.certify_min, min_trace, rap, (x_star, f_star), floor),
         "certify_vi_T3000_s": timer(cgm.certify_vi, vi_trace, hbg),
         "baselines_hbg_d50_T1000_s": timer(baselines_hbg, cgm, hbg),
-        "cli_hbg_d50_T1000_s": lambda: cli_seconds(cgm, hbg_argv),
+        "cli_hbg_d50_T1000_s": lambda: cli_seconds(cgm, [*hbg_argv, "--iters", "1000"]),
         "cli_rap_d50_T500_s": lambda: cli_seconds(cgm, rap_argv),
+        "cli_hbg_d50_T100_1000_3000_s": lambda: cli_seconds(
+            cgm, [*hbg_argv, "--iters", "100,1000,3000"]),
     }
 
 
 def baselines_hbg(cgm, problem):
-    """GDA and then EG on the HBG instance, T=1000, with the step sizes cgm-bench uses."""
-    cgm.gda_run(problem, cgm.harness.GDA_ETA, 1000)
-    cgm.eg_run(problem, 1.0 / problem.ell_F, 1000)
+    """GDA and EG on the HBG instance, T=1000, with the step sizes and calls cgm-bench uses."""
+    etas = (cgm.harness.GDA_ETA, 1.0 / problem.ell_F)
+    if hasattr(cgm, "gda_eg_run"):
+        cgm.gda_eg_run(problem, *etas, 1000)
+    else:
+        cgm.gda_run(problem, etas[0], 1000)
+        cgm.eg_run(problem, etas[1], 1000)
 
 
 def cli_seconds(cgm, argv):
@@ -182,7 +194,7 @@ def pair(parent, change, k):
     """(parent best, change best, median change/parent ratio of back-to-back calls) of a pair."""
     sides, best, ratios = (parent, change), [float("inf"), float("inf")], []
     start = time.perf_counter()
-    while len(ratios) < REPEAT or time.perf_counter() - start < PAIR_BUDGET_S:
+    while len(ratios) < PAIR_ROUNDS or time.perf_counter() - start < PAIR_BUDGET_S:
         seconds = [0.0, 0.0]
         for i in (0, 1)[:: 1 if (k + len(ratios)) % 2 == 0 else -1]:
             seconds[i] = sides[i]()
@@ -254,8 +266,8 @@ def main(argv=None):
             parent = samples(load(parent_src, "cgm_parent"), parent_src, Path(tmp, "parent"))
             change = samples(load(src, "cgm_change"), src, Path(tmp, "change"))
             best, record = paired(parent, change, aa_bands())
-            env.update(pairs=PAIRS, pair_budget_s=PAIR_BUDGET_S, interleaved=True,
-                       aa_run=AA_RUN.name)
+            env.update(pairs=PAIRS, pair_budget_s=PAIR_BUDGET_S, pair_rounds=PAIR_ROUNDS,
+                       interleaved=True, aa_run=AA_RUN.name)
             for side in best:
                 data.setdefault("columns", {})[side] = {"env": env, "results": best[side]}
             data["paired"] = record

@@ -6,7 +6,7 @@ convergence and feasibility bounds, projection baselines, a high-accuracy
 interior-point reference, and a benchmark harness.
 """
 
-from .baselines import eg_run, gda_run, project_simplex
+from .baselines import eg_run, gda_eg_run, gda_run, project_simplex
 from .cgm_min import MinSolverConfig, MinTrace, cgm_min_run, cgm_min_step
 from .cgm_vi import VISolverConfig, VITrace, cgm_vi_run, ergodic_average
 from .harness import ExperimentConfig, parse_config, run_experiment
@@ -59,6 +59,7 @@ __all__ = [
     "eg_run",
     "emit_plots",
     "ergodic_average",
+    "gda_eg_run",
     "gda_run",
     "hbg_instantiate",
     "kkt_residual_qp",

@@ -56,7 +56,7 @@ class SimplexProjector:
             rows = x.reshape(self._last.size, -1)
         else:
             rows = np.full(self._mask.shape, -np.inf)
-            rows[self._mask] = x
+            rows[self._mask] = x.ravel()
         u = np.sort(rows, axis=1)[:, ::-1]
         # (cumsum - 1) / k at every k; the threshold tau is its entry at the last k that passes
         thresholds = u.cumsum(axis=1)
@@ -65,7 +65,7 @@ class SimplexProjector:
         from_end = (u > thresholds)[:, ::-1].argmax(axis=1)
         out = rows - thresholds.take(self._last - from_end)[:, None]
         np.maximum(out, 0.0, out=out)
-        return out.reshape(x.shape) if self._mask is None else out[self._mask]
+        return (out if self._mask is None else out[self._mask]).reshape(x.shape)
 
 
 @dataclass
@@ -79,50 +79,61 @@ class BaselineTrace:
         return self.rel_err.size
 
 
-def _projector_for(problem):
-    if problem.simplex_blocks is None:
-        raise UnsupportedConstraintSet("problem feasible set is not simplex blocks")
-    return SimplexProjector(block_sizes=tuple(problem.simplex_blocks))
-
-
 def _analytic_solution(problem):
     # uniform point of each simplex block (the bilinear game's equilibrium)
     parts = [np.full(size, 1.0 / size) for size in problem.simplex_blocks]
     return np.concatenate(parts)
 
 
-def _run(problem, T, step_fn, x_star):
-    proj = _projector_for(problem)
+def _lockstep(problem, gda_etas, eg_etas, T, x_star):
+    """One trace per step size: GDA rows first, then EG rows, stepped as one stack.
+
+    GDA's step and EG's probe are both Proj(x - eta F(x)), so one op_F call and
+    one projection of the (methods, n) stack serve them; EG's full step is one
+    more call on its rows. op_F must map each row of a stack as it maps that row
+    alone; the rest acts per element or per block, so each row is bitwise its
+    method run alone. The traces are views into one (T+1, methods, n) buffer;
+    GDA's wall time is the shared half step, EG's adds its full step.
+    """
+    if problem.simplex_blocks is None:
+        raise UnsupportedConstraintSet("problem feasible set is not simplex blocks")
+    blocks = tuple(problem.simplex_blocks)
+    etas = np.array([*gda_etas, *eg_etas])[:, None]
+    eg = slice(len(gda_etas), len(etas))
+    proj = SimplexProjector(block_sizes=blocks * len(etas))
+    proj_eg = SimplexProjector(block_sizes=blocks * len(eg_etas)) if eg_etas else None
     if x_star is None:
         x_star = _analytic_solution(problem)
-    n = problem.dim
-    xs = np.empty((T + 1, n))
-    wall = np.empty(T)
-    x = np.array(problem.x0, dtype=float)
-    xs[0] = x
+    xs = np.empty((T + 1, len(etas), problem.dim))
+    xs[0] = problem.x0
+    eg_xs, eg_step, op_F = xs[:, eg], etas[eg], problem.op_F
+    stamps = []
     for t in range(T):
         tic = time.perf_counter()
-        x = step_fn(x, proj)
-        wall[t] = time.perf_counter() - tic
-        xs[t + 1] = x
-    rel = row_norms(xs[1:], x_star) / float(np.linalg.norm(x_star))
-    return BaselineTrace(xs=xs, rel_err=rel, wall_s=wall)
+        xs[t + 1] = proj(xs[t] - etas * op_F(xs[t]))
+        half = time.perf_counter()
+        if proj_eg is not None:
+            eg_xs[t + 1] = proj_eg(eg_xs[t] - eg_step * op_F(eg_xs[t + 1]))
+        stamps.append((tic, half, time.perf_counter()))
+    tic, half, end = np.reshape(stamps, (T, 3)).T
+    ref_norm = float(np.linalg.norm(x_star))
+    return tuple(
+        BaselineTrace(xs=xs[:, i], rel_err=row_norms(xs[1:, i], x_star) / ref_norm,
+                      wall_s=half - tic if i < eg.start else end - tic)
+        for i in range(len(etas))
+    )
 
 
 def gda_run(problem, eta, T, x_star=None):
     """Projected descent-ascent: x <- Proj(x - eta F(x))."""
-
-    def step(x, proj):
-        return proj(x - eta * problem.op_F(x))
-
-    return _run(problem, T, step, x_star)
+    return _lockstep(problem, (eta,), (), T, x_star)[0]
 
 
 def eg_run(problem, eta, T, x_star=None):
     """Extragradient: a half step probes F, the full step uses the probe."""
+    return _lockstep(problem, (), (eta,), T, x_star)[0]
 
-    def step(x, proj):
-        mid = proj(x - eta * problem.op_F(x))
-        return proj(x - eta * problem.op_F(mid))
 
-    return _run(problem, T, step, x_star)
+def gda_eg_run(problem, eta_gda, eta_eg, T, x_star=None):
+    """(GDA trace, EG trace), stepped in lockstep; each bitwise its own run."""
+    return _lockstep(problem, (eta_gda,), (eta_eg,), T, x_star)

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .baselines import eg_run, gda_run
+from .baselines import gda_eg_run
 from .cgm_min import MinSolverConfig, ScheduleInvalid, cgm_min_run, validate_schedule
 from .cgm_vi import VISolverConfig, cgm_vi_run
 from .metrics import certify_min, certify_vi, hbg_gap_closed_form, row_norms
@@ -51,6 +51,9 @@ class ExperimentConfig:
         if any(int(t) < 1 for t in self.horizons):
             raise ValidationError("iters: horizons must be positive")
         object.__setattr__(self, "horizons", tuple(int(t) for t in self.horizons))
+        for i, horizon in enumerate(self.horizons):
+            if horizon in self.horizons[:i]:
+                raise ValidationError(f"iters: horizon {horizon} repeated")
         d_floor = 2 if self.problem == "rap" else 1
         if self.d < d_floor:
             raise ValidationError(f"d: {self.problem} requires d >= {d_floor}")
@@ -206,13 +209,13 @@ def _run_hbg_cell(config, horizon, problem):
     return path, _write_csv(path, columns, report), report
 
 
-def _run_baseline_cell(config, horizon, problem, label, run, eta):
-    trace = run(problem, eta, horizon)
+def _run_baseline_cell(config, horizon, label, trace):
+    # fixed-step GDA and EG at a shorter horizon are bitwise prefixes of the longest run
     path = Path(config.out_dir) / f"hbg_{label}_T{horizon}.csv"
     columns = _write_csv(path, {
         "iter": range(1, horizon + 1),
-        "rel_err": trace.rel_err,
-        "wall_ms": np.cumsum(trace.wall_s) * 1e3,
+        "rel_err": trace.rel_err[:horizon],
+        "wall_ms": np.cumsum(trace.wall_s[:horizon]) * 1e3,
     })
     return path, columns, None
 
@@ -247,18 +250,19 @@ def run_experiment(config):
     else:
         problem = hbg_instantiate(config.d, config.beta, seed=config.seed)
 
-    results = []
+    results, baselines = [], ()
     for horizon in config.horizons:
         try:
             if config.problem == "rap":
                 results.append(_run_rap_cell(config, horizon, problem, reference, f_floor))
                 continue
             results.append(_run_hbg_cell(config, horizon, problem))
-            if config.run_baselines:
-                for label, run, eta in (
-                    ("gda", gda_run, GDA_ETA), ("eg", eg_run, 1.0 / problem.ell_F)
-                ):
-                    results.append(_run_baseline_cell(config, horizon, problem, label, run, eta))
+            if config.run_baselines and not baselines:
+                # one run at the longest horizon serves every cell; started after the
+                # first CGM cell, whose trace is freed by then, so the peaks do not add
+                baselines = gda_eg_run(problem, GDA_ETA, 1.0 / problem.ell_F, max(config.horizons))
+            for label, trace in zip(("gda", "eg"), baselines):
+                results.append(_run_baseline_cell(config, horizon, label, trace))
         except Exception as exc:
             raise RuntimeError(f"cell {horizon} failed: {exc}") from exc
 

@@ -6,15 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import cgm.harness
 from cgm.baselines import (
     SimplexProjector,
     UnsupportedConstraintSet,
     eg_run,
+    gda_eg_run,
     gda_run,
     project_simplex,
 )
-from cgm.harness import GDA_ETA
-from cgm.problems import hbg_instantiate, rap_generate
+from cgm.harness import GDA_ETA, ExperimentConfig, run_experiment
+from cgm.problems import VIProblem, hbg_constraints, hbg_instantiate, rap_generate
 
 
 def _per_block_projection(x, block_sizes):
@@ -32,9 +34,10 @@ def _per_block_projection(x, block_sizes):
     return out
 
 
-def _per_block_run(problem, eta, T, extragradient):
+def _per_block_run(problem, eta, T, extragradient, x_star=None):
     # GDA or EG through the per-block oracle, rel_err from np.linalg.norm per iterate
-    x_star = np.full(problem.dim, 1.0 / (problem.dim // 2))
+    if x_star is None:
+        x_star = np.full(problem.dim, 1.0 / (problem.dim // 2))
     ref_norm = float(np.linalg.norm(x_star))
 
     def proj(y):
@@ -187,16 +190,85 @@ class TestRuns:
         trace = gda_run(problem, 0.005, 5, x_star=x_star)
         assert trace.rel_err[0] >= 0.0
 
-    @pytest.mark.parametrize("seed", range(4))
-    def test_runs_match_per_block_loop_bitwise(self, seed):
-        problem = hbg_instantiate(50, 0.8, seed=seed)
-        for run, eta, extragradient in (
-            (gda_run, GDA_ETA, False), (eg_run, 1.0 / problem.ell_F, True)
+    @pytest.mark.parametrize("d, beta, seed", [
+        (50, 0.8, 0), (50, 0.8, 1), (50, 0.8, 2), (50, 0.8, 3), (10, 0.6, 0),
+    ], ids=["0", "1", "2", "3", "d10-beta0.6"])
+    def test_runs_match_per_block_loop_bitwise(self, d, beta, seed):
+        # gda_run, eg_run and the lockstep gda_eg_run each equal the per-block loop
+        problem = hbg_instantiate(d, beta, seed=seed)
+        etas = (GDA_ETA, 1.0 / problem.ell_F)
+        lockstep = gda_eg_run(problem, *etas, 1000)
+        for run, eta, extragradient, paired in zip(
+            (gda_run, eg_run), etas, (False, True), lockstep
         ):
-            trace = run(problem, eta, 1000)
             xs, rel = _per_block_run(problem, eta, 1000, extragradient)
+            for trace in (run(problem, eta, 1000), paired):
+                assert np.array_equal(trace.xs, xs)
+                assert np.array_equal(trace.rel_err, rel)
+
+    def test_lockstep_on_padded_blocks(self):
+        # blocks (1, 3) doubled are (1, 3, 1, 3): the -inf padded layout on a stack
+        weights, shift = np.array([1.5, 2.0, 3.0, 2.5]), np.array([0.3, -0.2, 0.7, 0.1])
+        fake = VIProblem(
+            op_F=lambda x: weights * x - shift,
+            mu=1.5,
+            ell_F=3.0,
+            B=0.0,
+            constraints=hbg_constraints(2),
+            x0=np.array([1.0, 0.6, 0.3, 0.1]),
+            diameter_D=2.0,
+            dim=4,
+            simplex_blocks=(1, 3),
+        )
+        x_star = np.array([1.0, 0.2, 0.5, 0.3])
+        lockstep = gda_eg_run(fake, 0.05, 0.3, 200, x_star=x_star)
+        for trace, eta, extragradient in zip(lockstep, (0.05, 0.3), (False, True)):
+            xs, rel = _per_block_run(fake, eta, 200, extragradient, x_star=x_star)
             assert np.array_equal(trace.xs, xs)
             assert np.array_equal(trace.rel_err, rel)
+
+    def test_lockstep_wall_times(self, problem):
+        gda, eg = gda_eg_run(problem, GDA_ETA, 1.0 / problem.ell_F, 300)
+        for trace in (gda, eg):
+            assert trace.wall_s.shape == (300,)
+            assert (trace.wall_s >= 0.0).all()
+        # EG's step is the shared half step plus its own full step
+        assert (eg.wall_s >= gda.wall_s).all()
+
+    def test_lockstep_traces_are_views_of_one_buffer(self, problem):
+        gda, eg = gda_eg_run(problem, GDA_ETA, 1.0 / problem.ell_F, 50)
+        buffer = gda.xs.base
+        assert buffer is not None and eg.xs.base is buffer
+        assert buffer.shape == (51, 2, problem.dim)
+        assert np.shares_memory(gda.xs, buffer) and np.shares_memory(eg.xs, buffer)
+
+    def test_shorter_horizons_are_prefixes(self, problem):
+        etas = (GDA_ETA, 1.0 / problem.ell_F)
+        for short, long in zip(gda_eg_run(problem, *etas, 300), gda_eg_run(problem, *etas, 1000)):
+            assert np.array_equal(short.xs, long.xs[:301])
+            assert np.array_equal(short.rel_err, long.rel_err[:300])
+
+    def test_experiment_runs_the_baselines_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        def spy(problem, eta_gda, eta_eg, T, x_star=None):
+            calls.append(T)
+            return gda_eg_run(problem, eta_gda, eta_eg, T, x_star)
+
+        monkeypatch.setattr(cgm.harness, "gda_eg_run", spy)
+        config = ExperimentConfig(
+            problem="hbg", horizons=(17, 40, 5), d=6, beta=0.6, seed=2, run_baselines=True,
+            out_dir=str(tmp_path),
+        )
+        columns = run_experiment(config)["columns"]
+        assert calls == [40]
+        problem = hbg_instantiate(6, 0.6, seed=2)
+        for horizon in (17, 40, 5):
+            alone = gda_eg_run(problem, GDA_ETA, 1.0 / problem.ell_F, horizon)
+            for label, trace in zip(("gda", "eg"), alone):
+                cell = columns[str(tmp_path / f"hbg_{label}_T{horizon}.csv")]
+                assert np.array_equal(cell["rel_err"], trace.rel_err)
+                assert cell["wall_ms"].shape == (horizon,)
 
     @pytest.mark.parametrize("run", [gda_run, eg_run])
     def test_rel_err_is_the_per_step_norm(self, problem, run):

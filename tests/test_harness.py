@@ -153,7 +153,8 @@ class TestParseConfig:
         ("d = 0", "d: hbg requires d >= 1"),
         ("seed = -1", "seed: must be non-negative"),
         ("beta = 1.5", "beta: must lie in (0, 1)"),
-    ], ids=["d", "seed", "beta"])
+        ("iters = 5,7,5", "iters: horizon 5 repeated"),
+    ], ids=["d", "seed", "beta", "iters"])
     def test_out_of_range_file_value_names_its_line(self, tmp_path, capsys, line, message):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"problem = hbg\niters = 10\n{line}\n")
@@ -420,6 +421,13 @@ class TestCli:
         assert cli_main(argv) == 2
         assert capsys.readouterr().err == f"error: out: {taken} is not a directory\n"
         assert taken.read_text() == ""
+
+    def test_repeated_horizon_rejected(self, tmp_path, capsys):
+        argv = ["--problem", "hbg", "--d", "3", "--baselines", "--iters", "10,10",
+                "--out", str(tmp_path)]
+        assert cli_main(argv) == 2
+        assert capsys.readouterr().err == "error: iters: horizon 10 repeated\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_varying_schedule_certifies_a_single_step(self, tmp_path, capsys):
         # certify_min's varying-step record needs two iterates; at T=1 it is left out
