@@ -17,8 +17,7 @@ perfbench's hbg-d50 and rap-d50 workloads at seed 42.
 ``cli_hbg_d50_T100_1000_3000_s`` times the hbg-d50 command line with the
 horizons 100, 1000 and 3000, where the cells of one experiment share runs.
 ``baselines_hbg_d50_T1000_s`` times GDA and EG on the HBG d=50 instance the
-way ``run_experiment`` runs them: in lockstep through ``gda_eg_run`` where the
-tree has it, else GDA and then EG.
+way ``run_experiment`` runs them: in lockstep through ``gda_eg_run``.
 ``--src`` selects the source tree whose ``cgm`` package is timed (default:
 this checkout's ``src``), so two commits can be measured by the same script
 and settings. Results are merged into --out under the name given by --column,
@@ -171,12 +170,7 @@ def samples(cgm, src, out_dir):
 
 def baselines_hbg(cgm, problem):
     """GDA and EG on the HBG instance, T=1000, with the step sizes and calls cgm-bench uses."""
-    etas = (cgm.harness.GDA_ETA, 1.0 / problem.ell_F)
-    if hasattr(cgm, "gda_eg_run"):
-        cgm.gda_eg_run(problem, *etas, 1000)
-    else:
-        cgm.gda_run(problem, etas[0], 1000)
-        cgm.eg_run(problem, etas[1], 1000)
+    cgm.gda_eg_run(problem, cgm.harness.GDA_ETA, 1.0 / problem.ell_F, 1000)
 
 
 def cli_seconds(cgm, argv):

@@ -6,8 +6,8 @@ convergence and feasibility bounds, projection baselines, a high-accuracy
 interior-point reference, and a benchmark harness.
 """
 
-from .baselines import eg_run, gda_eg_run, gda_run, project_simplex
-from .cgm_min import MinSolverConfig, MinTrace, cgm_min_run, cgm_min_step
+from .baselines import gda_eg_run, project_simplex
+from .cgm_min import MinSolverConfig, MinTrace, cgm_min_run
 from .cgm_vi import VISolverConfig, VITrace, cgm_vi_run, ergodic_average
 from .harness import ExperimentConfig, parse_config, run_experiment
 from .metrics import BoundsReport, certify_min, certify_vi
@@ -27,7 +27,6 @@ from .qp import (
     Infeasible,
     ProjectionResult,
     VelocityPolytope,
-    brute_force_projection,
     kkt_residual_qp,
     project_velocity,
 )
@@ -49,18 +48,14 @@ __all__ = [
     "VIProblem",
     "VISolverConfig",
     "VITrace",
-    "brute_force_projection",
     "build_polytope",
     "certify_min",
     "certify_vi",
     "cgm_min_run",
-    "cgm_min_step",
     "cgm_vi_run",
-    "eg_run",
     "emit_plots",
     "ergodic_average",
     "gda_eg_run",
-    "gda_run",
     "hbg_instantiate",
     "kkt_residual_qp",
     "parse_config",

@@ -85,55 +85,37 @@ def _analytic_solution(problem):
     return np.concatenate(parts)
 
 
-def _lockstep(problem, gda_etas, eg_etas, T, x_star):
-    """One trace per step size: GDA rows first, then EG rows, stepped as one stack.
+def gda_eg_run(problem, eta_gda, eta_eg, T, x_star=None):
+    """(GDA trace, EG trace), stepped in lockstep over one (2, n) stack [x_gda, x_eg].
 
     GDA's step and EG's probe are both Proj(x - eta F(x)), so one op_F call and
-    one projection of the (methods, n) stack serve them; EG's full step is one
-    more call on its rows. op_F must map each row of a stack as it maps that row
-    alone; the rest acts per element or per block, so each row is bitwise its
-    method run alone. The traces are views into one (T+1, methods, n) buffer;
-    GDA's wall time is the shared half step, EG's adds its full step.
+    one projection of the stack serve them; EG's full step is one more call on
+    its row. op_F must map each row of a stack as it maps that row alone; the
+    rest acts per element or per block, so each row is bitwise its method run
+    alone. The traces are views into one (T+1, 2, n) buffer; GDA's wall time
+    is the shared half step, EG's adds its full step.
     """
     if problem.simplex_blocks is None:
         raise UnsupportedConstraintSet("problem feasible set is not simplex blocks")
     blocks = tuple(problem.simplex_blocks)
-    etas = np.array([*gda_etas, *eg_etas])[:, None]
-    eg = slice(len(gda_etas), len(etas))
-    proj = SimplexProjector(block_sizes=blocks * len(etas))
-    proj_eg = SimplexProjector(block_sizes=blocks * len(eg_etas)) if eg_etas else None
+    etas = np.array([[eta_gda], [eta_eg]])
+    proj = SimplexProjector(block_sizes=blocks * 2)
+    proj_eg = SimplexProjector(block_sizes=blocks)
     if x_star is None:
         x_star = _analytic_solution(problem)
-    xs = np.empty((T + 1, len(etas), problem.dim))
+    xs = np.empty((T + 1, 2, problem.dim))
     xs[0] = problem.x0
-    eg_xs, eg_step, op_F = xs[:, eg], etas[eg], problem.op_F
+    eg_xs, eg_step, op_F = xs[:, 1:], etas[1:], problem.op_F
     stamps = []
     for t in range(T):
         tic = time.perf_counter()
         xs[t + 1] = proj(xs[t] - etas * op_F(xs[t]))
         half = time.perf_counter()
-        if proj_eg is not None:
-            eg_xs[t + 1] = proj_eg(eg_xs[t] - eg_step * op_F(eg_xs[t + 1]))
+        eg_xs[t + 1] = proj_eg(eg_xs[t] - eg_step * op_F(eg_xs[t + 1]))
         stamps.append((tic, half, time.perf_counter()))
     tic, half, end = np.reshape(stamps, (T, 3)).T
     ref_norm = float(np.linalg.norm(x_star))
     return tuple(
-        BaselineTrace(xs=xs[:, i], rel_err=row_norms(xs[1:, i], x_star) / ref_norm,
-                      wall_s=half - tic if i < eg.start else end - tic)
-        for i in range(len(etas))
+        BaselineTrace(xs=xs[:, i], rel_err=row_norms(xs[1:, i], x_star) / ref_norm, wall_s=wall)
+        for i, wall in enumerate((half - tic, end - tic))
     )
-
-
-def gda_run(problem, eta, T, x_star=None):
-    """Projected descent-ascent: x <- Proj(x - eta F(x))."""
-    return _lockstep(problem, (eta,), (), T, x_star)[0]
-
-
-def eg_run(problem, eta, T, x_star=None):
-    """Extragradient: a half step probes F, the full step uses the probe."""
-    return _lockstep(problem, (), (eta,), T, x_star)[0]
-
-
-def gda_eg_run(problem, eta_gda, eta_eg, T, x_star=None):
-    """(GDA trace, EG trace), stepped in lockstep; each bitwise its own run."""
-    return _lockstep(problem, (eta_gda,), (eta_eg,), T, x_star)

@@ -5,7 +5,7 @@ of currently violated constraints and moves along the result. Supports the
 constant schedule eta = log(T)/(mu T) and the varying schedule
 eta_t = 1/(mu (t + kappa)). The step (cgm_step), the loop (cgm_iterate) and
 the trace base (CgmTrace) are shared with CGM-VI, which passes its operator
-in place of the gradient.
+in place of the gradient; cgm_min_run passes the objective gradient.
 """
 
 import math
@@ -86,17 +86,6 @@ def cgm_step(direction, constraints, x, alpha, eta):
                 "n_active": result.n_active, "kkt_residual": result.kkt_residual,
                 "qp_path": result.path}
     return x + eta * v, v, diag
-
-
-def cgm_min_step(problem, x, alpha, eta):
-    """One CGM-Min iteration: cgm_step with the objective gradient at x."""
-    eta_max = min(1.0 / problem.ell_f, 1.0 / alpha)
-    if not 0 < eta <= eta_max * (1 + 1e-12):
-        raise ValueError(f"eta={eta} outside (0, {eta_max}]")
-    x = np.asarray(x, dtype=float)
-    if not np.isfinite(x).all():
-        raise ValueError("x must be finite")
-    return cgm_step(problem.grad_f(x), problem.constraints, x, alpha, eta)
 
 
 def cgm_iterate(step, constraints, x0, etas):
@@ -183,8 +172,9 @@ def cgm_min_run(problem, config, reference=None):
 
     reference, when given, is an (x_star, f_star) pair; the trace's f_resid
     is then f_values - f_star. QP failures and non-finite iterates abort
-    with the iteration index. Validated schedules keep every eta within the
-    (0, 1/ell_f] that cgm_min_step checks, so the loop calls cgm_step directly.
+    with the iteration index. Validated schedules keep every eta within
+    (0, min(1/ell_f, 1/alpha)], the step sizes the analysis allows, and a start
+    point that is not finite or not feasible is rejected before any step.
     """
     validate_schedule(config, problem)
     alpha = problem.mu if config.alpha is None else config.alpha
@@ -192,8 +182,8 @@ def cgm_min_run(problem, config, reference=None):
         raise ValueError("need 0 < alpha <= mu")
     kappa = problem.ell_f / problem.mu
     T = config.horizon
-    if problem.constraints.max_violation(np.asarray(problem.x0, dtype=float)) > 1e-12:
-        raise ValueError("x0 must be feasible")
+    if not problem.constraints.max_violation(np.asarray(problem.x0, dtype=float)) <= 1e-12:
+        raise ValueError("x0 must be finite and feasible")
     if config.schedule == CONSTANT:
         etas = np.full(T, step_constant(T, problem.mu))
     else:

@@ -5,15 +5,14 @@ are handled in closed form and the few general rows by a primal-dual
 active-set (semismooth Newton) iteration on their multipliers (Hintermueller,
 Ito & Kunisch, 2002). Polytopes it cannot settle fall back to a dual
 active-set solve on all dense rows (Goldfarb & Idnani, 1983). A KKT checker
-certifies every solution; an exhaustive active-set oracle is kept for the
-tests.
+certifies every solution; the tests compare it with an exhaustive oracle in
+exact rational arithmetic.
 """
 
 import logging
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations
 
 import numpy as np
 from numpy.linalg._umath_linalg import solve1 as _gesv
@@ -46,7 +45,7 @@ class VelocityPolytope:
     h (p,) are the general rows, of which kept masks the non-degenerate ones
     (a zero normal with h >= 0 is vacuous) and all_kept says none is degenerate.
     The dense rows a v <= b, bound rows first as -e_i, are built on demand for
-    the fallback, oracle and tests.
+    the fallback and the tests.
     """
 
     g: np.ndarray
@@ -141,23 +140,21 @@ def _row_scale(c, a, b):
     return 1.0 + np.abs(b) + np.linalg.norm(a, axis=1) * np.linalg.norm(c)
 
 
-def _on_rows(c, rows, b, rcond):
+def _on_rows(c, rows, b):
     """Multipliers lam and shift = rows' lam that put v = -c - shift on the rows, rows v = b.
 
-    Solves the Gram system (rows rows') lam = -rows c - b, cutting its singular
-    values below rcond times the largest. The Gram matrix squares the rows'
-    condition number, so when there are at most n rows (they can all be met)
-    and one is left with a slack above ROUNDOFF on its scale, the least-norm
-    shift and lam are taken from the rows themselves (cut at sqrt(rcond)).
+    Solves the Gram system (rows rows') lam = -rows c - b by least squares. The
+    Gram matrix squares the rows' condition number, so when there are at most n
+    rows (they can all be met) and one is left with a slack above ROUNDOFF on
+    its scale, the least-norm shift and lam are taken from the rows themselves.
     """
     rhs = -rows @ c - b
-    lam = np.linalg.lstsq(rows @ rows.T, rhs, rcond=rcond)[0]
+    lam = np.linalg.lstsq(rows @ rows.T, rhs, rcond=None)[0]
     shift = rows.T @ lam
     slack = rows @ (-c - shift) - b
     if rows.shape[0] <= rows.shape[1] and (slack > ROUNDOFF * _row_scale(c, rows, b)).any():
-        cut = None if rcond is None else np.sqrt(rcond)
-        shift = np.linalg.lstsq(rows, rhs, rcond=cut)[0]
-        lam = np.linalg.lstsq(rows.T, shift, rcond=cut)[0]
+        shift = np.linalg.lstsq(rows, rhs, rcond=None)[0]
+        lam = np.linalg.lstsq(rows.T, shift, rcond=None)[0]
     return lam, shift
 
 
@@ -241,7 +238,7 @@ def _goldfarb_idnani(c, polytope):
     with z ~ 0 and no droppable row certifies an empty polytope (Infeasible).
     Active rows stay linearly independent by construction, so duplicate rows
     never both enter. Once no row is violated, the multipliers and v are
-    polished on the active rows by _on_rows, as the oracle solves them.
+    polished on the active rows by _on_rows.
     Returns the certified result; MaxIterations after 10 steps per kept row.
     """
     keep, a, b = polytope.kept_rows()
@@ -256,7 +253,7 @@ def _goldfarb_idnani(c, polytope):
             p = int(slack.argmax())
             if slack[p] <= tol[p]:
                 active.sort()
-                lam[active], shift = _on_rows(c, a[active], b[active], None)
+                lam[active], shift = _on_rows(c, a[active], b[active])
                 dual = np.zeros(polytope.b.size)
                 dual[keep] = lam
                 return _certified(c, polytope, -c - shift, dual, "gi", step)
@@ -316,34 +313,6 @@ def project_velocity(target, polytope):
     if result.kkt_residual > gate:
         raise MaxIterations(f"KKT residual {result.kkt_residual:.3e} above tolerance")
     return result
-
-
-def brute_force_projection(target, polytope):
-    """Exhaustive oracle: solve every active subset's KKT system, keep the best.
-
-    Exponential in the row count; intended for small verification instances.
-    Among objective ties the lexicographically smallest subset wins.
-    """
-    c = np.asarray(target, dtype=float)
-    keep, a, b = polytope.kept_rows()
-    if (a @ -c - b).max(initial=-np.inf) <= 1e-9:
-        return -c  # objective 0, which no subset can beat
-    best_v, best_obj = None, np.inf
-    for size in range(1, keep.size + 1):
-        for subset in combinations(range(keep.size), size):
-            idx = list(subset)
-            lam, shift = _on_rows(c, a[idx], b[idx], 1e-11)
-            if lam.min() < -1e-9:
-                continue
-            v = -c - shift
-            if (a @ v - b).max() > 1e-9:
-                continue
-            obj = float(np.dot(v + c, v + c))
-            if obj < best_obj - 1e-12:
-                best_v, best_obj = v, obj
-    if best_v is None:
-        raise Infeasible("no subset KKT system yields a feasible point")
-    return best_v
 
 
 def kkt_residual_qp(result, target, polytope):

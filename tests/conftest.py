@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from cgm.baselines import eg_run, gda_run
+from cgm.baselines import gda_eg_run
 from cgm.cgm_min import MinSolverConfig, cgm_min_run
 from cgm.cgm_vi import VISolverConfig, cgm_vi_run
 from cgm.problems import hbg_instantiate, rap_generate, rap_unconstrained_min
@@ -98,6 +98,5 @@ def hbg_equilibrium(hbg_problem):
 
 @pytest.fixture(scope="session")
 def baseline_traces(hbg_problem):
-    gda = gda_run(hbg_problem, 0.005, 1000)
-    eg = eg_run(hbg_problem, 1.0 / hbg_problem.ell_F, 1000)
+    gda, eg = gda_eg_run(hbg_problem, 0.005, 1.0 / hbg_problem.ell_F, 1000)
     return {"gda": gda, "eg": eg}

@@ -11,13 +11,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cgm.baselines import eg_run, gda_run
 from cgm.cgm_min import MinSolverConfig, cgm_min_run
 from cgm.cgm_vi import VISolverConfig, cgm_vi_run
 from cgm.harness import ExperimentConfig, run_experiment
 from cgm.metrics import ABS_SLACK, REL_SLACK, certify_min, certify_vi, hbg_gap_closed_form
 from cgm.problems import build_polytope, hbg_instantiate, rap_generate, violated_set
-from cgm.qp import Infeasible, brute_force_projection, project_velocity
+from cgm.qp import Infeasible, project_velocity
+from exact_oracle import exact_projection
 from test_problems import _random_product_simplex, feasible_rap_point
 from test_qp import random_instance
 
@@ -50,12 +50,12 @@ def test_criterion_01_qp_oracle_equivalence():
             fast = project_velocity(c, polytope)
         except Infeasible:
             try:
-                brute_force_projection(c, polytope)
+                exact_projection(c, polytope)
                 mismatches += 1
             except Infeasible:
                 pass
             continue
-        oracle = brute_force_projection(c, polytope)
+        oracle = exact_projection(c, polytope, fast.dual)
         if float(np.max(np.abs(fast.v - oracle))) > 1e-8:
             mismatches += 1
     elapsed = time.perf_counter() - tic

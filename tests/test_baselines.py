@@ -10,9 +10,7 @@ import cgm.harness
 from cgm.baselines import (
     SimplexProjector,
     UnsupportedConstraintSet,
-    eg_run,
     gda_eg_run,
-    gda_run,
     project_simplex,
 )
 from cgm.harness import GDA_ETA, ExperimentConfig, run_experiment
@@ -163,48 +161,45 @@ def problem():
 
 class TestRuns:
     def test_gda_converges(self, problem):
-        trace = gda_run(problem, 0.005, 3000)
+        trace = gda_eg_run(problem, 0.005, 1.0 / problem.ell_F, 3000)[0]
         assert trace.rel_err[-1] < trace.rel_err[0]
         assert trace.rel_err[-1] < 0.05
 
     def test_eg_converges_fast(self, problem):
-        trace = eg_run(problem, 1.0 / problem.ell_F, 1000)
+        trace = gda_eg_run(problem, 0.005, 1.0 / problem.ell_F, 1000)[1]
         assert trace.rel_err[-1] < 1e-4
 
     def test_iterates_stay_feasible(self, problem):
-        trace = gda_run(problem, 0.005, 100)
         d = problem.dim // 2
-        for x in trace.xs[1:]:
-            assert float(np.min(x)) >= -1e-12
-            assert float(np.sum(x[:d])) == pytest.approx(1.0)
-            assert float(np.sum(x[d:])) == pytest.approx(1.0)
+        for trace in gda_eg_run(problem, 0.005, 0.1, 100):
+            for x in trace.xs[1:]:
+                assert float(np.min(x)) >= -1e-12
+                assert float(np.sum(x[:d])) == pytest.approx(1.0)
+                assert float(np.sum(x[d:])) == pytest.approx(1.0)
 
     def test_trace_shapes(self, problem):
-        trace = eg_run(problem, 0.1, 25)
-        assert trace.xs.shape == (26, problem.dim)
-        assert trace.rel_err.shape == (25,)
-        assert trace.horizon == 25
+        for trace in gda_eg_run(problem, 0.005, 0.1, 25):
+            assert trace.xs.shape == (26, problem.dim)
+            assert trace.rel_err.shape == (25,)
+            assert trace.horizon == 25
 
     def test_custom_reference_point(self, problem):
         x_star = np.array(problem.x0)
-        trace = gda_run(problem, 0.005, 5, x_star=x_star)
-        assert trace.rel_err[0] >= 0.0
+        for trace in gda_eg_run(problem, 0.005, 0.1, 5, x_star=x_star):
+            assert trace.rel_err[0] >= 0.0
 
     @pytest.mark.parametrize("d, beta, seed", [
         (50, 0.8, 0), (50, 0.8, 1), (50, 0.8, 2), (50, 0.8, 3), (10, 0.6, 0),
     ], ids=["0", "1", "2", "3", "d10-beta0.6"])
     def test_runs_match_per_block_loop_bitwise(self, d, beta, seed):
-        # gda_run, eg_run and the lockstep gda_eg_run each equal the per-block loop
+        # each trace of the lockstep gda_eg_run equals its method's per-block loop alone
         problem = hbg_instantiate(d, beta, seed=seed)
         etas = (GDA_ETA, 1.0 / problem.ell_F)
         lockstep = gda_eg_run(problem, *etas, 1000)
-        for run, eta, extragradient, paired in zip(
-            (gda_run, eg_run), etas, (False, True), lockstep
-        ):
+        for eta, extragradient, trace in zip(etas, (False, True), lockstep):
             xs, rel = _per_block_run(problem, eta, 1000, extragradient)
-            for trace in (run(problem, eta, 1000), paired):
-                assert np.array_equal(trace.xs, xs)
-                assert np.array_equal(trace.rel_err, rel)
+            assert np.array_equal(trace.xs, xs)
+            assert np.array_equal(trace.rel_err, rel)
 
     def test_lockstep_on_padded_blocks(self):
         # blocks (1, 3) doubled are (1, 3, 1, 3): the -inf padded layout on a stack
@@ -270,10 +265,10 @@ class TestRuns:
                 assert np.array_equal(cell["rel_err"], trace.rel_err)
                 assert cell["wall_ms"].shape == (horizon,)
 
-    @pytest.mark.parametrize("run", [gda_run, eg_run])
-    def test_rel_err_is_the_per_step_norm(self, problem, run):
+    @pytest.mark.parametrize("method", [0, 1], ids=["gda", "eg"])
+    def test_rel_err_is_the_per_step_norm(self, problem, method):
         x_star = np.random.default_rng(4).dirichlet(np.ones(problem.dim))
-        trace = run(problem, 0.05, 200, x_star=x_star)
+        trace = gda_eg_run(problem, 0.05, 0.05, 200, x_star=x_star)[method]
         expected = [np.linalg.norm(x - x_star) / np.linalg.norm(x_star) for x in trace.xs[1:]]
         assert np.array_equal(trace.rel_err, expected)
 
@@ -293,4 +288,4 @@ class TestRuns:
             simplex_blocks=None,
         )
         with pytest.raises(UnsupportedConstraintSet):
-            gda_run(fake, 0.01, 5)
+            gda_eg_run(fake, 0.01, 0.01, 5)

@@ -11,7 +11,7 @@ from cgm.cgm_min import (
     MinSolverConfig,
     ScheduleInvalid,
     cgm_min_run,
-    cgm_min_step,
+    cgm_step,
     step_constant,
     step_varying,
     validate_schedule,
@@ -79,7 +79,7 @@ class TestStep:
         )
         x = np.array(problem.x0)
         eta = 0.5
-        x_new, v, diag = cgm_min_step(problem, x, problem.mu, eta)
+        x_new, v, diag = cgm_step(problem.grad_f(x), problem.constraints, x, problem.mu, eta)
         assert diag["violated"] == 0
         assert diag["qp_path"] == ""
         np.testing.assert_allclose(v, -x)
@@ -88,7 +88,9 @@ class TestStep:
     def test_projected_step_when_violated(self, small_problem):
         x = np.array(small_problem.x0) - 0.2  # pushes coordinates negative
         eta = 1e-3
-        _, v, diag = cgm_min_step(small_problem, x, small_problem.mu, eta)
+        _, v, diag = cgm_step(
+            small_problem.grad_f(x), small_problem.constraints, x, small_problem.mu, eta
+        )
         assert diag["violated"] > 0
         assert diag["max_violation"] == small_problem.constraints.max_violation(x)
         assert diag["qp_path"] in ("direct", "dual", "gi")
@@ -100,19 +102,6 @@ class TestStep:
         polytope = build_polytope(constraints, x, small_problem.mu, values, violated_set(values))
         a, b = polytope.a, polytope.b
         assert float(np.max(a @ v - b)) <= 1e-8
-
-    def test_nonfinite_point_rejected(self, small_problem):
-        x = np.array(small_problem.x0)
-        x[0] = np.nan
-        with pytest.raises(ValueError, match="finite"):
-            cgm_min_step(small_problem, x, small_problem.mu, 1e-3)
-
-    def test_step_size_range_enforced(self, small_problem):
-        x = np.array(small_problem.x0)
-        with pytest.raises(ValueError):
-            cgm_min_step(small_problem, x, small_problem.mu, 10.0)
-        with pytest.raises(ValueError):
-            cgm_min_step(small_problem, x, small_problem.mu, 0.0)
 
 
 class TestRun:
@@ -197,6 +186,35 @@ class TestRun:
         bad = replace(small_problem, x0=-np.ones(small_problem.dim))
         with pytest.raises(ValueError):
             cgm_min_run(bad, MinSolverConfig(horizon=5, schedule=VARYING))
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_start_rejected(self, small_problem, bad):
+        # NaN compares false against any bound, so the start check must not read
+        # "violation > tol"; the run stops before its first gradient
+        from dataclasses import replace
+
+        calls = []
+        x0 = np.array(small_problem.x0)
+        x0[0] = bad
+        problem = replace(small_problem, x0=x0, grad_f=lambda x: calls.append(None) or x)
+        for schedule in (CONSTANT, VARYING):
+            with pytest.raises(ValueError, match="finite"):
+                cgm_min_run(problem, MinSolverConfig(horizon=30, schedule=schedule))
+        assert not calls
+
+    @pytest.mark.parametrize("d, seed, horizon", [(10, 3, 30), (10, 7, 60), (50, 5, 100)])
+    def test_step_sizes_stay_in_range(self, d, seed, horizon):
+        # the range (0, min(1/ell_f, 1/alpha)] the analysis allows, which the
+        # run no longer checks per step
+        problem = rap_generate(d, seed=seed)
+        for alpha in (problem.mu, problem.mu / 2):
+            eta_max = min(1.0 / problem.ell_f, 1.0 / alpha)
+            for schedule in (CONSTANT, VARYING):
+                config = MinSolverConfig(horizon=horizon, schedule=schedule, alpha=alpha)
+                etas = cgm_min_run(problem, config).etas
+                assert etas.shape == (horizon,)
+                assert (etas > 0).all() and (etas <= eta_max).all()
 
     def test_alpha_above_mu_rejected(self, small_problem):
         config = MinSolverConfig(

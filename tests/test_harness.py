@@ -262,10 +262,8 @@ class TestRunExperiment:
                 for x in trace.xs[1:]
             ],
         })
-        for path, run, eta in (
-            (gda_path, cgm.gda_run, GDA_ETA), (eg_path, cgm.eg_run, 1.0 / problem.ell_F)
-        ):
-            baseline = run(problem, eta, horizon)
+        baselines = cgm.gda_eg_run(problem, GDA_ETA, 1.0 / problem.ell_F, horizon)
+        for path, baseline in zip((gda_path, eg_path), baselines):
             expect_rows(path, {"iter": range(1, horizon + 1), "rel_err": baseline.rel_err})
 
 

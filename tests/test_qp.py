@@ -22,10 +22,10 @@ from cgm.qp import (
     MaxIterations,
     ProjectionResult,
     VelocityPolytope,
-    brute_force_projection,
     kkt_residual_qp,
     project_velocity,
 )
+from exact_oracle import exact_projection
 
 
 def random_instance(rng, n, m):
@@ -106,8 +106,8 @@ def bounded_instance(rng, n, k):
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(min_value=0, max_value=2**32 - 1))
-@example(2148883587)  # nearly parallel rows: the Gram vertex sat 2.8e-7 off the oracle's
-@example(23867184)  # the oracle's Gram vertex sat 1.9e-8 off the active set's
+@example(2148883587)  # nearly parallel rows: a Gram-system vertex sits 2.8e-7 off the exact one
+@example(23867184)  # a Gram-system vertex sits 1.9e-8 off the exact one
 def test_bound_rows_match_oracle(seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 6))
@@ -117,9 +117,9 @@ def test_bound_rows_match_oracle(seed):
         result = project_velocity(c, polytope)
     except Infeasible:
         with pytest.raises(Infeasible):
-            brute_force_projection(c, polytope)
+            exact_projection(c, polytope)
         return
-    assert np.max(np.abs(result.v - brute_force_projection(c, polytope))) <= 1e-8
+    assert np.max(np.abs(result.v - exact_projection(c, polytope))) <= 1e-8
     tol = cgm.qp.KKT_TOL
     gate = max(tol, 1e3 * tol * (1.0 + np.linalg.norm(c)))
     assert kkt_residual_qp(result, c, polytope) <= gate
@@ -219,9 +219,11 @@ def test_nonfinite_target_rejected():
 
 
 def test_oracle_equivalence_batch():
+    # the worst gap to the exact projection is 3.8e-10, at draw 1821 of the
+    # degenerate family (duplicate rows, multipliers near 2.3e6)
     for make_instance in (random_instance, degenerate_instance):
         rng = np.random.default_rng(7)
-        for _ in range(300):
+        for draw in range(2000):
             n = int(rng.integers(1, 5))
             m = int(rng.integers(1, 7))
             c, polytope = make_instance(rng, n, m)
@@ -229,16 +231,16 @@ def test_oracle_equivalence_batch():
                 fast = project_velocity(c, polytope)
             except Infeasible:
                 with pytest.raises(Infeasible):
-                    brute_force_projection(c, polytope)
+                    exact_projection(c, polytope)
                 continue
-            oracle = brute_force_projection(c, polytope)
-            assert np.max(np.abs(fast.v - oracle)) <= 1e-8
+            oracle = exact_projection(c, polytope, fast.dual)
+            assert np.max(np.abs(fast.v - oracle)) <= 1e-9, (make_instance.__name__, draw)
 
 
 @settings(max_examples=120, deadline=None)
 @given(st.integers(min_value=0, max_value=2**32 - 1))
-@example(761)  # nearly parallel rows: the Gram vertex sat 4.4e-8 off the oracle's
-@example(662110862)  # the oracle's Gram vertex missed a row by more than 1e-9
+@example(761)  # nearly parallel rows: a Gram-system vertex sits 4.4e-8 off the exact one
+@example(662110862)  # a Gram-system vertex misses a row by more than 1e-9
 @example(331237)  # likewise, with multipliers up to 5.2e6
 def test_oracle_equivalence_property(seed):
     rng = np.random.default_rng(seed)
@@ -249,7 +251,7 @@ def test_oracle_equivalence_property(seed):
         fast = project_velocity(c, polytope)
     except Infeasible:
         return
-    oracle = brute_force_projection(c, polytope)
+    oracle = exact_projection(c, polytope)
     assert np.max(np.abs(fast.v - oracle)) <= 1e-8
     assert fast.kkt_residual <= 1e-6
 
@@ -272,8 +274,7 @@ def test_projection_is_feasible_and_certified(seed):
 def test_ill_conditioned_vertices_are_solved_on_the_rows():
     # draws whose active rows are nearly parallel, with multipliers of 3e5 to
     # 1e8: the Gram system squares their condition number, so a vertex solved
-    # there missed a row by up to 3e-8, or sat up to 2.8e-7 off the oracle's,
-    # or the oracle found no feasible subset at all
+    # there misses a row by up to 3e-8, or sits up to 2.8e-7 off the exact one
     for seed in (1165, 1609212826, 2569506634):
         c, polytope = random_instance(np.random.default_rng(seed), 3, 5)
         result = project_velocity(c, polytope)
@@ -291,7 +292,7 @@ def test_ill_conditioned_vertices_are_solved_on_the_rows():
             n, k = int(rng.integers(1, 6)), int(rng.integers(0, 4))
             c, polytope = bounded_instance(rng, n, k)
         result = project_velocity(c, polytope)
-        oracle = brute_force_projection(c, polytope)
+        oracle = exact_projection(c, polytope)
         assert np.max(np.abs(result.v - oracle)) <= 1e-8, seed
         assert np.max(polytope.a @ oracle - polytope.b) <= 1e-11, seed
 
@@ -398,7 +399,7 @@ def test_fallback_is_logged_with_row_counts(caplog):
     with caplog.at_level("WARNING", logger="cgm.qp"), warnings.catch_warnings():
         warnings.simplefilter("error")  # the singular Gram solve warns about nothing
         result = project_velocity(c, polytope)
-    np.testing.assert_allclose(result.v, brute_force_projection(c, polytope), atol=1e-12)
+    np.testing.assert_allclose(result.v, exact_projection(c, polytope), atol=1e-12)
     assert result.path == "gi"
     assert result.iterations == 2  # two full steps
     assert np.count_nonzero(result.dual[1:]) == 1  # one of the duplicates stays inactive
@@ -438,14 +439,14 @@ def test_bounded_oracle_batch():
         k = int(rng.integers(0, 4))
         c, polytope = bounded_instance(rng, n, k)
         try:
-            oracle = brute_force_projection(c, polytope)
+            result = project_velocity(c, polytope)
         except Infeasible:
             with pytest.raises(Infeasible):
-                project_velocity(c, polytope)
+                exact_projection(c, polytope)
             continue
-        result = project_velocity(c, polytope)
         paths[result.path] = paths.get(result.path, 0) + 1
-        assert np.max(np.abs(result.v - oracle)) <= 1e-8, seed
+        oracle = exact_projection(c, polytope, result.dual)
+        assert np.max(np.abs(result.v - oracle)) <= 1e-9, seed
         gate = max(tol, 1e3 * tol * (1.0 + np.linalg.norm(c)))
         assert kkt_residual_qp(result, c, polytope) <= gate, seed
         assert (result.dual >= 0.0).all(), seed
@@ -466,6 +467,15 @@ def test_import_cgm_does_not_load_scipy():
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, check=True,
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_public_names_resolve():
+    # every name cgm exports exists, and a star import binds them all
+    namespace = {}
+    exec("from cgm import *", namespace)
+    for name in cgm.__all__:
+        assert namespace[name] is getattr(cgm, name), name
+    assert len(set(cgm.__all__)) == len(cgm.__all__)
 
 
 def _trajectories():
