@@ -193,7 +193,7 @@ def cgm_min_run(problem, config, reference=None):
         lambda x, eta: cgm_step(problem.grad_f(x), problem.constraints, x, alpha, eta),
         problem.constraints, problem.x0, etas,
     )
-    f_values = np.array([problem.value_f(x) for x in arrays["xs"]])
+    f_values = problem.value_f(arrays["xs"])
     return MinTrace(
         **arrays, config=config, alpha=alpha, kappa=kappa, f_values=f_values,
         f_resid=None if reference is None else f_values - reference[1],

@@ -40,7 +40,7 @@ class VISolverConfig:
     def __post_init__(self):
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
-        if self.delta is not None and self.delta < 1.0:
+        if self.delta is not None and not self.delta >= 1.0:
             raise ValueError("delta must be >= 1")
 
 
@@ -78,7 +78,7 @@ def cgm_vi_run(problem, config):
     norm_f0_sq = float(f0 @ f0)
     tight = delta_default(norm_f0_sq, problem.B, problem.diameter_D, problem.ell_F)
     delta = tight if config.delta is None else config.delta
-    if delta < tight:
+    if not delta >= tight:
         raise ValueError(f"delta={delta} below admissible minimum {tight}")
     aux = QuadraticRow(problem.x0, delta / problem.ell_F**2 * (norm_f0_sq + problem.B))
     constraints = problem.constraints.append(aux)

@@ -30,11 +30,13 @@ class QuadraticRow:
     def __post_init__(self):
         center = np.array(self.center, dtype=float)
         object.__setattr__(self, "center", center)
-        if center.ndim != 1 or not np.all(np.isfinite(center)) or self.r <= 0:
-            raise ValueError("need a finite 1-D center and r > 0")
+        if center.ndim != 1 or not np.all(np.isfinite(center)) or not 0 < self.r < np.inf:
+            raise ValueError("need a finite 1-D center and a finite r > 0")
         if self.Q is not None:
             if np.shape(self.Q) != (center.size, center.size):
                 raise ValueError("Q must be (n, n) with n = center.size")
+            if not np.all(np.isfinite(self.Q)):
+                raise ValueError("Q must be finite")
             object.__setattr__(self, "smoothness", 2.0 * float(np.max(np.linalg.eigvalsh(self.Q))))
 
     def value(self, x):
@@ -59,7 +61,10 @@ class QuadraticRow:
 
 @dataclass(frozen=True)
 class MinProblem:
-    value_f: Callable[[np.ndarray], float]
+    """min f(x) over the constraints; value_f maps points (..., n) to (...), each
+    row of a stack as that row alone, as VIProblem.op_F maps its points."""
+
+    value_f: Callable[[np.ndarray], np.ndarray]
     grad_f: Callable[[np.ndarray], np.ndarray]
     mu: float
     ell_f: float
@@ -118,6 +123,10 @@ class ConstraintSet:
     in `smooth`. The affine rows are one stacked (1, n) @ (n, 1) product, each
     row's own dot routine (gemv W @ x is not), so values(x) matches the per-row
     arithmetic bit for bit and no row on the feasibility boundary flips.
+    W and c must be finite. An affine row's gradient does not depend on x, so
+    _polytopes keeps the first velocity polytope build_polytope made on each
+    distinct set of violated general rows that holds no quadratic row, keyed
+    by their indices.
     """
 
     n_bounds: int
@@ -125,6 +134,7 @@ class ConstraintSet:
     c: np.ndarray
     smooth: tuple = ()
     _affine: np.ndarray = field(init=False, repr=False, compare=False)  # W[:, None, :]
+    _polytopes: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         W = np.array(self.W, dtype=float)
@@ -134,7 +144,10 @@ class ConstraintSet:
         object.__setattr__(self, "smooth", tuple(self.smooth))
         if W.ndim != 2 or c.shape != W.shape[:1] or not 0 <= self.n_bounds <= W.shape[1]:
             raise ValueError("need W of shape (p, n), c of shape (p,), n_bounds <= n")
+        if not (np.isfinite(W).all() and np.isfinite(c).all()):
+            raise ValueError("W and c must be finite")
         object.__setattr__(self, "_affine", W[:, None, :])
+        object.__setattr__(self, "_polytopes", {})
         if any(g.center.size != W.shape[1] for g in self.smooth):
             raise ValueError("need every quadratic row's center of size n = W.shape[1]")
 
@@ -224,7 +237,10 @@ def rap_generate(d, seed=42):
     ell_f = float(eigs[-1])
 
     def value_f(x, sigma=sigma, a=a):
-        return 0.5 * float(x @ sigma @ x) + float(a @ x)
+        # one (1, d) @ (d, d) and one (1, d) @ (d, 1) product per point, the
+        # per-point arithmetic on a stack too (gemm xs @ sigma is not)
+        row = x[..., None, :]
+        return 0.5 * (row @ sigma @ x[..., :, None])[..., 0, 0] + (row @ a[:, None])[..., 0, 0]
 
     def grad_f(x, sigma=sigma, a=a):
         return sigma @ x + a
@@ -318,14 +334,26 @@ def build_polytope(constraints, x, alpha, values, violated):
     """Rows grad g_i(x) v <= -alpha g_i(x) over violated = violated_set(values = g(x)).
 
     The violated bound rows become floors on their coordinates (bound_idx) and
-    the others the general rows (g, h). x must be finite; the solvers check
-    each iterate. A non-finite general row is rejected by VelocityPolytope.
+    the others the general rows (g, h). When those hold no quadratic row, g
+    does not depend on x, so the polytope first built on the same general
+    rows (kept in the ConstraintSet, g read-only) lends its g, row check and
+    Gram matrix; each step builds its own h, checked again, and bound rows.
+    x must be finite; the solvers check each iterate. A non-finite general
+    row is rejected by VelocityPolytope.
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     s = int(np.searchsorted(violated, constraints.n_bounds))
     rhs = -alpha * values[violated]
-    return VelocityPolytope(
-        constraints.gradients(x, violated[s:]), rhs[s:],
-        bound_idx=violated[:s], floor=-rhs[:s],
-    )
+    general, h, bound_idx, floor = violated[s:], rhs[s:], violated[:s], -rhs[:s]
+    if general.size and general[-1] >= constraints.n_bounds + constraints.c.size:
+        return VelocityPolytope(constraints.gradients(x, general), h, bound_idx, floor)
+    key = general.tobytes()
+    first = constraints._polytopes.get(key)
+    if first is not None:
+        return first.with_rhs(h, bound_idx, floor)
+    g = constraints.gradients(x, general)
+    g.flags.writeable = False
+    polytope = VelocityPolytope(g, h, bound_idx, floor)
+    constraints._polytopes[key] = polytope
+    return polytope

@@ -44,8 +44,8 @@ class VelocityPolytope:
     bound_idx holds distinct coordinates with lower bounds floor; g (p, n) and
     h (p,) are the general rows, of which kept masks the non-degenerate ones
     (a zero normal with h >= 0 is vacuous) and all_kept says none is degenerate.
-    The dense rows a v <= b, bound rows first as -e_i, are built on demand for
-    the fallback and the tests.
+    The Gram matrix g g' and the dense rows a v <= b, bound rows first as
+    -e_i, are built on demand for the solvers and the tests.
     """
 
     g: np.ndarray
@@ -66,8 +66,26 @@ class VelocityPolytope:
         degenerate = squares < DEGENERATE_NORMAL**2
         object.__setattr__(self, "kept", ~degenerate)
         object.__setattr__(self, "all_kept", not degenerate.any())
-        if not self.all_kept and (h[degenerate] < 0).any():
+        self._check_degenerate()
+
+    def _check_degenerate(self):
+        if not self.all_kept and (self.h[~self.kept] < 0).any():
             raise Infeasible("zero normal with negative rhs: 0 <= rhs is violated")
+
+    def with_rhs(self, h, bound_idx, floor):
+        """The polytope {v : v[bound_idx] >= floor, g v <= h} on these general rows g.
+
+        g, its row check (kept, all_kept) and its Gram matrix are shared, not
+        built again; h is checked as the constructor checks it: finite, and
+        >= 0 on every zero normal.
+        """
+        if h.shape != self.h.shape or not np.isfinite(h).all():
+            raise ValueError("need a finite h of shape (p,)")
+        polytope = object.__new__(VelocityPolytope)
+        polytope.__dict__.update(g=self.g, h=h, bound_idx=bound_idx, floor=floor,
+                                 kept=self.kept, all_kept=self.all_kept, gram=self.gram)
+        polytope._check_degenerate()
+        return polytope
 
     @classmethod
     def from_rows(cls, a, b, bound_idx=()):
@@ -81,6 +99,12 @@ class VelocityPolytope:
                 and np.unique(bounds).size == s and np.array_equal(polytope.a, a)):
             raise ValueError("bound rows must be -e_i for distinct i in bound_idx, finite rhs")
         return polytope
+
+    @cached_property
+    def gram(self):
+        gram = self.g @ self.g.T
+        gram.flags.writeable = False  # shared by every polytope with_rhs makes
+        return gram
 
     @cached_property
     def a(self):
@@ -182,8 +206,9 @@ def _active_set(c, polytope, gate):
     or no such candidate within ACTIVE_SET_ITERATIONS, gives None, and so does
     a candidate that leaves a row's slack above ROUNDOFF on its scale: the
     Gram system squares the rows' condition number, and the fallback re-solves
-    such a vertex on the rows. Without bound rows, F is every coordinate and
-    the floor and mask work is skipped.
+    such a vertex on the rows. Without bound rows, F is every coordinate,
+    the floor and mask work is skipped and the first iteration reads the
+    polytope's Gram matrix.
     """
     bounds, g, h = polytope.bound_idx, polytope.g, polytope.h
     s = bounds.size
@@ -198,7 +223,8 @@ def _active_set(c, polytope, gate):
             gram = (g_active * free) @ g_active.T
             rhs = g_active @ np.where(free, u, floor) - h_active
         else:
-            gram, rhs = g_active @ g_active.T, g_active @ u - h_active
+            gram = polytope.gram if active is None else g_active @ g_active.T
+            rhs = g_active @ u - h_active
         if active is None:
             mu = _solve(gram, rhs)
         else:

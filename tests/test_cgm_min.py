@@ -127,7 +127,7 @@ class TestRun:
             direction = problem.op_F
         else:
             problem = rap_generate(50, seed=0) if family == "rap" else MinProblem(
-                value_f=lambda x: 0.5 * float(x @ x), grad_f=lambda x: x, mu=1.0, ell_f=1.0,
+                value_f=lambda x: 0.5 * (x * x).sum(axis=-1), grad_f=lambda x: x, mu=1.0, ell_f=1.0,
                 constraints=ConstraintSet(n_bounds=0, W=[[1.0, 0.0]], c=[-1.0]),
                 x0=np.array([0.5, 0.5]), dim=2,
             )
@@ -243,7 +243,7 @@ class TestRun:
             return np.full(2, np.inf) if len(calls) == 5 else x
 
         problem = MinProblem(
-            value_f=lambda x: 0.5 * float(x @ x),
+            value_f=lambda x: 0.5 * (x * x).sum(axis=-1),
             grad_f=grad_f,
             mu=1.0,
             ell_f=1.0,

@@ -49,9 +49,13 @@ class TestAuxConstraint:
         assert g.smoothness == 2.0
 
     def test_nonpositive_radius_rejected(self):
-        for r in (0.0, -1.0):
+        for r in (0.0, -1.0, np.nan, np.inf):
             with pytest.raises(ValueError):
                 QuadraticRow(center=np.zeros(2), r=r)
+        # a NaN in Q made eigvalsh report the smoothness -0.0
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError):
+                QuadraticRow(center=np.zeros(2), r=1.0, Q=np.diag([1.0, bad]))
 
 
 class TestSchedule:
@@ -160,8 +164,9 @@ class TestRun:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             VISolverConfig(horizon=0)
-        with pytest.raises(ValueError):
-            VISolverConfig(horizon=5, delta=0.5)
+        for delta in (0.5, np.nan, -np.inf):
+            with pytest.raises(ValueError):
+                VISolverConfig(horizon=5, delta=delta)
 
 
 class TestErgodicAverage:

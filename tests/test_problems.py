@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import cgm.cgm_min
 from cgm.cgm_min import MinSolverConfig, cgm_min_run
 from cgm.cgm_vi import VISolverConfig, cgm_vi_run
 from cgm.problems import (
@@ -16,7 +17,7 @@ from cgm.problems import (
     rap_unconstrained_min,
     violated_set,
 )
-from cgm.qp import VelocityPolytope
+from cgm.qp import Infeasible, VelocityPolytope
 
 
 def feasible_rap_point(problem, rng):
@@ -90,6 +91,20 @@ class TestRapGeneration:
         grad = problem.data.Sigma @ x_star + problem.data.a
         assert float(np.linalg.norm(grad)) <= 1e-9
         assert f_star == pytest.approx(problem.value_f(x_star))
+
+    def test_objective_on_a_batch_matches_per_point_formula_bitwise(self):
+        # cgm_min_run evaluates f on the whole trace at once
+        problem = rap_generate(50, seed=2)
+        sigma, a = problem.data.Sigma, problem.data.a
+        trace = cgm_min_run(problem, MinSolverConfig(horizon=300))
+        rng = np.random.default_rng(6)
+        for xs in (trace.xs, rng.random((40, 50)) / 50.0):
+            batch = problem.value_f(xs)
+            assert batch.shape == (xs.shape[0],)
+            for x, value in zip(xs, batch):
+                assert value == 0.5 * float(x @ sigma @ x) + float(a @ x)
+                assert problem.value_f(x) == value
+        np.testing.assert_array_equal(problem.value_f(trace.xs), trace.f_values)
 
     def test_rap_data_validation(self):
         with pytest.raises(np.linalg.LinAlgError):
@@ -230,6 +245,14 @@ class TestConstraintSet:
         with pytest.raises(ValueError):
             ConstraintSet(n_bounds=4, W=np.zeros((0, 3)), c=np.zeros(0))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_rows_rejected(self, bad):
+        # checked where the data enters: build_polytope checks affine rows once
+        with pytest.raises(ValueError, match="finite"):
+            ConstraintSet(2, [[bad, 1.0]], [0.0])
+        with pytest.raises(ValueError, match="finite"):
+            ConstraintSet(2, [[0.0, 1.0]], [bad])
+
     def test_missized_quadratic_row_rejected(self):
         # caught here, not later as a broadcast error inside values()
         base = ConstraintSet(n_bounds=3, W=np.ones((1, 3)), c=np.zeros(1))
@@ -329,6 +352,108 @@ class TestVelocityPolytope:
         with pytest.raises(ValueError):
             values = problem.constraints.values(problem.x0)
             build_polytope(problem.constraints, problem.x0, 0.0, values, violated_set(values))
+
+
+def _polytope_parts(polytope):
+    return [getattr(polytope, part) for part in ("g", "h", "bound_idx", "floor", "kept")]
+
+
+def _recorded_run(family, monkeypatch):
+    """One d=50 run's build_polytope calls as (constraints, args, polytope)."""
+    calls = []
+    real = cgm.cgm_min.build_polytope
+
+    def recorded(constraints, x, alpha, values, violated):
+        polytope = real(constraints, x, alpha, values, violated)
+        calls.append((constraints, (x, alpha, values, violated), polytope))
+        return polytope
+
+    monkeypatch.setattr(cgm.cgm_min, "build_polytope", recorded)
+    if family == "rap":  # seed 2 violates two affine sets in 6 of 500 steps
+        cgm_min_run(rap_generate(50, seed=2), MinSolverConfig(horizon=500))
+    else:
+        cgm_vi_run(hbg_instantiate(50, 0.8, seed=1), VISolverConfig(horizon=1000))
+    monkeypatch.undo()
+    return calls
+
+
+def _affine_key(constraints, violated):
+    """The violated general rows when none is quadratic, else None."""
+    general = violated[violated >= constraints.n_bounds]
+    return tuple(general.tolist()) if (general < len(constraints) - len(constraints.smooth)).all() else None
+
+
+class TestPolytopeCache:
+    """build_polytope reuses the rows of a repeated set of violated affine rows."""
+
+    @pytest.mark.parametrize("family", ["rap", "hbg"])
+    def test_every_step_equals_a_fresh_polytope(self, family, monkeypatch):
+        calls = _recorded_run(family, monkeypatch)
+        keys = set()
+        for constraints, (x, alpha, values, violated), polytope in calls:
+            s = int(np.searchsorted(violated, constraints.n_bounds))
+            rhs = -alpha * values[violated]
+            fresh = VelocityPolytope(constraints.gradients(x, violated[s:]), rhs[s:],
+                                     violated[:s], -rhs[:s])
+            for got, expected in zip(_polytope_parts(polytope), _polytope_parts(fresh)):
+                assert _same_bits(got, expected)
+            assert polytope.all_kept == fresh.all_kept
+            assert _same_bits(polytope.gram, fresh.gram)
+            key = _affine_key(constraints, violated)
+            if key is not None:
+                assert not polytope.g.flags.writeable
+                keys.add(key)
+        # the cache holds one entry per distinct affine violated set
+        constraints = calls[0][0]
+        assert all(call[0] is constraints for call in calls)
+        assert len(constraints._polytopes) == len(keys) > 0
+        assert len(keys) == (2 if family == "rap" else 1)
+
+    def test_quadratic_rows_are_not_cached(self):
+        problem = rap_generate(10, seed=1)
+        constraints = problem.constraints
+        x = np.full(10, 0.2)  # sum 2 > 1: the sum row and the risk row are violated
+        values = constraints.values(x)
+        violated = violated_set(values)
+        assert violated[-1] == len(constraints) - 1
+        polytope = build_polytope(constraints, x, 1.0, values, violated)
+        assert polytope.g.flags.writeable and constraints._polytopes == {}
+
+    def test_zero_affine_row_is_infeasible_on_every_hit(self):
+        # a zero normal whose row is violated gives 0 <= h < 0
+        constraints = ConstraintSet(n_bounds=0, W=[[0.0, 0.0], [1.0, 0.0]], c=[1.0, 0.0])
+        for x in (np.array([1.0, 0.0]), np.array([2.0, 3.0])):
+            values = constraints.values(x)
+            with pytest.raises(Infeasible):
+                build_polytope(constraints, x, 0.5, values, violated_set(values))
+        # a polytope whose zero row is vacuous still checks each new h
+        first = VelocityPolytope(np.zeros((1, 2)), np.array([0.0]), np.zeros(0, int), np.zeros(0))
+        with pytest.raises(Infeasible):
+            first.with_rhs(np.array([-1.0]), np.zeros(0, int), np.zeros(0))
+
+    def test_a_hit_checks_h_and_shares_the_rows(self):
+        problem = hbg_instantiate(5, 0.5, seed=0)
+        constraints = problem.constraints
+        polytopes = []
+        for total in (1.25, 1.5):
+            x = np.concatenate([np.full(5, total / 5), np.full(5, 0.2)])
+            values = constraints.values(x)
+            polytopes.append(build_polytope(constraints, x, 1.0, values, violated_set(values)))
+        first, second = polytopes
+        assert second.g is first.g and second.gram is first.gram
+        assert second.h[0] < first.h[0] < 0
+        assert len(constraints._polytopes) == 1
+        with pytest.raises(ValueError, match="finite"):
+            first.with_rhs(np.array([np.nan]), first.bound_idx, first.floor)
+
+    def test_append_starts_with_an_empty_cache(self):
+        problem = hbg_instantiate(5, 0.5, seed=0)
+        base = problem.constraints
+        x = np.concatenate([np.full(5, 0.3), np.full(5, 0.2)])
+        values = base.values(x)
+        build_polytope(base, x, 1.0, values, violated_set(values))
+        grown = base.append(QuadraticRow(x, 1.0))
+        assert len(base._polytopes) == 1 and grown._polytopes == {}
 
 
 def _membership_samples(problem, feasible_point, count, seed):
