@@ -10,11 +10,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .problems import hbg_operator
+from .problems import by_row_blocks, hbg_operator
 
 ABS_SLACK = 1e-9
 REL_SLACK = 1e-7
-ROW_BLOCK = 128  # rows per block of a trajectory-wide column
 
 
 class ReferenceMissing(Exception):
@@ -75,17 +74,6 @@ def _check(name, lhs_arr, rhs_arr):
     return CertificateRecord(name=name, lhs=lhs, rhs=rhs, slack=slack, passed=passed)
 
 
-def _by_blocks(fn, xs):
-    """fn(block) over xs in blocks of ROW_BLOCK rows, one value per row.
-
-    Blocks bound the temporaries of a trajectory-wide column.
-    """
-    out = np.empty(len(xs))
-    for start in range(0, len(xs), ROW_BLOCK):
-        out[start : start + ROW_BLOCK] = fn(xs[start : start + ROW_BLOCK])
-    return out
-
-
 def _row_dots(a, b):
     """a[..., i, :] @ b[..., i, :] per row, bitwise the 1-D product of the two rows.
 
@@ -102,7 +90,7 @@ def row_norms(xs, center):
         diff = block - center
         return np.sqrt(_row_dots(diff, diff))
 
-    return _by_blocks(norms, xs)
+    return by_row_blocks(norms, xs)
 
 
 def _hbg_gaps(x, beta):
@@ -122,7 +110,7 @@ def hbg_gap_closed_form(x, beta):
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
         return float(_hbg_gaps(x, beta))
-    return _by_blocks(lambda block: _hbg_gaps(block, beta), x)
+    return by_row_blocks(lambda block: _hbg_gaps(block, beta), x)
 
 
 def empirical_grad_bound(constraints, xs):
@@ -160,7 +148,7 @@ def certify_min(trace, problem, reference, f_star_unconstrained):
     contraction = (1.0 - alpha * trace.etas) * resid[:-1]
     recs.append(_check("per_iteration_contraction", resid[1:], contraction))
     recs.append(_check("velocity_bound_C1", trace.v_norms, c1))
-    dists = np.linalg.norm(trace.xs - x_star, axis=1)
+    dists = by_row_blocks(lambda block: np.linalg.norm(block - x_star, axis=1), trace.xs)
     recs.append(_check("distance_bound_C2", dists, c2))
     sharp_rhs = 4.0 * (2.0 * ell_f - alpha) * resid[:-1] + 8.0 * ell_f * (
         f_star - f_star_unconstrained

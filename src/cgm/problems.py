@@ -13,9 +13,24 @@ import numpy as np
 
 from .qp import VelocityPolytope
 
+ROW_BLOCK = 128  # rows per block of a trajectory-wide column
+
 
 class SingularMatrix(Exception):
     pass
+
+
+def by_row_blocks(fn, xs):
+    """fn(block) over xs in blocks of ROW_BLOCK rows, one value per row.
+
+    Blocks bound the temporaries of a trajectory-wide column: a (T+1, n)
+    temporary above glibc's mmap threshold is mapped and faulted in afresh on
+    every call, or not, depending on the heap the process left behind.
+    """
+    out = np.empty(len(xs))
+    for start in range(0, len(xs), ROW_BLOCK):
+        out[start : start + ROW_BLOCK] = fn(xs[start : start + ROW_BLOCK])
+    return out
 
 
 @dataclass(frozen=True)
@@ -49,9 +64,13 @@ class QuadraticRow:
 
     def grad_norm_bound(self, xs):
         """max ||gradient(x)|| over the rows x of xs, equal to the per-point loop."""
-        # half the gradients, one (T+1, n) array (a Q row adds its product); x2 is exact
-        half = xs - self.center if self.Q is None else (xs - self.center) @ self.Q.T
-        norms = 2.0 * np.sqrt(np.einsum("ij,ij->i", half, half))
+
+        def batched(block):
+            # half the gradients (a Q row adds its product); x2 is exact
+            half = block - self.center if self.Q is None else (block - self.center) @ self.Q.T
+            return 2.0 * np.sqrt(np.einsum("ij,ij->i", half, half))
+
+        norms = by_row_blocks(batched, xs)
         # A batched norm can differ from the per-point norm in its last bit, which
         # moved the maximum on RAP d=50 seed 7, T=2000; so the points within 1e-12
         # of the batched maximum are re-evaluated one at a time.

@@ -6,7 +6,6 @@ import pytest
 from cgm.metrics import (
     ABS_SLACK,
     REL_SLACK,
-    ROW_BLOCK,
     BoundsReport,
     CertificateRecord,
     ReferenceMissing,
@@ -16,7 +15,7 @@ from cgm.metrics import (
     hbg_gap_closed_form,
     row_norms,
 )
-from cgm.problems import QuadraticRow, hbg_instantiate, hbg_operator, rap_generate
+from cgm.problems import ROW_BLOCK, QuadraticRow, hbg_instantiate, hbg_operator, rap_generate
 
 
 class TestCheck:
@@ -175,3 +174,13 @@ class TestTrajectoryColumns:
         center = np.full(xs.shape[1], 1.0 / (xs.shape[1] // 2))
         assert np.array_equal(row_norms(xs, center), [np.linalg.norm(x - center) for x in xs])
         assert np.array_equal(trace.dist_x0, [np.linalg.norm(x - xs[0]) for x in xs])
+
+    def test_distance_column_equals_unblocked(
+        self, min_trace_constant, rap_problem, rap_reference, rap_floor
+    ):
+        xs, x_star = min_trace_constant["trace"].xs, rap_reference["x_star"]
+        assert len(xs) > 2 * ROW_BLOCK and len(xs) % ROW_BLOCK
+        reference = (x_star, rap_reference["f_star"])
+        report = certify_min(min_trace_constant["trace"], rap_problem, reference, rap_floor)
+        (record,) = [rec for rec in report.records if rec.name == "distance_bound_C2"]
+        assert record.lhs == np.linalg.norm(xs - x_star, axis=1).max()
