@@ -42,7 +42,7 @@ and every pair's best times.
 A paired entry also gets the two verdicts a gain claim cites, which are
 printed with it: whether the quartiles of its pair ratios exclude 1, and
 whether they lie wholly outside the entry's own A/A band, the lowest to
-highest pair ratio of the same entry in ``BENCH_18_AA.json`` (an interleaved
+highest pair ratio of the same entry in ``BENCH_21_AA.json`` (an interleaved
 run of one tree against a copy of itself). Entries are judged by their own
 band because their noise differs: a quiet solver entry and the interpreter
 start of ``setup_s`` do not share one range. An entry the A/A run lacks reads
@@ -77,7 +77,7 @@ BUDGET_S = 5.0
 PAIRS = 10
 PAIR_BUDGET_S = 1.0
 PAIR_ROUNDS = 9
-AA_RUN = ROOT / "BENCH_18_AA.json"
+AA_RUN = ROOT / "BENCH_21_AA.json"
 # entries reported in other units than seconds per call
 SCALE = {"rap_d200_T20_varying_ms_per_iter": 1e3 / 20}
 SETUP_PROBE = """
@@ -170,7 +170,8 @@ def samples(cgm, src, out_dir):
 
 def baselines_hbg(cgm, problem):
     """GDA and EG on the HBG instance, T=1000, with the step sizes and calls cgm-bench uses."""
-    cgm.gda_eg_run(problem, cgm.harness.GDA_ETA, 1.0 / problem.ell_F, 1000)
+    x_star = np.full(problem.dim, 1.0 / (problem.dim // 2))
+    cgm.gda_eg_run(problem, cgm.harness.GDA_ETA, 1.0 / problem.ell_F, 1000, x_star)
 
 
 def cli_seconds(cgm, argv):

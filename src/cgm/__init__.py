@@ -6,7 +6,7 @@ convergence and feasibility bounds, projection baselines, a high-accuracy
 interior-point reference, and a benchmark harness.
 """
 
-from .baselines import gda_eg_run, project_simplex
+from .baselines import gda_eg_run
 from .cgm_min import MinSolverConfig, MinTrace, cgm_min_run
 from .cgm_vi import VISolverConfig, VITrace, cgm_vi_run, ergodic_average
 from .harness import ExperimentConfig, parse_config, run_experiment
@@ -23,13 +23,7 @@ from .problems import (
     rap_unconstrained_min,
     violated_set,
 )
-from .qp import (
-    Infeasible,
-    ProjectionResult,
-    VelocityPolytope,
-    kkt_residual_qp,
-    project_velocity,
-)
+from .qp import Infeasible, ProjectionResult, VelocityPolytope, project_velocity
 from .reference import solve_rap_reference
 
 __version__ = "0.1.0"
@@ -57,9 +51,7 @@ __all__ = [
     "ergodic_average",
     "gda_eg_run",
     "hbg_instantiate",
-    "kkt_residual_qp",
     "parse_config",
-    "project_simplex",
     "project_velocity",
     "rap_generate",
     "rap_unconstrained_min",

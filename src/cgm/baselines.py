@@ -18,12 +18,6 @@ class UnsupportedConstraintSet(Exception):
     """Baselines only handle problems whose feasible set is simplex blocks."""
 
 
-def project_simplex(y):
-    """Euclidean projection of y onto {x >= 0, sum(x) = 1} by sort and threshold."""
-    y = np.asarray(y, dtype=float)
-    return SimplexProjector(block_sizes=(y.size,))(y)
-
-
 @dataclass(frozen=True)
 class SimplexProjector:
     """Projection onto a product of unit simplices, every block in one sort.
@@ -79,20 +73,15 @@ class BaselineTrace:
         return self.rel_err.size
 
 
-def _analytic_solution(problem):
-    # uniform point of each simplex block (the bilinear game's equilibrium)
-    parts = [np.full(size, 1.0 / size) for size in problem.simplex_blocks]
-    return np.concatenate(parts)
-
-
-def gda_eg_run(problem, eta_gda, eta_eg, T, x_star=None):
+def gda_eg_run(problem, eta_gda, eta_eg, T, x_star):
     """(GDA trace, EG trace), stepped in lockstep over one (2, n) stack [x_gda, x_eg].
 
     GDA's step and EG's probe are both Proj(x - eta F(x)), so one op_F call and
     one projection of the stack serve them; EG's full step is one more call on
     its row. op_F must map each row of a stack as it maps that row alone; the
     rest acts per element or per block, so each row is bitwise its method run
-    alone. The traces are views into one (T+1, 2, n) buffer; GDA's wall time
+    alone. The traces are views into one (T+1, 2, n) buffer; rel_err is each
+    iterate's distance to the solution x_star over |x_star|. GDA's wall time
     is the shared half step, EG's adds its full step.
     """
     if problem.simplex_blocks is None:
@@ -101,8 +90,6 @@ def gda_eg_run(problem, eta_gda, eta_eg, T, x_star=None):
     etas = np.array([[eta_gda], [eta_eg]])
     proj = SimplexProjector(block_sizes=blocks * 2)
     proj_eg = SimplexProjector(block_sizes=blocks)
-    if x_star is None:
-        x_star = _analytic_solution(problem)
     xs = np.empty((T + 1, 2, problem.dim))
     xs[0] = problem.x0
     eg_xs, eg_step, op_F = xs[:, 1:], etas[1:], problem.op_F

@@ -1,4 +1,8 @@
-"""Command line front end for running experiments and rendering plots."""
+"""Command line front end for running experiments and rendering plots.
+
+Exit codes: 0 on success, 1 when --check-bounds is set and a certificate fails,
+2 on bad input and 3 when the reference solve fails (no CSV is written).
+"""
 
 import argparse
 import sys
@@ -6,6 +10,7 @@ from pathlib import Path
 
 from .harness import ParseError, ValidationError, parse_config, run_experiment
 from .plots import emit_plots
+from .reference import BarrierFailure
 
 
 def build_parser():
@@ -37,6 +42,9 @@ def main(argv=None):
     except (ParseError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BarrierFailure as exc:
+        print(f"error: reference: {exc}", file=sys.stderr)
+        return 3
     for path in summary["files"]:
         print(path)
     for path, report in summary["reports"].items():

@@ -189,10 +189,9 @@ def _run_rap_cell(config, horizon, problem, reference, f_floor):
     return path, _write_csv(path, columns, report), report
 
 
-def _run_hbg_cell(config, horizon, problem):
+def _run_hbg_cell(config, horizon, problem, x_star):
     trace = cgm_vi_run(problem, VISolverConfig(horizon=horizon))
     beta = problem.mu / 2.0
-    x_star = np.full(problem.dim, 1.0 / (problem.dim // 2))
     ref_norm = float(np.linalg.norm(x_star))
     columns = {
         "iter": range(1, horizon + 1),
@@ -249,6 +248,7 @@ def run_experiment(config):
         _, f_floor = rap_unconstrained_min(problem.data)
     else:
         problem = hbg_instantiate(config.d, config.beta, seed=config.seed)
+        x_star = np.full(problem.dim, 1.0 / (problem.dim // 2))  # the uniform equilibrium
 
     results, baselines = [], ()
     for horizon in config.horizons:
@@ -256,11 +256,12 @@ def run_experiment(config):
             if config.problem == "rap":
                 results.append(_run_rap_cell(config, horizon, problem, reference, f_floor))
                 continue
-            results.append(_run_hbg_cell(config, horizon, problem))
+            results.append(_run_hbg_cell(config, horizon, problem, x_star))
             if config.run_baselines and not baselines:
                 # one run at the longest horizon serves every cell; started after the
                 # first CGM cell, whose trace is freed by then, so the peaks do not add
-                baselines = gda_eg_run(problem, GDA_ETA, 1.0 / problem.ell_F, max(config.horizons))
+                baselines = gda_eg_run(
+                    problem, GDA_ETA, 1.0 / problem.ell_F, max(config.horizons), x_star)
             for label, trace in zip(("gda", "eg"), baselines):
                 results.append(_run_baseline_cell(config, horizon, label, trace))
         except Exception as exc:

@@ -113,11 +113,6 @@ def hbg_gap_closed_form(x, beta):
     return by_row_blocks(lambda block: _hbg_gaps(block, beta), x)
 
 
-def empirical_grad_bound(constraints, xs):
-    """Max gradient norm of any constraint over the realized iterates."""
-    return constraints.grad_norm_bound(xs)
-
-
 def certify_min(trace, problem, reference, f_star_unconstrained):
     """Evaluate every proven bound of the minimization track along the trace."""
     if reference is None:
@@ -137,7 +132,7 @@ def certify_min(trace, problem, reference, f_star_unconstrained):
     grad_star = float(np.linalg.norm(problem.grad_f(x_star)))
     c2 = (grad_star + math.sqrt(grad_star**2 + 2.0 * mu * max(f0 - f_star, 0.0))) / mu
     ell_g = problem.constraints.smoothness
-    l_g = empirical_grad_bound(problem.constraints, trace.xs)
+    l_g = problem.constraints.grad_norm_bound(trace.xs)
 
     report = BoundsReport(
         track="min",
@@ -182,7 +177,7 @@ def certify_vi(trace, problem):
     c4 = math.sqrt((16.0 * delta + 20.0) * energy)
     constraints = problem.constraints.append(trace.aux)
     ell_g = constraints.smoothness
-    l_g = empirical_grad_bound(constraints, trace.xs)
+    l_g = constraints.grad_norm_bound(trace.xs)
 
     report = BoundsReport(
         track="vi",

@@ -44,8 +44,7 @@ class VelocityPolytope:
     bound_idx holds distinct coordinates with lower bounds floor; g (p, n) and
     h (p,) are the general rows, of which kept masks the non-degenerate ones
     (a zero normal with h >= 0 is vacuous) and all_kept says none is degenerate.
-    The Gram matrix g g' and the dense rows a v <= b, bound rows first as
-    -e_i, are built on demand for the solvers and the tests.
+    The Gram matrix g g' is built on demand and cached for the active-set solve.
     """
 
     g: np.ndarray
@@ -87,43 +86,21 @@ class VelocityPolytope:
         polytope._check_degenerate()
         return polytope
 
-    @classmethod
-    def from_rows(cls, a, b, bound_idx=()):
-        """The polytope a v <= b whose first s rows are -e_{bound_idx[j]}, j < s."""
-        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-        bounds = np.asarray(bound_idx, dtype=int)
-        s = bounds.size
-        polytope = cls(a[s:], b[s:], bounds, -b[:s])  # checks the general rows
-        if not (bounds.ndim == 1 and s <= b.size and np.isfinite(b[:s]).all()
-                and ((0 <= bounds) & (bounds < a.shape[1])).all()
-                and np.unique(bounds).size == s and np.array_equal(polytope.a, a)):
-            raise ValueError("bound rows must be -e_i for distinct i in bound_idx, finite rhs")
-        return polytope
-
     @cached_property
     def gram(self):
         gram = self.g @ self.g.T
         gram.flags.writeable = False  # shared by every polytope with_rhs makes
         return gram
 
-    @cached_property
-    def a(self):
-        bounds = np.zeros((self.bound_idx.size, self.g.shape[1]))
-        bounds[np.arange(self.bound_idx.size), self.bound_idx] = -1.0
-        return np.vstack((bounds, self.g))
-
-    @cached_property
-    def b(self):
-        return np.concatenate((-self.floor, self.h))
-
     def matrix(self):
-        """The dense (a, b) pair; perfbench's tracer counts QP rows through it."""
-        return self.a, self.b
+        """The dense rows (a, b) of a v <= b, bound rows first as -e_i, built on each call.
 
-    def kept_rows(self):
-        """(indices, a, b) of the non-degenerate dense rows: all bound rows, then kept."""
-        keep = np.flatnonzero(np.concatenate((np.ones(self.bound_idx.size, bool), self.kept)))
-        return keep, self.a[keep], self.b[keep]
+        The Goldfarb-Idnani fallback reads them; perfbench's tracer counts QP rows with them.
+        """
+        s = self.bound_idx.size
+        bounds = np.zeros((s, self.g.shape[1]))
+        bounds[np.arange(s), self.bound_idx] = -1.0
+        return np.vstack((bounds, self.g)), np.concatenate((-self.floor, self.h))
 
 
 @dataclass
@@ -169,14 +146,16 @@ def _on_rows(c, rows, b):
 
     Solves the Gram system (rows rows') lam = -rows c - b by least squares. The
     Gram matrix squares the rows' condition number, so when there are at most n
-    rows (they can all be met) and one is left with a slack above ROUNDOFF on
-    its scale, the least-norm shift and lam are taken from the rows themselves.
+    rows (they can all be met) and one misses its equality by more than
+    ROUNDOFF on its scale, on either side, the least-norm shift and lam are
+    taken from the rows themselves.
     """
     rhs = -rows @ c - b
     lam = np.linalg.lstsq(rows @ rows.T, rhs, rcond=None)[0]
     shift = rows.T @ lam
     slack = rows @ (-c - shift) - b
-    if rows.shape[0] <= rows.shape[1] and (slack > ROUNDOFF * _row_scale(c, rows, b)).any():
+    if rows.shape[0] <= rows.shape[1] and (
+            np.abs(slack) > ROUNDOFF * _row_scale(c, rows, b)).any():
         shift = np.linalg.lstsq(rows, rhs, rcond=None)[0]
         lam = np.linalg.lstsq(rows.T, shift, rcond=None)[0]
     return lam, shift
@@ -267,7 +246,10 @@ def _goldfarb_idnani(c, polytope):
     polished on the active rows by _on_rows.
     Returns the certified result; MaxIterations after 10 steps per kept row.
     """
-    keep, a, b = polytope.kept_rows()
+    s = polytope.bound_idx.size
+    keep = np.flatnonzero(np.concatenate((np.ones(s, bool), polytope.kept)))  # bounds, then kept
+    a, b = polytope.matrix()
+    a, b = a[keep], b[keep]
     norms = np.linalg.norm(a, axis=1)
     tol = KKT_TOL * _row_scale(c, a, b)
     v, lam, active, p = -c, np.zeros(keep.size), [], None
@@ -280,7 +262,7 @@ def _goldfarb_idnani(c, polytope):
             if slack[p] <= tol[p]:
                 active.sort()
                 lam[active], shift = _on_rows(c, a[active], b[active])
-                dual = np.zeros(polytope.b.size)
+                dual = np.zeros(s + polytope.h.size)
                 dual[keep] = lam
                 return _certified(c, polytope, -c - shift, dual, "gi", step)
         d = q.T @ a[p]

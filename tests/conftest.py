@@ -97,6 +97,6 @@ def hbg_equilibrium(hbg_problem):
 
 
 @pytest.fixture(scope="session")
-def baseline_traces(hbg_problem):
-    gda, eg = gda_eg_run(hbg_problem, 0.005, 1.0 / hbg_problem.ell_F, 1000)
+def baseline_traces(hbg_problem, hbg_equilibrium):
+    gda, eg = gda_eg_run(hbg_problem, 0.005, 1.0 / hbg_problem.ell_F, 1000, hbg_equilibrium)
     return {"gda": gda, "eg": eg}

@@ -11,13 +11,36 @@ det > 0 exactly when the rows of S are independent. S certifies when N >= 0
 and every row holds exactly at its v; the first subset that certifies is the
 projection, so no tolerance and no tie-break enter. When none does, the
 polytope is empty.
+
+The module also holds the tests' dense view of a polytope: from_rows builds
+one from the rows a v <= b, and kept_rows reads its non-degenerate rows back.
 """
 
 from itertools import chain, combinations
 
 import numpy as np
 
-from cgm.qp import Infeasible
+from cgm.qp import Infeasible, VelocityPolytope
+
+
+def from_rows(a, b, bound_idx=()):
+    """The polytope a v <= b whose first s rows are -e_{bound_idx[j]}, j < s."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    bounds = np.asarray(bound_idx, dtype=int)
+    s = bounds.size
+    polytope = VelocityPolytope(a[s:], b[s:], bounds, -b[:s])  # checks the general rows
+    if not (bounds.ndim == 1 and s <= b.size and np.isfinite(b[:s]).all()
+            and ((0 <= bounds) & (bounds < a.shape[1])).all()
+            and np.unique(bounds).size == s and np.array_equal(polytope.matrix()[0], a)):
+        raise ValueError("bound rows must be -e_i for distinct i in bound_idx, finite rhs")
+    return polytope
+
+
+def kept_rows(polytope):
+    """(indices, a, b) of the non-degenerate dense rows: all bound rows, then kept."""
+    keep = np.flatnonzero(np.concatenate((np.ones(polytope.bound_idx.size, bool), polytope.kept)))
+    a, b = polytope.matrix()
+    return keep, a[keep], b[keep]
 
 
 def _solve(gram, rhs):
@@ -48,7 +71,7 @@ class _ExactRows:
     """The kept rows and the target as integers over one denominator, with their products."""
 
     def __init__(self, target, polytope):
-        keep, a, b = polytope.kept_rows()
+        keep, a, b = kept_rows(polytope)
         c = np.asarray(target, dtype=float)
         ratios = [float(x).as_integer_ratio() for x in chain(a.ravel(), b, c)]
         self.denominator = max(q for _, q in ratios)

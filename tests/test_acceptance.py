@@ -82,7 +82,7 @@ def test_criterion_02_membership_laws():
             polytope = build_polytope(
                 problem.constraints, x, alpha, values, violated_set(values)
             )
-            a, b = polytope.a, polytope.b
+            a, b = polytope.matrix()
             if a.shape[0] == 0:
                 continue
             direction = alpha * (y - x)

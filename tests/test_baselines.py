@@ -7,14 +7,18 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import cgm.harness
-from cgm.baselines import (
-    SimplexProjector,
-    UnsupportedConstraintSet,
-    gda_eg_run,
-    project_simplex,
-)
+from cgm.baselines import SimplexProjector, UnsupportedConstraintSet, gda_eg_run
 from cgm.harness import GDA_ETA, ExperimentConfig, run_experiment
 from cgm.problems import VIProblem, hbg_constraints, hbg_instantiate, rap_generate
+
+
+def project_simplex(y):
+    return SimplexProjector((y.size,))(y)  # the one-block case
+
+
+def _equilibrium(problem):
+    # the uniform point of both simplices, the bilinear game's equilibrium
+    return np.full(problem.dim, 1.0 / (problem.dim // 2))
 
 
 def _per_block_projection(x, block_sizes):
@@ -35,7 +39,7 @@ def _per_block_projection(x, block_sizes):
 def _per_block_run(problem, eta, T, extragradient, x_star=None):
     # GDA or EG through the per-block oracle, rel_err from np.linalg.norm per iterate
     if x_star is None:
-        x_star = np.full(problem.dim, 1.0 / (problem.dim // 2))
+        x_star = _equilibrium(problem)
     ref_norm = float(np.linalg.norm(x_star))
 
     def proj(y):
@@ -161,31 +165,31 @@ def problem():
 
 class TestRuns:
     def test_gda_converges(self, problem):
-        trace = gda_eg_run(problem, 0.005, 1.0 / problem.ell_F, 3000)[0]
+        trace = gda_eg_run(problem, 0.005, 1.0 / problem.ell_F, 3000, _equilibrium(problem))[0]
         assert trace.rel_err[-1] < trace.rel_err[0]
         assert trace.rel_err[-1] < 0.05
 
     def test_eg_converges_fast(self, problem):
-        trace = gda_eg_run(problem, 0.005, 1.0 / problem.ell_F, 1000)[1]
+        trace = gda_eg_run(problem, 0.005, 1.0 / problem.ell_F, 1000, _equilibrium(problem))[1]
         assert trace.rel_err[-1] < 1e-4
 
     def test_iterates_stay_feasible(self, problem):
         d = problem.dim // 2
-        for trace in gda_eg_run(problem, 0.005, 0.1, 100):
+        for trace in gda_eg_run(problem, 0.005, 0.1, 100, _equilibrium(problem)):
             for x in trace.xs[1:]:
                 assert float(np.min(x)) >= -1e-12
                 assert float(np.sum(x[:d])) == pytest.approx(1.0)
                 assert float(np.sum(x[d:])) == pytest.approx(1.0)
 
     def test_trace_shapes(self, problem):
-        for trace in gda_eg_run(problem, 0.005, 0.1, 25):
+        for trace in gda_eg_run(problem, 0.005, 0.1, 25, _equilibrium(problem)):
             assert trace.xs.shape == (26, problem.dim)
             assert trace.rel_err.shape == (25,)
             assert trace.horizon == 25
 
     def test_custom_reference_point(self, problem):
         x_star = np.array(problem.x0)
-        for trace in gda_eg_run(problem, 0.005, 0.1, 5, x_star=x_star):
+        for trace in gda_eg_run(problem, 0.005, 0.1, 5, x_star):
             assert trace.rel_err[0] >= 0.0
 
     @pytest.mark.parametrize("d, beta, seed", [
@@ -195,7 +199,7 @@ class TestRuns:
         # each trace of the lockstep gda_eg_run equals its method's per-block loop alone
         problem = hbg_instantiate(d, beta, seed=seed)
         etas = (GDA_ETA, 1.0 / problem.ell_F)
-        lockstep = gda_eg_run(problem, *etas, 1000)
+        lockstep = gda_eg_run(problem, *etas, 1000, _equilibrium(problem))
         for eta, extragradient, trace in zip(etas, (False, True), lockstep):
             xs, rel = _per_block_run(problem, eta, 1000, extragradient)
             assert np.array_equal(trace.xs, xs)
@@ -223,7 +227,7 @@ class TestRuns:
             assert np.array_equal(trace.rel_err, rel)
 
     def test_lockstep_wall_times(self, problem):
-        gda, eg = gda_eg_run(problem, GDA_ETA, 1.0 / problem.ell_F, 300)
+        gda, eg = gda_eg_run(problem, GDA_ETA, 1.0 / problem.ell_F, 300, _equilibrium(problem))
         for trace in (gda, eg):
             assert trace.wall_s.shape == (300,)
             assert (trace.wall_s >= 0.0).all()
@@ -231,22 +235,23 @@ class TestRuns:
         assert (eg.wall_s >= gda.wall_s).all()
 
     def test_lockstep_traces_are_views_of_one_buffer(self, problem):
-        gda, eg = gda_eg_run(problem, GDA_ETA, 1.0 / problem.ell_F, 50)
+        gda, eg = gda_eg_run(problem, GDA_ETA, 1.0 / problem.ell_F, 50, _equilibrium(problem))
         buffer = gda.xs.base
         assert buffer is not None and eg.xs.base is buffer
         assert buffer.shape == (51, 2, problem.dim)
         assert np.shares_memory(gda.xs, buffer) and np.shares_memory(eg.xs, buffer)
 
     def test_shorter_horizons_are_prefixes(self, problem):
-        etas = (GDA_ETA, 1.0 / problem.ell_F)
-        for short, long in zip(gda_eg_run(problem, *etas, 300), gda_eg_run(problem, *etas, 1000)):
+        args = (GDA_ETA, 1.0 / problem.ell_F)
+        runs = (gda_eg_run(problem, *args, T, _equilibrium(problem)) for T in (300, 1000))
+        for short, long in zip(*runs):
             assert np.array_equal(short.xs, long.xs[:301])
             assert np.array_equal(short.rel_err, long.rel_err[:300])
 
     def test_experiment_runs_the_baselines_once(self, tmp_path, monkeypatch):
         calls = []
 
-        def spy(problem, eta_gda, eta_eg, T, x_star=None):
+        def spy(problem, eta_gda, eta_eg, T, x_star):
             calls.append(T)
             return gda_eg_run(problem, eta_gda, eta_eg, T, x_star)
 
@@ -258,8 +263,9 @@ class TestRuns:
         columns = run_experiment(config)["columns"]
         assert calls == [40]
         problem = hbg_instantiate(6, 0.6, seed=2)
+        x_star = _equilibrium(problem)
         for horizon in (17, 40, 5):
-            alone = gda_eg_run(problem, GDA_ETA, 1.0 / problem.ell_F, horizon)
+            alone = gda_eg_run(problem, GDA_ETA, 1.0 / problem.ell_F, horizon, x_star)
             for label, trace in zip(("gda", "eg"), alone):
                 cell = columns[str(tmp_path / f"hbg_{label}_T{horizon}.csv")]
                 assert np.array_equal(cell["rel_err"], trace.rel_err)
@@ -288,4 +294,4 @@ class TestRuns:
             simplex_blocks=None,
         )
         with pytest.raises(UnsupportedConstraintSet):
-            gda_eg_run(fake, 0.01, 0.01, 5)
+            gda_eg_run(fake, 0.01, 0.01, 5, fake.x0)

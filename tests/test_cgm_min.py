@@ -100,7 +100,7 @@ class TestStep:
         constraints = small_problem.constraints
         values = constraints.values(x)
         polytope = build_polytope(constraints, x, small_problem.mu, values, violated_set(values))
-        a, b = polytope.a, polytope.b
+        a, b = polytope.matrix()
         assert float(np.max(a @ v - b)) <= 1e-8
 
 

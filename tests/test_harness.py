@@ -262,7 +262,7 @@ class TestRunExperiment:
                 for x in trace.xs[1:]
             ],
         })
-        baselines = cgm.gda_eg_run(problem, GDA_ETA, 1.0 / problem.ell_F, horizon)
+        baselines = cgm.gda_eg_run(problem, GDA_ETA, 1.0 / problem.ell_F, horizon, x_star)
         for path, baseline in zip((gda_path, eg_path), baselines):
             expect_rows(path, {"iter": range(1, horizon + 1), "rel_err": baseline.rel_err})
 
@@ -450,6 +450,22 @@ class TestCli:
         argv = ["--problem", "rap", "--d", "10", "--iters", iters, "--out", str(tmp_path)]
         assert cli_main(argv) == 2
         assert capsys.readouterr().err == f"error: iters: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_reference_exits_3_with_its_cause(self, tmp_path):
+        # at d=2 seed 0 the optimum is degenerate and no polish certifies it
+        package_root = str(Path(cgm.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+        argv = ["--problem", "rap", "--d", "2", "--seed", "0", "--iters", "10",
+                "--out", str(tmp_path)]
+        out = subprocess.run(
+            [sys.executable, "-m", "cgm.cli", *argv],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+        )
+        assert out.returncode == 3
+        cause = r"no active-set polish certified [^\n]*"
+        assert re.fullmatch(f"error: reference: {cause}\n", out.stderr)
+        assert out.stdout == ""
         assert list(tmp_path.iterdir()) == []
 
     def test_console_script_installed(self):

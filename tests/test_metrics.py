@@ -11,7 +11,6 @@ from cgm.metrics import (
     ReferenceMissing,
     _check,
     certify_min,
-    empirical_grad_bound,
     hbg_gap_closed_form,
     row_norms,
 )
@@ -103,7 +102,7 @@ class TestMeasures:
     def test_empirical_grad_bound(self):
         problem = hbg_instantiate(5, 0.5, seed=0)
         xs = np.stack([problem.x0, problem.x0 * 0.5])
-        bound = empirical_grad_bound(problem.constraints, xs)
+        bound = problem.constraints.grad_norm_bound(xs)
         # block-sum rows have gradient norm sqrt(d); coordinate rows norm 1
         assert bound == pytest.approx(np.sqrt(5.0))
 
@@ -122,7 +121,7 @@ class TestMeasures:
                 for i in range(len(constraints)):
                     grad = constraints.gradients(x, [i])[0]
                     expected = max(expected, float(np.linalg.norm(grad)))
-            assert empirical_grad_bound(constraints, points) == expected
+            assert constraints.grad_norm_bound(points) == expected
 
 
 class TestCertify:

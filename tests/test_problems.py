@@ -18,6 +18,7 @@ from cgm.problems import (
     violated_set,
 )
 from cgm.qp import Infeasible, VelocityPolytope
+from exact_oracle import from_rows
 
 
 def feasible_rap_point(problem, rng):
@@ -345,7 +346,7 @@ class TestVelocityPolytope:
         values = problem.constraints.values(x)
         violated = violated_set(values)
         polytope = build_polytope(problem.constraints, x, 1.0, values, violated)
-        assert polytope.b.size == violated.size
+        assert polytope.matrix()[1].size == violated.size
 
     def test_nonpositive_alpha_rejected(self):
         problem = rap_generate(5, seed=1)
@@ -479,7 +480,7 @@ class TestMembershipLaws:
         for x, y, alpha in _membership_samples(problem, feasible, 150, seed=3):
             values = problem.constraints.values(x)
             polytope = build_polytope(problem.constraints, x, alpha, values, violated_set(values))
-            a, b = polytope.a, polytope.b
+            a, b = polytope.matrix()
             if a.shape[0] == 0:
                 continue
             direction = alpha * (y - x)
@@ -497,7 +498,7 @@ class TestMembershipLaws:
         for x, y, alpha in _membership_samples(problem, feasible, 150, seed=5):
             values = problem.constraints.values(x)
             polytope = build_polytope(problem.constraints, x, alpha, values, violated_set(values))
-            a, b = polytope.a, polytope.b
+            a, b = polytope.matrix()
             if a.shape[0] == 0:
                 continue
             v = alpha * (feasible(rng) - x)  # a known member
@@ -526,10 +527,10 @@ def test_dense_view_is_the_violated_rows(family):
         values = constraints.values(x)
         idx = violated_set(values)
         polytope = build_polytope(constraints, x, alpha, values, idx)
-        assert _same_bits(polytope.a, constraints.gradients(x, idx))
-        assert _same_bits(polytope.b, -alpha * values[idx])
-        assert polytope.matrix()[0] is polytope.a
-        again = VelocityPolytope.from_rows(polytope.a, polytope.b, polytope.bound_idx)
+        a, b = polytope.matrix()
+        assert _same_bits(a, constraints.gradients(x, idx))
+        assert _same_bits(b, -alpha * values[idx])
+        again = from_rows(a, b, polytope.bound_idx)
         for part in ("g", "h", "bound_idx", "floor", "kept"):
             assert _same_bits(getattr(again, part), getattr(polytope, part)), part
         bounded += polytope.bound_idx.size > 0 and polytope.h.size > 0

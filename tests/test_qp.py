@@ -25,14 +25,14 @@ from cgm.qp import (
     kkt_residual_qp,
     project_velocity,
 )
-from exact_oracle import exact_projection
+from exact_oracle import exact_projection, from_rows
 
 
 def random_instance(rng, n, m):
     a = rng.standard_normal((m, n))
     b = rng.standard_normal(m)
     c = rng.standard_normal(n)
-    return c, VelocityPolytope.from_rows(a, b)
+    return c, from_rows(a, b)
 
 
 def degenerate_instance(rng, n, m):
@@ -43,11 +43,11 @@ def degenerate_instance(rng, n, m):
     a = np.vstack([a, a[i], a[j] + 1e-6 * rng.standard_normal(n)])
     b = np.append(b, [b[i], b[j] + 1e-6 * rng.standard_normal()])
     c = rng.standard_normal(n)
-    return c, VelocityPolytope.from_rows(a, b)
+    return c, from_rows(a, b)
 
 
 def test_no_rows_returns_negated_target():
-    polytope = VelocityPolytope.from_rows(np.zeros((0, 3)), np.zeros(0))
+    polytope = from_rows(np.zeros((0, 3)), np.zeros(0))
     c = np.array([1.0, -2.0, 0.5])
     result = project_velocity(c, polytope)
     np.testing.assert_allclose(result.v, -c)
@@ -55,7 +55,7 @@ def test_no_rows_returns_negated_target():
 
 
 def test_inactive_rows_fast_path():
-    polytope = VelocityPolytope.from_rows(np.array([[1.0, 0.0]]), np.array([100.0]))
+    polytope = from_rows(np.array([[1.0, 0.0]]), np.array([100.0]))
     result = project_velocity(np.array([-1.0, 2.0]), polytope)
     np.testing.assert_allclose(result.v, [1.0, -2.0])
     assert result.n_active == 0
@@ -65,7 +65,7 @@ def test_inactive_rows_fast_path():
 
 def test_single_active_row_projection():
     # -c = (1, 0) violates v_0 <= 0; the projection lands on the boundary
-    polytope = VelocityPolytope.from_rows(np.array([[1.0, 0.0]]), np.array([0.0]))
+    polytope = from_rows(np.array([[1.0, 0.0]]), np.array([0.0]))
     result = project_velocity(np.array([-1.0, 0.0]), polytope)
     np.testing.assert_allclose(result.v, [0.0, 0.0], atol=1e-12)
     np.testing.assert_allclose(result.dual, [1.0], atol=1e-12)
@@ -77,7 +77,7 @@ def test_bound_rows_must_be_negative_unit_rows():
     # rows -e_1 and a general row; bound_idx names the coordinate of each bound row
     a = np.array([[0.0, -1.0], [1.0, 1.0]])
     b = np.array([0.5, 1.0])
-    assert VelocityPolytope.from_rows(a, b, bound_idx=[1]).bound_idx.tolist() == [1]
+    assert from_rows(a, b, bound_idx=[1]).bound_idx.tolist() == [1]
     for bad_a, bound_idx in (
         (a, [0]),  # -e_1 is not -e_0
         (np.array([[0.0, 1.0], [1.0, 1.0]]), [1]),  # +e_1
@@ -88,11 +88,11 @@ def test_bound_rows_must_be_negative_unit_rows():
         (np.array([[0.0, -1.0], [0.0, -1.0]]), [1, 1]),  # one coordinate bounded twice
     ):
         with pytest.raises(ValueError):
-            VelocityPolytope.from_rows(bad_a, b, bound_idx=bound_idx)
+            from_rows(bad_a, b, bound_idx=bound_idx)
     with pytest.raises(ValueError):
-        VelocityPolytope.from_rows(a, b, bound_idx=[1, 0, 1])  # more bound rows than rows
+        from_rows(a, b, bound_idx=[1, 0, 1])  # more bound rows than rows
     with pytest.raises(ValueError):
-        VelocityPolytope.from_rows(a, np.array([np.inf, 1.0]), bound_idx=[1])  # floor
+        from_rows(a, np.array([np.inf, 1.0]), bound_idx=[1])  # floor
 
 
 def bounded_instance(rng, n, k):
@@ -101,7 +101,7 @@ def bounded_instance(rng, n, k):
     a = np.vstack([-np.eye(n)[bound_idx], rng.standard_normal((k, n))])
     b = np.concatenate([rng.standard_normal(bound_idx.size), rng.standard_normal(k)])
     c = 2.0 * rng.standard_normal(n)
-    return c, VelocityPolytope.from_rows(a, b, bound_idx=bound_idx)
+    return c, from_rows(a, b, bound_idx=bound_idx)
 
 
 @settings(max_examples=150, deadline=None)
@@ -127,7 +127,7 @@ def test_bound_rows_match_oracle(seed):
 
 
 def test_infeasible_pair_raises():
-    polytope = VelocityPolytope.from_rows(np.array([[1.0], [-1.0]]), np.array([-1.0, -1.0]))
+    polytope = from_rows(np.array([[1.0], [-1.0]]), np.array([-1.0, -1.0]))
     with pytest.raises(Infeasible):
         project_velocity(np.array([0.0]), polytope)
 
@@ -139,26 +139,26 @@ def test_empty_polytope_beyond_oracle_size_raises():
     e0 = np.eye(n)[0]
     a = np.vstack([rng.standard_normal((18, n)), e0, -e0])
     b = np.append(np.full(18, 5.0), [-1.0, -1.0])
-    polytope = VelocityPolytope.from_rows(a, b)
+    polytope = from_rows(a, b)
     with pytest.raises(Infeasible):
         project_velocity(rng.standard_normal(n), polytope)
 
 
 def test_zero_normal_negative_rhs_rejected():
     with pytest.raises(Infeasible):
-        VelocityPolytope.from_rows(np.zeros((1, 2)), np.array([-0.5]))
+        from_rows(np.zeros((1, 2)), np.array([-0.5]))
     # checked across the whole array: one bad row among good ones
     with pytest.raises(Infeasible):
-        VelocityPolytope.from_rows(np.array([[1.0, 0.0], [0.0, 0.0]]), np.array([-1.0, -0.5]))
+        from_rows(np.array([[1.0, 0.0], [0.0, 0.0]]), np.array([-1.0, -0.5]))
 
 
 def test_zero_normal_nonnegative_rhs_is_vacuous():
-    polytope = VelocityPolytope.from_rows(np.zeros((1, 2)), np.array([1.0]))
+    polytope = from_rows(np.zeros((1, 2)), np.array([1.0]))
     result = project_velocity(np.array([3.0, 4.0]), polytope)
     np.testing.assert_allclose(result.v, [-3.0, -4.0])
     # a normal below DEGENERATE_NORMAL does not count in the direct test, even
     # when -c violates it by roundoff, next to a kept row
-    polytope = VelocityPolytope.from_rows(
+    polytope = from_rows(
         np.array([[1e-15, 0.0], [0.0, 1.0]]), np.array([0.0, 1.0])
     )
     assert list(polytope.kept) == [False, True] and not polytope.all_kept
@@ -169,11 +169,11 @@ def test_zero_normal_nonnegative_rhs_is_vacuous():
 
 def test_row_dimension_mismatch_rejected():
     with pytest.raises(ValueError):
-        VelocityPolytope.from_rows(np.ones((1, 3)), np.zeros(2))
+        from_rows(np.ones((1, 3)), np.zeros(2))
     with pytest.raises(ValueError):
-        VelocityPolytope.from_rows(np.ones(3), np.zeros(1))
+        from_rows(np.ones(3), np.zeros(1))
     with pytest.raises(ValueError):
-        VelocityPolytope.from_rows(np.array([[1.0, np.inf]]), np.zeros(1))
+        from_rows(np.array([[1.0, np.inf]]), np.zeros(1))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -200,8 +200,8 @@ def test_norms_are_bitwise_np_linalg_norm(monkeypatch):
     monkeypatch.setattr(
         cgm.qp, "_active_set", lambda c, p, gate: gates.append(gate) or real(c, p, gate))
     for n in (1, 2, 50, 257):
-        no_rows = VelocityPolytope.from_rows(np.zeros((0, n)), np.zeros(0))
-        row = VelocityPolytope.from_rows(-np.ones((1, n)), np.full(1, -1.0))  # sum(v) >= 1
+        no_rows = from_rows(np.zeros((0, n)), np.zeros(0))
+        row = from_rows(-np.ones((1, n)), np.full(1, -1.0))  # sum(v) >= 1
         for _ in range(100):
             c = rng.standard_normal(n) * 10.0 ** rng.integers(-100, 101, size=n)
             v = rng.standard_normal(n) * 10.0 ** rng.integers(-100, 101, size=n)
@@ -213,7 +213,7 @@ def test_norms_are_bitwise_np_linalg_norm(monkeypatch):
 
 
 def test_nonfinite_target_rejected():
-    polytope = VelocityPolytope.from_rows(np.zeros((0, 2)), np.zeros(0))
+    polytope = from_rows(np.zeros((0, 2)), np.zeros(0))
     with pytest.raises(ValueError):
         project_velocity(np.array([np.nan, 0.0]), polytope)
 
@@ -242,6 +242,7 @@ def test_oracle_equivalence_batch():
 @example(761)  # nearly parallel rows: a Gram-system vertex sits 4.4e-8 off the exact one
 @example(662110862)  # a Gram-system vertex misses a row by more than 1e-9
 @example(331237)  # likewise, with multipliers up to 5.2e6
+@example(9457573)  # the Gram vertex sits inside its active rows by 2.6e-11, 3.4e-8 off exact
 def test_oracle_equivalence_property(seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 5))
@@ -266,7 +267,7 @@ def test_projection_is_feasible_and_certified(seed):
         result = project_velocity(c, polytope)
     except Infeasible:
         return
-    a, b = polytope.a, polytope.b
+    a, b = polytope.matrix()
     assert np.max(a @ result.v - b) <= 1e-8
     assert kkt_residual_qp(result, c, polytope) <= 1e-6
 
@@ -279,7 +280,8 @@ def test_ill_conditioned_vertices_are_solved_on_the_rows():
         c, polytope = random_instance(np.random.default_rng(seed), 3, 5)
         result = project_velocity(c, polytope)
         assert result.path == "gi"  # the active set hands the vertex to the fallback
-        assert np.max(polytope.a @ result.v - polytope.b) <= 1e-11, seed
+        a, b = polytope.matrix()
+        assert np.max(a @ result.v - b) <= 1e-11, seed
         assert kkt_residual_qp(result, c, polytope) <= 1e-6, seed
     draws = [(seed, "dense") for seed in (761, 1295048895, 662110862, 939195338)]
     draws += [(seed, "bounded") for seed in (2148883587, 2447850742, 1411521251)]
@@ -294,11 +296,12 @@ def test_ill_conditioned_vertices_are_solved_on_the_rows():
         result = project_velocity(c, polytope)
         oracle = exact_projection(c, polytope)
         assert np.max(np.abs(result.v - oracle)) <= 1e-8, seed
-        assert np.max(polytope.a @ oracle - polytope.b) <= 1e-11, seed
+        a, b = polytope.matrix()
+        assert np.max(a @ oracle - b) <= 1e-11, seed
 
 
 def test_kkt_residual_flags_wrong_dual():
-    polytope = VelocityPolytope.from_rows(np.array([[1.0, 0.0]]), np.array([0.0]))
+    polytope = from_rows(np.array([[1.0, 0.0]]), np.array([0.0]))
     bogus = ProjectionResult(
         v=np.zeros(2), dual=np.array([5.0]), kkt_residual=0.0, n_active=0
     )
@@ -306,7 +309,7 @@ def test_kkt_residual_flags_wrong_dual():
 
 
 def test_kkt_residual_rejects_wrong_dual_length():
-    polytope = VelocityPolytope.from_rows(np.zeros((0, 2)), np.zeros(0))
+    polytope = from_rows(np.zeros((0, 2)), np.zeros(0))
     bad = ProjectionResult(v=np.zeros(2), dual=np.ones(3), kkt_residual=0.0, n_active=0)
     with pytest.raises(ValueError):
         kkt_residual_qp(bad, np.zeros(2), polytope)
@@ -321,7 +324,7 @@ def test_duals_are_nonnegative_and_complementary():
         except Infeasible:
             continue
         assert np.min(result.dual) >= 0.0
-        a, b = polytope.a, polytope.b
+        a, b = polytope.matrix()
         slack = a @ result.v - b
         assert np.max(np.abs(result.dual * slack)) <= 1e-6
 
@@ -337,7 +340,7 @@ def test_large_rap_polytopes_pass_kkt_gate():
         polytope = build_polytope(
             problem.constraints, x, trace.alpha, values, violated_set(values)
         )
-        if polytope.b.size <= 16:
+        if polytope.matrix()[1].size <= 16:
             continue
         large += 1
         c = problem.grad_f(x)
@@ -352,7 +355,7 @@ def test_fallbacks_are_logged(monkeypatch, caplog):
     # with the active set stubbed out, the dual fallback logs one warning and
     # still returns the projection v = 0 (row 0 active, row 1 slack)
     monkeypatch.setattr(cgm.qp, "_active_set", lambda c, polytope, gate: None)
-    polytope = VelocityPolytope.from_rows(np.eye(2), np.array([0.0, 5.0]))
+    polytope = from_rows(np.eye(2), np.array([0.0, 5.0]))
     c = np.array([-1.0, 0.0])
     with caplog.at_level("WARNING", logger="cgm.qp"):
         result = project_velocity(c, polytope)
@@ -384,14 +387,14 @@ def test_fallback_answer_must_pass_the_gate(monkeypatch):
 
     monkeypatch.setattr(cgm.qp, "_active_set", lambda c, polytope, gate: None)
     monkeypatch.setattr(cgm.qp, "_goldfarb_idnani", perturbed)
-    polytope = VelocityPolytope.from_rows(np.eye(2), np.array([0.0, 5.0]))
+    polytope = from_rows(np.eye(2), np.array([0.0, 5.0]))
     with pytest.raises(MaxIterations):
         project_velocity(np.array([-1.0, 0.0]), polytope)
 
 
 def test_fallback_is_logged_with_row_counts(caplog):
     # a duplicated row makes the active-set system singular
-    polytope = VelocityPolytope.from_rows(
+    polytope = from_rows(
         np.array([[-1.0, 0.0], [0.0, 1.0], [0.0, 1.0]]), np.array([-1.0, 0.0, 0.0]),
         bound_idx=[0],
     )
@@ -421,8 +424,8 @@ def test_fallback_settles_on_duplicate_rows_with_large_multipliers():
         c, polytope = degenerate_instance(rng, n, m)
     result = project_velocity(c, polytope)
     assert result.path == "gi"
-    assert result.iterations <= polytope.b.size
-    a, b = polytope.a, polytope.b
+    assert result.iterations <= polytope.matrix()[1].size
+    a, b = polytope.matrix()
     assert np.max(a @ result.v - b) <= 1e-8
 
 
@@ -533,7 +536,7 @@ def dense_kkt_residual(result, target, polytope):
     """kkt_residual_qp's formula on the dense rows a v <= b."""
     c = np.asarray(target, dtype=float)
     v, lam = result.v, result.dual
-    a, b = polytope.a, polytope.b
+    a, b = polytope.matrix()
     if a.shape[0] == 0:
         return float(np.linalg.norm(v + c))
     slack = a @ v - b
@@ -687,7 +690,7 @@ def test_polytopes_round_tripped_through_dense_rows_keep_trajectories(monkeypatc
 
     def round_tripped(*args):
         polytope = real(*args)
-        return VelocityPolytope.from_rows(polytope.a, polytope.b, polytope.bound_idx)
+        return from_rows(*polytope.matrix(), polytope.bound_idx)
 
     monkeypatch.setattr(cgm.cgm_min, "build_polytope", round_tripped)
     for name, run in runs.items():
