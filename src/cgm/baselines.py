@@ -5,6 +5,7 @@ every iterate exactly feasible via sort-and-threshold simplex projection,
 which projects all blocks of a point with one sort.
 """
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -44,7 +45,8 @@ class SimplexProjector:
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
-        if not np.isfinite(x).all():
+        flat = x.ravel()
+        if not (math.isfinite(flat.dot(flat)) or np.isfinite(x).all()):  # x read only on overflow
             raise ValueError("x must be finite")
         if self._mask is None:
             rows = x.reshape(self._last.size, -1)

@@ -113,7 +113,7 @@ def cgm_iterate(step, constraints, x0, etas):
         except Exception as exc:
             raise RuntimeError(f"iteration {t} failed: {exc}") from exc
         wall[t] = time.perf_counter() - tic
-        if not np.isfinite(x).all():
+        if not (math.isfinite(x.dot(x)) or np.isfinite(x).all()):  # x read only on overflow
             raise RuntimeError(f"iteration {t}: non-finite iterate")
         xs[t + 1] = x
         vs[t] = v

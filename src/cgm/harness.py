@@ -18,7 +18,7 @@ from .cgm_min import MinSolverConfig, ScheduleInvalid, cgm_min_run, validate_sch
 from .cgm_vi import VISolverConfig, cgm_vi_run
 from .metrics import certify_min, certify_vi, hbg_gap_closed_form, row_norms
 from .problems import hbg_instantiate, rap_generate, rap_unconstrained_min
-from .reference import solve_rap_reference
+from .reference import BarrierFailure, solve_rap_reference
 
 GDA_ETA = 0.005
 
@@ -243,7 +243,7 @@ def run_experiment(config):
             raise ValidationError(f"iters: {exc}") from exc
         x_star, f_star, cert = solve_rap_reference(problem.data)
         if not cert.ok:
-            raise RuntimeError("reference solve failed its KKT certificate")
+            raise BarrierFailure(f"KKT certificate failed with residual {cert.residual:.1e}")
         reference = (x_star, f_star)
         _, f_floor = rap_unconstrained_min(problem.data)
     else:

@@ -186,8 +186,8 @@ class ConstraintSet:
         """All row values g_i(x) as an (m,) array."""
         out = np.empty(len(self))
         k, p = self.n_bounds, self.c.size
-        out[:k] = -x[:k]
-        out[k : k + p] = np.matmul(self._affine, x[:, None])[:, 0, 0] + self.c
+        np.negative(x[:k], out=out[:k])
+        np.add(np.matmul(self._affine, x[:, None])[:, 0, 0], self.c, out=out[k : k + p])
         for j, g in enumerate(self.smooth, start=k + p):
             out[j] = g.value(x)
         return out

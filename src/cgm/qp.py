@@ -23,6 +23,7 @@ DEGENERATE_NORMAL = 1e-14
 KKT_TOL = 1e-10  # scale of the KKT gate every projection must pass
 ACTIVE_SET_ITERATIONS = 10  # cap of the bound-aware active-set solve
 ROUNDOFF = 1e-13  # slack, on a row's scale, that an accurate solve stays within
+FEW_ROWS = 32  # rows up to which a KKT residual is reduced on Python floats
 
 
 class QpError(Exception):
@@ -78,7 +79,7 @@ class VelocityPolytope:
         built again; h is checked as the constructor checks it: finite, and
         >= 0 on every zero normal.
         """
-        if h.shape != self.h.shape or not np.isfinite(h).all():
+        if h.shape != self.h.shape or not all(map(math.isfinite, h.tolist())):
             raise ValueError("need a finite h of shape (p,)")
         polytope = object.__new__(VelocityPolytope)
         polytope.__dict__.update(g=self.g, h=h, bound_idx=bound_idx, floor=floor,
@@ -116,7 +117,10 @@ class ProjectionResult:
 def _certified(c, polytope, v, dual, path, iterations=0, g_dual=None, slack=None):
     """The result for (v, dual) with its KKT residual, as kkt_residual_qp defines it.
 
-    The general rows' products g_dual = g' dual[s:] and slack = g v - h are computed unless given.
+    The general rows' products g_dual = g' dual[s:] and slack = g v - h are computed
+    unless given. Up to FEW_ROWS rows, the reductions run on Python floats, since
+    numpy's dispatch costs more than the arithmetic there; more rows (bound rows
+    can number up to n) are reduced in numpy.
     """
     bounds, s = polytope.bound_idx, polytope.bound_idx.size
     if g_dual is None:
@@ -126,13 +130,20 @@ def _certified(c, polytope, v, dual, path, iterations=0, g_dual=None, slack=None
         gradient[bounds] -= dual[:s]
         slack = np.concatenate((polytope.floor - v[bounds], slack))
     stationarity = math.sqrt(gradient.dot(gradient))  # np.linalg.norm's own arithmetic
-    primal = float(slack.max(initial=0.0))
     # scale by multiplier size: near-parallel rows make dual huge while the
     # product dual*slack stays a faithful zero up to roundoff in slack alone
-    comp = float((np.abs(dual * slack) / (1.0 + dual)).max(initial=0.0))
+    if dual.size > FEW_ROWS:
+        primal = float(slack.max(initial=0.0))
+        comp = float((np.abs(dual * slack) / (1.0 + dual)).max(initial=0.0))
+        n_active = int(np.count_nonzero(dual > 0))
+    else:
+        duals, slack = dual.tolist(), slack.tolist()
+        primal = max(slack, default=0.0)  # stationarity >= 0 floors the residual
+        comp = max([abs(y * z) / (1.0 + y) for y, z in zip(duals, slack)], default=0.0)
+        n_active = sum(y > 0 for y in duals)
     return ProjectionResult(
         v=v, dual=dual, kkt_residual=max(stationarity, primal, comp),
-        n_active=int(np.count_nonzero(dual > 0)), path=path, iterations=iterations,
+        n_active=n_active, path=path, iterations=iterations,
     )
 
 
@@ -209,17 +220,19 @@ def _active_set(c, polytope, gate):
         else:
             mu = np.zeros(h.size)
             mu[active] = _solve(gram, rhs)
-        if not np.isfinite(mu).all():
+        mus = mu.tolist()
+        if not all(map(math.isfinite, mus)):
             return None
         g_mu = g.T @ mu
         w = u - g_mu
         v = np.maximum(w, floor) if s else w
         slack = g @ v - h
-        worst = slack.max(initial=-np.inf)
-        if mu.min(initial=0.0) >= 0 and worst <= gate:
+        slacks = slack.tolist()
+        if min(mus, default=0.0) >= 0 and all(z <= gate for z in slacks):  # NaN fails
             dual = np.concatenate(((v - w)[bounds], mu)) if s else mu
             result = _certified(c, polytope, v, dual, "dual", iteration, g_mu, slack)
             if result.kkt_residual <= gate:
+                worst = max(slacks, default=-math.inf)
                 if worst > ROUNDOFF and (slack > ROUNDOFF * _row_scale(c, g, h)).any():
                     return None  # the Gram solve lost a row's slack: re-solve on the rows
                 return result
@@ -301,7 +314,8 @@ def project_velocity(target, polytope):
     fallback does not settle or its result fails the KKT gate.
     """
     c = np.asarray(target, dtype=float)
-    if not np.isfinite(c).all():
+    squares = c.dot(c)  # finite when c is; c is read only when it overflows
+    if not (math.isfinite(squares) or np.isfinite(c).all()):
         raise ValueError("target must be finite")
 
     bounds, keep, u = polytope.bound_idx, polytope.kept, -c
@@ -309,7 +323,7 @@ def project_velocity(target, polytope):
     if (not bounds.size or (c[bounds] <= -polytope.floor).all()) and (g @ u <= h).all():
         return _certified(c, polytope, u, np.zeros(bounds.size + polytope.h.size), "direct")
 
-    gate = max(KKT_TOL, 1e3 * KKT_TOL * (1.0 + math.sqrt(c.dot(c))))
+    gate = max(KKT_TOL, 1e3 * KKT_TOL * (1.0 + math.sqrt(squares)))
     result = _active_set(c, polytope, gate)
     if result is not None:
         return result
@@ -318,7 +332,7 @@ def project_velocity(target, polytope):
         bounds.size, polytope.h.size,
     )
     result = _goldfarb_idnani(c, polytope)
-    if result.kkt_residual > gate:
+    if not result.kkt_residual <= gate:  # NaN fails
         raise MaxIterations(f"KKT residual {result.kkt_residual:.3e} above tolerance")
     return result
 

@@ -154,8 +154,20 @@ class TestSimplexProjector:
 
     def test_nonfinite_rejected(self):
         for block_sizes in ((2, 2), (1, 3)):
-            with pytest.raises(ValueError):
-                SimplexProjector(block_sizes=block_sizes)(np.array([0.1, np.nan, 0.2, 0.3]))
+            for bad in (np.nan, np.inf, -np.inf):
+                with pytest.raises(ValueError, match="finite"):
+                    SimplexProjector(block_sizes=block_sizes)(np.array([0.1, bad, 0.2, 0.3]))
+                with pytest.raises(ValueError, match="finite"):
+                    SimplexProjector(block_sizes=block_sizes)(np.array([1e200, bad, 0.2, 0.3]))
+
+    def test_point_whose_squares_overflow_is_projected(self):
+        # x . x overflows at 1e200, but every entry is finite
+        x = np.array([[-1e200, 0.0, 0.3, 0.2], [0.5, -1e200, -1e200, 0.1]])
+        out = SimplexProjector(block_sizes=(2, 2, 2, 2))(x)
+        np.testing.assert_array_equal(out[:, :2], [[0.0, 1.0], [1.0, 0.0]])
+        np.testing.assert_array_equal(out[1, 2:], [0.0, 1.0])
+        for row in (0, 1):
+            assert np.array_equal(out[row], _per_block_projection(x[row], (2, 2)))
 
 
 @pytest.fixture(scope="module")

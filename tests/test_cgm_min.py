@@ -10,6 +10,7 @@ from cgm.cgm_min import (
     VARYING,
     MinSolverConfig,
     ScheduleInvalid,
+    cgm_iterate,
     cgm_min_run,
     cgm_step,
     step_constant,
@@ -253,6 +254,24 @@ class TestRun:
         )
         with pytest.raises(RuntimeError, match="iteration 4: non-finite iterate"):
             cgm_min_run(problem, MinSolverConfig(horizon=5, schedule=VARYING))
+
+    @pytest.mark.parametrize("entry", [1e200, np.inf, np.nan])
+    def test_iterate_check_scans_entries_when_the_dot_overflows(self, entry):
+        # x . x overflows at 1e200 as it does at inf; only a non-finite entry aborts
+        diag = {"max_violation": 0.0, "violated": 0, "n_active": 0, "kkt_residual": 0.0,
+                "qp_path": ""}
+
+        def step(x, eta):
+            return np.array([entry, 0.5]), np.zeros(2), diag
+
+        constraints = ConstraintSet(n_bounds=0, W=[[0.0, 1.0]], c=[-1.0])
+        x0, etas = np.array([0.5, 0.5]), np.ones(3)
+        if math.isfinite(entry):
+            xs = cgm_iterate(step, constraints, x0, etas)["xs"]
+            np.testing.assert_array_equal(xs[1:], [[entry, 0.5]] * 3)
+        else:
+            with pytest.raises(RuntimeError, match="iteration 0: non-finite iterate"):
+                cgm_iterate(step, constraints, x0, etas)
 
     def test_determinism(self, small_problem):
         t1 = cgm_min_run(small_problem, MinSolverConfig(horizon=40))

@@ -22,6 +22,7 @@ from cgm.harness import (
     run_experiment,
 )
 from cgm.metrics import hbg_gap_closed_form
+from cgm.reference import KktCertificate
 from cgm import plots
 from cgm.plots import FLOOR, EmptySeries, emit_plots, render_line_chart
 
@@ -466,6 +467,17 @@ class TestCli:
         cause = r"no active-set polish certified [^\n]*"
         assert re.fullmatch(f"error: reference: {cause}\n", out.stderr)
         assert out.stdout == ""
+        assert list(tmp_path.iterdir()) == []
+
+    def test_uncertified_reference_exits_3_with_its_residual(self, tmp_path, capsys, monkeypatch):
+        certificate = KktCertificate(3e-7, 0.0, 0.0, 0.0)
+        monkeypatch.setattr("cgm.harness.solve_rap_reference",
+                            lambda data: (np.full(8, 0.125), 0.0, certificate))
+        argv = ["--problem", "rap", "--d", "8", "--iters", "10", "--out", str(tmp_path)]
+        assert cli_main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.err == "error: reference: KKT certificate failed with residual 3.0e-07\n"
+        assert captured.out == ""
         assert list(tmp_path.iterdir()) == []
 
     def test_console_script_installed(self):

@@ -444,8 +444,9 @@ class TestPolytopeCache:
         assert second.g is first.g and second.gram is first.gram
         assert second.h[0] < first.h[0] < 0
         assert len(constraints._polytopes) == 1
-        with pytest.raises(ValueError, match="finite"):
-            first.with_rhs(np.array([np.nan]), first.bound_idx, first.floor)
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                first.with_rhs(np.array([bad]), first.bound_idx, first.floor)
 
     def test_append_starts_with_an_empty_cache(self):
         problem = hbg_instantiate(5, 0.5, seed=0)

@@ -1,5 +1,6 @@
 """Least-distance projection: oracle equivalence, KKT checks, edge cases."""
 
+import math
 import os
 import subprocess
 import sys
@@ -214,8 +215,23 @@ def test_norms_are_bitwise_np_linalg_norm(monkeypatch):
 
 def test_nonfinite_target_rejected():
     polytope = from_rows(np.zeros((0, 2)), np.zeros(0))
-    with pytest.raises(ValueError):
-        project_velocity(np.array([np.nan, 0.0]), polytope)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            project_velocity(np.array([bad, 0.0]), polytope)
+        with pytest.raises(ValueError, match="finite"):
+            project_velocity(np.array([1e200, bad]), polytope)
+
+
+def test_target_whose_squares_overflow_is_projected():
+    # c . c overflows at 1e200, but every entry is finite
+    c = np.array([-1e200, 1e200])
+    result = project_velocity(c, from_rows(np.zeros((0, 2)), np.zeros(0)))
+    assert result.path == "direct"
+    np.testing.assert_array_equal(result.v, -c)
+    result = project_velocity(c, from_rows(np.array([[1.0, 0.0]]), np.array([0.0])))
+    assert result.path == "dual"
+    np.testing.assert_array_equal(result.v, [0.0, -1e200])
+    np.testing.assert_array_equal(result.dual, [1e200])
 
 
 def test_oracle_equivalence_batch():
@@ -375,13 +391,12 @@ def test_fallbacks_are_logged(monkeypatch, caplog):
     assert not [rec for rec in caplog.records if rec.name == "cgm.qp"]
 
 
-def test_fallback_answer_must_pass_the_gate(monkeypatch):
-    # a fallback answer off the optimum by 1e-3 fails the KKT gate and raises
+def _raises_on_a_shifted_fallback_answer(monkeypatch, shift):
     real = cgm.qp._goldfarb_idnani
 
     def perturbed(c, polytope):
         result = real(c, polytope)
-        result.v = result.v + 1e-3
+        result.v = result.v + shift
         result.kkt_residual = kkt_residual_qp(result, c, polytope)
         return result
 
@@ -390,6 +405,16 @@ def test_fallback_answer_must_pass_the_gate(monkeypatch):
     polytope = from_rows(np.eye(2), np.array([0.0, 5.0]))
     with pytest.raises(MaxIterations):
         project_velocity(np.array([-1.0, 0.0]), polytope)
+
+
+def test_fallback_answer_must_pass_the_gate(monkeypatch):
+    # a fallback answer off the optimum by 1e-3 fails the KKT gate and raises
+    _raises_on_a_shifted_fallback_answer(monkeypatch, 1e-3)
+
+
+def test_nan_fallback_answer_fails_the_gate(monkeypatch):
+    # a NaN residual compares False with the gate either way round
+    _raises_on_a_shifted_fallback_answer(monkeypatch, np.nan)
 
 
 def test_fallback_is_logged_with_row_counts(caplog):
@@ -634,11 +659,28 @@ def test_gram_solve_matches_numpy_bitwise():
         assert not np.isfinite(cgm.qp._solve(np.ones((2, 2)), np.ones(2))).any()
 
 
+def numpy_certified(result, target, polytope):
+    """(kkt_residual, n_active) by _certified's formula, reduced in numpy."""
+    c = np.asarray(target, dtype=float)
+    v, dual, bounds = result.v, result.dual, polytope.bound_idx
+    s = bounds.size
+    gradient = v + c + polytope.g.T @ dual[s:]
+    gradient[bounds] -= dual[:s]
+    slack = np.concatenate((polytope.floor - v[bounds], polytope.g @ v - polytope.h))
+    stationarity = math.sqrt(gradient.dot(gradient))
+    primal = float(slack.max(initial=0.0))
+    comp = float((np.abs(dual * slack) / (1.0 + dual)).max(initial=0.0))
+    return max(stationarity, primal, comp), int(np.count_nonzero(dual > 0))
+
+
 def _assert_kkt_matches_dense(result, c, polytope):
     dense = dense_kkt_residual(result, c, polytope)
     structural = kkt_residual_qp(result, c, polytope)
     assert abs(structural - dense) <= 1e-12 * (1.0 + abs(dense)), (structural, dense)
     assert result.kkt_residual == structural
+    # _certified's reductions, on Python floats or in numpy, give the numpy formula's bits
+    residual, n_active = numpy_certified(result, c, polytope)
+    assert (float(result.kkt_residual).hex(), result.n_active) == (residual.hex(), n_active)
 
 
 def test_structural_kkt_matches_dense_on_trajectories(monkeypatch):
@@ -655,9 +697,11 @@ def test_structural_kkt_matches_dense_on_trajectories(monkeypatch):
     monkeypatch.setattr(cgm.cgm_min, "project_velocity", checked_projection)
     for schedule in ("constant", "varying"):
         cgm_min_run(rap_generate(50, seed=0), MinSolverConfig(horizon=500, schedule=schedule))
+    # d=200 polytopes hold more than FEW_ROWS rows, whose residual is reduced in numpy
+    cgm_min_run(rap_generate(200, seed=0), MinSolverConfig(horizon=20, schedule="varying"))
     rap_qps = len(checked)
     cgm_vi_run(hbg_instantiate(50, 0.8, seed=0), VISolverConfig(horizon=1000))
-    assert rap_qps >= 500 and max(checked[:rap_qps]) > 0
+    assert rap_qps >= 500 and max(checked[:rap_qps]) > cgm.qp.FEW_ROWS
     assert len(checked) - rap_qps >= 500 and max(checked[rap_qps:]) == 0
 
 
