@@ -40,28 +40,19 @@ class MinSolverConfig:
             raise ValueError(f"unknown schedule {self.schedule!r}")
 
 
-def step_constant(T, mu):
-    """Constant step log(T)/(mu T); requires T >= kappa log T (checked upstream)."""
-    if T < 2:
-        raise ScheduleInvalid("constant schedule needs T >= 2 (log 1 = 0 step)")
-    return math.log(T) / (mu * T)
+def step_sizes(problem, horizon, schedule):
+    """The T = horizon step sizes: 1/(mu (t + kappa)) when varying, else log(T)/(mu T) each.
 
-
-def step_varying(t, mu, kappa):
-    """Diminishing step 1/(mu (t + kappa))."""
-    return 1.0 / (mu * (t + kappa))
-
-
-def validate_schedule(config, problem):
-    kappa = problem.ell_f / problem.mu
-    if config.schedule == CONSTANT:
-        T = config.horizon
-        if T < 2:
-            raise ScheduleInvalid("constant schedule needs T >= 2")
-        if T < kappa * math.log(T):
-            raise ScheduleInvalid(
-                f"T={T} violates T >= kappa*log(T) with kappa={kappa:.3g}"
-            )
+    The constant schedule raises ScheduleInvalid unless T >= 2 and T >= kappa log T.
+    """
+    mu, kappa = problem.mu, problem.ell_f / problem.mu
+    if schedule == VARYING:
+        return 1.0 / (mu * (np.arange(horizon) + kappa))
+    if horizon < 2:
+        raise ScheduleInvalid("constant schedule needs T >= 2")
+    if horizon < kappa * math.log(horizon):
+        raise ScheduleInvalid(f"T={horizon} violates T >= kappa*log(T) with kappa={kappa:.3g}")
+    return np.full(horizon, math.log(horizon) / (mu * horizon))
 
 
 def cgm_step(direction, constraints, x, alpha, eta):
@@ -74,26 +65,24 @@ def cgm_step(direction, constraints, x, alpha, eta):
     """
     values = constraints.values(x)
     violated = violated_set(values)
-    if not violated.size:
-        v = -direction
-        diag = {"violated": 0, "max_violation": max_violation_of(values),
-                "n_active": 0, "kkt_residual": 0.0, "qp_path": ""}
-    else:
+    if violated.size:
         polytope = build_polytope(constraints, x, alpha, values, violated)
         result = project_velocity(direction, polytope)
-        v = result.v
-        diag = {"violated": violated.size, "max_violation": max_violation_of(values),
-                "n_active": result.n_active, "kkt_residual": result.kkt_residual,
-                "qp_path": result.path}
+        v, n_active, residual, path = result.v, result.n_active, result.kkt_residual, result.path
+    else:
+        v, n_active, residual, path = -direction, 0, 0.0, ""
+    diag = {"violated": violated.size, "max_violation": max_violation_of(values),
+            "n_active": n_active, "kkt_residual": residual, "qp_path": path}
     return x + eta * v, v, diag
 
 
-def cgm_iterate(step, constraints, x0, etas):
-    """Run x_{t+1}, v_t, diag = step(x_t, etas[t]) from x0 for len(etas) steps.
+def cgm_iterate(direction, constraints, x0, alpha, etas):
+    """Run x_{t+1}, v_t, diag = cgm_step(direction(x_t), constraints, x_t, alpha, etas[t]).
 
-    Returns the CgmTrace fields as a dict. A failing step or a non-finite
-    iterate aborts with the iteration index; as x_{t+1} = x_t + eta v_t, one
-    check per iterate covers x0 and every v_t, and step may assume finite x.
+    Runs from x0 for len(etas) steps and returns the CgmTrace fields as a dict.
+    A failing step or a non-finite iterate aborts with the iteration index; as
+    x_{t+1} = x_t + eta v_t, one check per iterate covers x0 and every v_t, and
+    the step may assume finite x.
     """
     T = etas.size
     x = np.array(x0, dtype=float)
@@ -109,7 +98,7 @@ def cgm_iterate(step, constraints, x0, etas):
     for t in range(T):
         tic = time.perf_counter()
         try:
-            x, v, diag = step(x, etas[t])
+            x, v, diag = cgm_step(direction(x), constraints, x, alpha, etas[t])
         except Exception as exc:
             raise RuntimeError(f"iteration {t} failed: {exc}") from exc
         wall[t] = time.perf_counter() - tic
@@ -176,23 +165,14 @@ def cgm_min_run(problem, config, reference=None):
     (0, min(1/ell_f, 1/alpha)], the step sizes the analysis allows, and a start
     point that is not finite or not feasible is rejected before any step.
     """
-    validate_schedule(config, problem)
+    etas = step_sizes(problem, config.horizon, config.schedule)
     alpha = problem.mu if config.alpha is None else config.alpha
     if not 0 < alpha <= problem.mu:
         raise ValueError("need 0 < alpha <= mu")
     kappa = problem.ell_f / problem.mu
-    T = config.horizon
     if not problem.constraints.max_violation(np.asarray(problem.x0, dtype=float)) <= 1e-12:
         raise ValueError("x0 must be finite and feasible")
-    if config.schedule == CONSTANT:
-        etas = np.full(T, step_constant(T, problem.mu))
-    else:
-        etas = step_varying(np.arange(T), problem.mu, kappa)
-
-    arrays = cgm_iterate(
-        lambda x, eta: cgm_step(problem.grad_f(x), problem.constraints, x, alpha, eta),
-        problem.constraints, problem.x0, etas,
-    )
+    arrays = cgm_iterate(problem.grad_f, problem.constraints, problem.x0, alpha, etas)
     f_values = problem.value_f(arrays["xs"])
     return MinTrace(
         **arrays, config=config, alpha=alpha, kappa=kappa, f_values=f_values,

@@ -10,7 +10,7 @@ from typing import Optional
 
 import numpy as np
 
-from .cgm_min import CgmTrace, cgm_iterate, cgm_step
+from .cgm_min import CgmTrace, cgm_iterate
 from .metrics import row_norms
 from .problems import QuadraticRow
 
@@ -84,10 +84,8 @@ def cgm_vi_run(problem, config):
     constraints = problem.constraints.append(aux)
 
     kappa = problem.ell_F / problem.mu
-    arrays = cgm_iterate(
-        lambda x, eta: cgm_step(problem.op_F(x), constraints, x, problem.mu, eta),
-        constraints, problem.x0, step_vi(np.arange(config.horizon), problem.mu, kappa),
-    )
+    etas = step_vi(np.arange(config.horizon), problem.mu, kappa)
+    arrays = cgm_iterate(problem.op_F, constraints, problem.x0, problem.mu, etas)
     xs = arrays["xs"]
     return VITrace(
         **arrays, dist_x0=row_norms(xs, xs[0]),

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .baselines import gda_eg_run
-from .cgm_min import MinSolverConfig, ScheduleInvalid, cgm_min_run, validate_schedule
+from .cgm_min import CONSTANT, VARYING, MinSolverConfig, ScheduleInvalid, cgm_min_run, step_sizes
 from .cgm_vi import VISolverConfig, cgm_vi_run
 from .metrics import certify_min, certify_vi, hbg_gap_closed_form, row_norms
 from .problems import hbg_instantiate, rap_generate, rap_unconstrained_min
@@ -38,7 +38,7 @@ class ExperimentConfig:
     d: int = 50
     beta: float = 0.8
     seed: int = 42
-    schedule: str = "constant"
+    schedule: str = CONSTANT
     run_baselines: bool = False
     check_bounds: bool = False
     out_dir: str = "results"
@@ -61,7 +61,7 @@ class ExperimentConfig:
             raise ValidationError("seed: must be non-negative")
         if self.problem == "hbg" and not 0.0 < self.beta < 1.0:
             raise ValidationError("beta: must lie in (0, 1)")
-        if self.schedule not in ("constant", "varying"):
+        if self.schedule not in (CONSTANT, VARYING):
             raise ValidationError("schedule: must be 'constant' or 'varying'")
 
 
@@ -169,24 +169,28 @@ def _write_csv(path, columns, report=None):
     return columns
 
 
+def _cell(config, name, wall_s, columns, report=None):
+    """Write <name>_T<wall_s.size>.csv: iter, columns, wall_ms, report; (path, columns, report)."""
+    horizon = wall_s.size
+    path = Path(config.out_dir) / f"{name}_T{horizon}.csv"
+    columns = {"iter": range(1, horizon + 1), **columns, "wall_ms": np.cumsum(wall_s) * 1e3}
+    return path, _write_csv(path, columns, report), report
+
+
 def _run_rap_cell(config, horizon, problem, reference, f_floor):
-    solver_config = MinSolverConfig(horizon=horizon, schedule=config.schedule)
-    trace = cgm_min_run(problem, solver_config, reference=reference)
+    trace = cgm_min_run(problem, MinSolverConfig(horizon, config.schedule), reference)
     columns = {
-        "iter": range(1, horizon + 1),
         "eta": trace.etas,
         "f_resid": trace.f_resid[1:],
         "abs_f_resid": np.abs(trace.f_resid[1:]),
         "max_violation": trace.max_violation[1:],
         "v_norm": trace.v_norms,
         "dist_x0": np.linalg.norm(trace.xs - trace.xs[0], axis=1)[1:],
-        "wall_ms": np.cumsum(trace.wall_s) * 1e3,
     }
     # certify after the columns: over repeated RAP d=50 runs certify_min took 1.07 ms
     # straight after the solver and 0.79 ms here (glibc heap state; same work)
     report = certify_min(trace, problem, reference, f_floor) if config.check_bounds else None
-    path = Path(config.out_dir) / f"rap_cgm_{config.schedule}_T{horizon}.csv"
-    return path, _write_csv(path, columns, report), report
+    return _cell(config, f"rap_cgm_{config.schedule}", trace.wall_s, columns, report)
 
 
 def _run_hbg_cell(config, horizon, problem, x_star):
@@ -194,29 +198,15 @@ def _run_hbg_cell(config, horizon, problem, x_star):
     beta = problem.mu / 2.0
     ref_norm = float(np.linalg.norm(x_star))
     columns = {
-        "iter": range(1, horizon + 1),
         "eta": trace.etas,
         "gap": hbg_gap_closed_form(trace.xs[1:], beta),
         "max_violation": trace.max_violation[1:],
         "v_norm": trace.v_norms,
         "dist_x0": trace.dist_x0[1:],
         "rel_err": row_norms(trace.xs[1:], x_star) / ref_norm,
-        "wall_ms": np.cumsum(trace.wall_s) * 1e3,
     }
     report = certify_vi(trace, problem) if config.check_bounds else None
-    path = Path(config.out_dir) / f"hbg_cgm_vi_T{horizon}.csv"
-    return path, _write_csv(path, columns, report), report
-
-
-def _run_baseline_cell(config, horizon, label, trace):
-    # fixed-step GDA and EG at a shorter horizon are bitwise prefixes of the longest run
-    path = Path(config.out_dir) / f"hbg_{label}_T{horizon}.csv"
-    columns = _write_csv(path, {
-        "iter": range(1, horizon + 1),
-        "rel_err": trace.rel_err[:horizon],
-        "wall_ms": np.cumsum(trace.wall_s[:horizon]) * 1e3,
-    })
-    return path, columns, None
+    return _cell(config, "hbg_cgm_vi", trace.wall_s, columns, report)
 
 
 def run_experiment(config):
@@ -238,7 +228,7 @@ def run_experiment(config):
         problem = rap_generate(config.d, seed=config.seed)
         try:  # every horizon, before the reference solve and the first cell
             for horizon in config.horizons:
-                validate_schedule(MinSolverConfig(horizon, config.schedule), problem)
+                step_sizes(problem, horizon, config.schedule)
         except ScheduleInvalid as exc:
             raise ValidationError(f"iters: {exc}") from exc
         x_star, f_star, cert = solve_rap_reference(problem.data)
@@ -262,8 +252,10 @@ def run_experiment(config):
                 # first CGM cell, whose trace is freed by then, so the peaks do not add
                 baselines = gda_eg_run(
                     problem, GDA_ETA, 1.0 / problem.ell_F, max(config.horizons), x_star)
+            # fixed-step GDA and EG at a shorter horizon are bitwise prefixes of the longest run
             for label, trace in zip(("gda", "eg"), baselines):
-                results.append(_run_baseline_cell(config, horizon, label, trace))
+                results.append(_cell(config, f"hbg_{label}", trace.wall_s[:horizon],
+                                     {"rel_err": trace.rel_err[:horizon]}))
         except Exception as exc:
             raise RuntimeError(f"cell {horizon} failed: {exc}") from exc
 

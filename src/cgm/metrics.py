@@ -10,6 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .cgm_min import CONSTANT
 from .problems import by_row_blocks, hbg_operator
 
 ABS_SLACK = 1e-9
@@ -113,6 +114,14 @@ def hbg_gap_closed_form(x, beta):
     return by_row_blocks(lambda block: _hbg_gaps(block, beta), x)
 
 
+def _feasibility_rhs(c, offset, T, mu, l_g, ell_g):
+    """Bound on g_i(x^{t+1}), t = 1..T-1, for steps 1/(mu (t + offset)) and |v| <= c."""
+    t_idx = np.arange(1, T)
+    return 2.0 * c / (mu * (t_idx + offset + 1.0)) * (
+        l_g + ell_g * c / (2.0 * mu)
+    ) + ell_g * c**2 * np.log(t_idx) / (mu**2 * (t_idx + offset + 1.0))
+
+
 def certify_min(trace, problem, reference, f_star_unconstrained):
     """Evaluate every proven bound of the minimization track along the trace."""
     if reference is None:
@@ -153,14 +162,11 @@ def certify_min(trace, problem, reference, f_star_unconstrained):
     # feasibility bounds are proven for alpha = mu only
     if abs(alpha - mu) <= 1e-12 * mu:
         viol = trace.max_violation
-        if trace.config.schedule == "constant":
+        if trace.config.schedule == CONSTANT:
             rhs = c1 / mu * max(c1 * ell_g / (2.0 * mu), l_g) * math.log(T) / T
             recs.append(_check("feasibility_constant_step", viol, rhs))
         elif T >= 2:
-            t_idx = np.arange(1, T)  # bounds g_i(x^{t+1}) for t >= 1
-            rhs = 2.0 * c1 / (mu * (t_idx + kappa + 1.0)) * (
-                l_g + ell_g * c1 / (2.0 * mu)
-            ) + ell_g * c1**2 * np.log(t_idx) / (mu**2 * (t_idx + kappa + 1.0))
+            rhs = _feasibility_rhs(c1, kappa, T, mu, l_g, ell_g)
             recs.append(_check("feasibility_varying_step", viol[2:], rhs))
     return report
 
@@ -204,11 +210,8 @@ def certify_vi(trace, problem):
         recs.append(_check("ergodic_gap_bound", gap, gap_rhs))
 
     if T >= 2:
-        t_idx = np.arange(1, T)
-        nonerg_rhs = 2.0 * c4 / (mu * (t_idx + 16.0 * kappa**2 + 1.0)) * (
-            l_g + ell_g * c4 / (2.0 * mu)
-        ) + ell_g * c4**2 * np.log(t_idx) / (mu**2 * (t_idx + 16.0 * kappa**2 + 1.0))
-        recs.append(_check("feasibility_nonergodic", trace.max_violation[2:], nonerg_rhs))
+        rhs = _feasibility_rhs(c4, 16.0 * kappa**2, T, mu, l_g, ell_g)
+        recs.append(_check("feasibility_nonergodic", trace.max_violation[2:], rhs))
 
     erg_viol = constraints.max_violation(x_bar)
     erg_rhs = 4.0 * c4 / (mu * denom) * (l_g + ell_g * c4 / (2.0 * mu)) + (

@@ -52,6 +52,8 @@ class QuadraticRow:
                 raise ValueError("Q must be (n, n) with n = center.size")
             if not np.all(np.isfinite(self.Q)):
                 raise ValueError("Q must be finite")
+            if not np.array_equal(self.Q, np.transpose(self.Q)):
+                raise ValueError("Q must be symmetric")
             object.__setattr__(self, "smoothness", 2.0 * float(np.max(np.linalg.eigvalsh(self.Q))))
 
     def value(self, x):
@@ -126,6 +128,8 @@ class RapData:
     Emax: float
 
     def __post_init__(self):
+        if not all(np.array_equal(m, np.transpose(m)) for m in (self.Sigma, self.E)):
+            raise ValueError("Sigma and E must be symmetric")  # cholesky reads one triangle
         np.linalg.cholesky(self.Sigma)  # raises if not positive definite
         if np.min(np.linalg.eigvalsh(self.E)) < -1e-10:
             raise ValueError("E must be positive semidefinite")

@@ -323,7 +323,8 @@ def project_velocity(target, polytope):
     if (not bounds.size or (c[bounds] <= -polytope.floor).all()) and (g @ u <= h).all():
         return _certified(c, polytope, u, np.zeros(bounds.size + polytope.h.size), "direct")
 
-    gate = max(KKT_TOL, 1e3 * KKT_TOL * (1.0 + math.sqrt(squares)))
+    norm = math.sqrt(squares) if squares < math.inf else math.hypot(*c.tolist())  # c.c overflows
+    gate = max(KKT_TOL, 1e3 * KKT_TOL * (1.0 + norm))
     result = _active_set(c, polytope, gate)
     if result is not None:
         return result

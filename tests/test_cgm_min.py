@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import cgm.cgm_min
 from cgm.cgm_min import (
     CONSTANT,
     VARYING,
@@ -13,9 +14,7 @@ from cgm.cgm_min import (
     cgm_iterate,
     cgm_min_run,
     cgm_step,
-    step_constant,
-    step_varying,
-    validate_schedule,
+    step_sizes,
 )
 from cgm.cgm_vi import VISolverConfig, cgm_vi_run
 from cgm.problems import (
@@ -34,15 +33,22 @@ def small_problem():
 
 
 class TestSchedules:
-    def test_constant_step_value(self):
-        assert step_constant(100, 2.0) == pytest.approx(math.log(100) / 200.0)
+    def test_constant_step_value(self, small_problem):
+        etas = step_sizes(small_problem, 100, CONSTANT)
+        np.testing.assert_array_equal(etas, math.log(100) / (small_problem.mu * 100))
+        assert etas.size == 100
 
-    def test_constant_step_needs_two_iterations(self):
-        with pytest.raises(ScheduleInvalid):
-            step_constant(1, 1.0)
+    def test_constant_step_needs_two_iterations(self, small_problem):
+        with pytest.raises(ScheduleInvalid, match="constant schedule needs T >= 2"):
+            step_sizes(small_problem, 1, CONSTANT)
 
     def test_varying_step_decreases(self):
-        steps = [step_varying(t, 1.0, 3.0) for t in range(10)]
+        problem = MinProblem(
+            value_f=None, grad_f=None, mu=1.0, ell_f=3.0,
+            constraints=ConstraintSet(n_bounds=0, W=[[1.0, 0.0]], c=[-1.0]),
+            x0=np.zeros(2), dim=2,
+        )
+        steps = step_sizes(problem, 10, VARYING)
         assert all(a > b for a, b in zip(steps, steps[1:]))
         assert steps[0] == pytest.approx(1.0 / 3.0)
 
@@ -52,10 +58,8 @@ class TestSchedules:
         bad_T = 2
         if bad_T >= kappa * math.log(bad_T):
             pytest.skip("instance too well conditioned to trigger")
-        with pytest.raises(ScheduleInvalid):
-            validate_schedule(
-                MinSolverConfig(horizon=bad_T, schedule=CONSTANT), small_problem
-            )
+        with pytest.raises(ScheduleInvalid, match="violates T >= kappa"):
+            step_sizes(small_problem, bad_T, CONSTANT)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -256,22 +260,23 @@ class TestRun:
             cgm_min_run(problem, MinSolverConfig(horizon=5, schedule=VARYING))
 
     @pytest.mark.parametrize("entry", [1e200, np.inf, np.nan])
-    def test_iterate_check_scans_entries_when_the_dot_overflows(self, entry):
+    def test_iterate_check_scans_entries_when_the_dot_overflows(self, entry, monkeypatch):
         # x . x overflows at 1e200 as it does at inf; only a non-finite entry aborts
         diag = {"max_violation": 0.0, "violated": 0, "n_active": 0, "kkt_residual": 0.0,
                 "qp_path": ""}
 
-        def step(x, eta):
+        def step(direction, constraints, x, alpha, eta):
             return np.array([entry, 0.5]), np.zeros(2), diag
 
+        monkeypatch.setattr(cgm.cgm_min, "cgm_step", step)
         constraints = ConstraintSet(n_bounds=0, W=[[0.0, 1.0]], c=[-1.0])
         x0, etas = np.array([0.5, 0.5]), np.ones(3)
         if math.isfinite(entry):
-            xs = cgm_iterate(step, constraints, x0, etas)["xs"]
+            xs = cgm_iterate(lambda x: x, constraints, x0, 1.0, etas)["xs"]
             np.testing.assert_array_equal(xs[1:], [[entry, 0.5]] * 3)
         else:
             with pytest.raises(RuntimeError, match="iteration 0: non-finite iterate"):
-                cgm_iterate(step, constraints, x0, etas)
+                cgm_iterate(lambda x: x, constraints, x0, 1.0, etas)
 
     def test_determinism(self, small_problem):
         t1 = cgm_min_run(small_problem, MinSolverConfig(horizon=40))

@@ -10,7 +10,9 @@ from cgm.metrics import (
     CertificateRecord,
     ReferenceMissing,
     _check,
+    _feasibility_rhs,
     certify_min,
+    certify_vi,
     hbg_gap_closed_form,
     row_norms,
 )
@@ -141,6 +143,46 @@ class TestCertify:
         assert "velocity_bound_C1" in names
         assert "feasibility_constant_step" in names
         assert report.constants["C1"] > 0
+
+
+def _varying_step_rhs(c1, kappa, T, mu, l_g, ell_g):
+    # certify_min's formula as it stood before _feasibility_rhs, copied verbatim
+    t_idx = np.arange(1, T)
+    return 2.0 * c1 / (mu * (t_idx + kappa + 1.0)) * (
+        l_g + ell_g * c1 / (2.0 * mu)
+    ) + ell_g * c1**2 * np.log(t_idx) / (mu**2 * (t_idx + kappa + 1.0))
+
+
+def _nonergodic_rhs(c4, kappa, T, mu, l_g, ell_g):
+    # certify_vi's formula as it stood before _feasibility_rhs, copied verbatim
+    t_idx = np.arange(1, T)
+    return 2.0 * c4 / (mu * (t_idx + 16.0 * kappa**2 + 1.0)) * (
+        l_g + ell_g * c4 / (2.0 * mu)
+    ) + ell_g * c4**2 * np.log(t_idx) / (mu**2 * (t_idx + 16.0 * kappa**2 + 1.0))
+
+
+@pytest.mark.parametrize("track", ["min", "vi"])
+def test_feasibility_records_equal_the_inline_formulas(
+    track, request, rap_problem, rap_reference, rap_floor, hbg_problem
+):
+    # one helper serves both diminishing-step bounds; every rhs value and the
+    # record stay bitwise those of each track's own formula
+    if track == "min":
+        trace = request.getfixturevalue("min_trace_varying")["trace"]
+        reference = (rap_reference["x_star"], rap_reference["f_star"])
+        report = certify_min(trace, rap_problem, reference, rap_floor)
+        name, c, mu = "feasibility_varying_step", report.constants["C1"], rap_problem.mu
+        offset, inline = trace.kappa, _varying_step_rhs
+    else:
+        trace = request.getfixturevalue("vi_trace")["trace"]
+        report = certify_vi(trace, hbg_problem)
+        name, c, mu = "feasibility_nonergodic", report.constants["C4"], hbg_problem.mu
+        offset, inline = 16.0 * trace.kappa**2, _nonergodic_rhs
+    l_g, ell_g, T = report.constants["empirical_Lg"], report.constants["ell_g"], trace.horizon
+    expected = inline(c, trace.kappa, T, mu, l_g, ell_g)
+    assert np.array_equal(_feasibility_rhs(c, offset, T, mu, l_g, ell_g), expected)
+    (record,) = [rec for rec in report.records if rec.name == name]
+    assert repr(record) == repr(_check(name, trace.max_violation[2:], expected))
 
 
 def _gap_per_point(x, beta):

@@ -114,6 +114,15 @@ class TestRapGeneration:
                 Rmax=1.0, Emax=1.0,
             )
 
+    @pytest.mark.parametrize("name", ["Sigma", "E"])
+    def test_rap_data_rejects_a_non_symmetric_matrix(self, name):
+        # cholesky and eigvalsh read one triangle, so they would accept this one
+        fields = dict(Sigma=np.eye(2), a=np.zeros(2), r=np.ones(2), E=np.eye(2),
+                      Rmax=1.0, Emax=1.0)
+        fields[name] = np.array([[1.0, 0.5], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="Sigma and E must be symmetric"):
+            RapData(**fields)
+
 
 class TestHbgGeneration:
     def test_operator_closed_form(self):
@@ -312,6 +321,16 @@ class TestQuadraticRow:
             QuadraticRow(np.zeros(3), 1.0, np.eye(2))
         with pytest.raises(ValueError):
             QuadraticRow(np.zeros(3), 1.0, np.ones(3))
+
+    def test_q_must_be_symmetric(self):
+        # value reads the whole Q but eigvalsh one triangle: at x = (0.3, -0.7) this
+        # Q's gradient would read (-2.2, -1.4) where its value's is (-0.8, -0.8), and
+        # its smoothness 2.0 where 2 lambda_max of (Q + Q') / 2 is 4.0
+        with pytest.raises(ValueError, match="Q must be symmetric"):
+            QuadraticRow(np.zeros(2), 1.0, np.array([[1.0, 2.0], [0.0, 1.0]]))
+        with pytest.raises(ValueError, match="Q must be finite"):
+            QuadraticRow(np.zeros(2), 1.0, np.array([[1.0, np.nan], [0.0, 1.0]]))
+        QuadraticRow(np.zeros(2), 1.0, np.array([[1.0, 1.0], [1.0, 1.0]]))
 
 
 class TestVelocityPolytope:

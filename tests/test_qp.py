@@ -391,7 +391,7 @@ def test_fallbacks_are_logged(monkeypatch, caplog):
     assert not [rec for rec in caplog.records if rec.name == "cgm.qp"]
 
 
-def _raises_on_a_shifted_fallback_answer(monkeypatch, shift):
+def _raises_on_a_shifted_fallback_answer(monkeypatch, shift, target=(-1.0, 0.0)):
     real = cgm.qp._goldfarb_idnani
 
     def perturbed(c, polytope):
@@ -404,7 +404,7 @@ def _raises_on_a_shifted_fallback_answer(monkeypatch, shift):
     monkeypatch.setattr(cgm.qp, "_goldfarb_idnani", perturbed)
     polytope = from_rows(np.eye(2), np.array([0.0, 5.0]))
     with pytest.raises(MaxIterations):
-        project_velocity(np.array([-1.0, 0.0]), polytope)
+        project_velocity(np.array(target), polytope)
 
 
 def test_fallback_answer_must_pass_the_gate(monkeypatch):
@@ -415,6 +415,13 @@ def test_fallback_answer_must_pass_the_gate(monkeypatch):
 def test_nan_fallback_answer_fails_the_gate(monkeypatch):
     # a NaN residual compares False with the gate either way round
     _raises_on_a_shifted_fallback_answer(monkeypatch, np.nan)
+
+
+def test_overflowing_target_keeps_a_finite_gate(monkeypatch):
+    # c . c overflows at |c| = 1e200, so the gate's scale 1 + |c| takes |c| from
+    # hypot; v = [3e200, 1e140] misses v_0 <= 0 by 3e200 and fails the gate
+    with np.errstate(over="ignore"):
+        _raises_on_a_shifted_fallback_answer(monkeypatch, np.array([2e200, 1e140]), (-1e200, 0.0))
 
 
 def test_fallback_is_logged_with_row_counts(caplog):
