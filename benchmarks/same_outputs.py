@@ -15,7 +15,10 @@ each into its own output directory, and compares:
   certificate section byte for byte).
 
 It then runs each tree's solvers on the TRACES runs, in a fresh interpreter,
-and compares a sha256 digest of every ``CgmTrace`` array except ``wall_s``.
+and compares a sha256 digest of every ``CgmTrace`` array except ``wall_s``,
+and of two QP results the trace drops: every projection's ``dual``
+(``qp_dual``) and ``iterations`` (``qp_iterations``), read by wrapping
+``cgm.cgm_min.project_velocity``, which the CGM step of both solvers calls.
 Every difference is printed; the exit code is 1 when there is one, else 0.
 """
 
@@ -61,14 +64,25 @@ import hashlib, json, sys
 import numpy as np
 sys.path.insert(0, sys.argv[1])
 import cgm
+import cgm.cgm_min
 
 def digest(array):
     head = f"{array.dtype.str}{array.shape}".encode()
     return hashlib.sha256(head + np.ascontiguousarray(array).tobytes()).hexdigest()
 
+project_velocity = cgm.cgm_min.project_velocity
+
+def recorded(target, polytope):
+    result = project_velocity(target, polytope)
+    qp_dual.update(digest(result.dual).encode())
+    qp_iterations.append(result.iterations)
+    return result
+
+cgm.cgm_min.project_velocity = recorded
 digests = {}
 for family, d, schedule, seeds, horizon in json.loads(sys.argv[2]):
     for seed in seeds:
+        qp_dual, qp_iterations = hashlib.sha256(), []
         if family == "rap":
             problem = cgm.rap_generate(d, seed=seed)
             trace = cgm.cgm_min_run(problem, cgm.MinSolverConfig(horizon, schedule))
@@ -76,8 +90,9 @@ for family, d, schedule, seeds, horizon in json.loads(sys.argv[2]):
             problem = cgm.hbg_instantiate(d, 0.8, seed=seed)
             trace = cgm.cgm_vi_run(problem, cgm.VISolverConfig(horizon))
         digests[f"{family} d={d} {schedule} seed={seed} T={horizon}"] = {
-            name: digest(value) for name, value in vars(trace).items()
-            if isinstance(value, np.ndarray) and name != "wall_s"
+            **{name: digest(value) for name, value in vars(trace).items()
+               if isinstance(value, np.ndarray) and name != "wall_s"},
+            "qp_dual": qp_dual.hexdigest(), "qp_iterations": digest(np.array(qp_iterations)),
         }
 print(json.dumps(digests))
 """
@@ -123,7 +138,7 @@ def run_cli(src, argv, out_dir):
 
 
 def trace_digests(src):
-    """{run label: {trace array name: sha256}} of the TRACES runs of the tree src."""
+    """{run label: {trace array or QP field name: sha256}} of the TRACES runs of the tree src."""
     done = subprocess.run(
         [sys.executable, "-c", TRACE_CHILD, str(src), json.dumps(TRACES)],
         capture_output=True, text=True, env=_child_env(), check=True,

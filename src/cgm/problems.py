@@ -6,6 +6,7 @@ ConstraintSet: nonnegativity bounds, an affine block and a few quadratic rows,
 evaluated as arrays (all row values at once, gradients of selected rows).
 """
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
@@ -350,7 +351,7 @@ def max_violation_of(values):
 
 def violated_set(values):
     """Indices i with g_i(x) strictly positive, in index order, from values = g(x)."""
-    return np.flatnonzero(values > 0.0)
+    return (values > 0.0).nonzero()[0]  # np.flatnonzero's intp array, without its wrapper
 
 
 def build_polytope(constraints, x, alpha, values, violated):
@@ -364,9 +365,9 @@ def build_polytope(constraints, x, alpha, values, violated):
     x must be finite; the solvers check each iterate. A non-finite general
     row is rejected by VelocityPolytope.
     """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    s = int(np.searchsorted(violated, constraints.n_bounds))
+    if not 0 < alpha < math.inf:  # NaN fails
+        raise ValueError("alpha must be positive and finite")
+    s = int(violated.searchsorted(constraints.n_bounds))
     rhs = -alpha * values[violated]
     general, h, bound_idx, floor = violated[s:], rhs[s:], violated[:s], -rhs[:s]
     if general.size and general[-1] >= constraints.n_bounds + constraints.c.size:

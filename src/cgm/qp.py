@@ -11,6 +11,7 @@ exact rational arithmetic.
 
 import logging
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -42,8 +43,8 @@ class MaxIterations(QpError):
 class VelocityPolytope:
     """The polytope {v : v[bound_idx] >= floor, g v <= h} in R^n, n = g.shape[1].
 
-    bound_idx holds distinct coordinates with lower bounds floor; g (p, n) and
-    h (p,) are the general rows, of which kept masks the non-degenerate ones
+    bound_idx holds distinct coordinates with finite lower bounds floor; g (p, n)
+    and h (p,) are the general rows, of which kept masks the non-degenerate ones
     (a zero normal with h >= 0 is vacuous) and all_kept says none is degenerate.
     The Gram matrix g g' is built on demand and cached for the active-set solve.
     """
@@ -63,6 +64,8 @@ class VelocityPolytope:
         # squares + h is finite when g and h are; g and h are read only when a square overflows
         if not (np.isfinite(squares + h).all() or np.isfinite(g).all() and np.isfinite(h).all()):
             raise ValueError("halfspace rows must be finite")
+        if not all(map(math.isfinite, self.floor.tolist())):
+            raise ValueError("bound floors must be finite")
         degenerate = squares < DEGENERATE_NORMAL**2
         object.__setattr__(self, "kept", ~degenerate)
         object.__setattr__(self, "all_kept", not degenerate.any())
@@ -76,11 +79,11 @@ class VelocityPolytope:
         """The polytope {v : v[bound_idx] >= floor, g v <= h} on these general rows g.
 
         g, its row check (kept, all_kept) and its Gram matrix are shared, not
-        built again; h is checked as the constructor checks it: finite, and
-        >= 0 on every zero normal.
+        built again; h and floor are checked as the constructor checks them:
+        finite, and h >= 0 on every zero normal.
         """
-        if h.shape != self.h.shape or not all(map(math.isfinite, h.tolist())):
-            raise ValueError("need a finite h of shape (p,)")
+        if h.shape != self.h.shape or not all(map(math.isfinite, h.tolist() + floor.tolist())):
+            raise ValueError("need a finite h of shape (p,) and a finite floor")
         polytope = object.__new__(VelocityPolytope)
         polytope.__dict__.update(g=self.g, h=h, bound_idx=bound_idx, floor=floor,
                                  kept=self.kept, all_kept=self.all_kept, gram=self.gram)
@@ -147,9 +150,14 @@ def _certified(c, polytope, v, dual, path, iterations=0, g_dual=None, slack=None
     )
 
 
+def _norm(c, squares):
+    """||c|| as np.linalg.norm computes it, sqrt(squares = c . c), or by hypot if that overflows."""
+    return math.sqrt(squares) if squares < math.inf else math.hypot(*c.tolist())
+
+
 def _row_scale(c, a, b):
-    """The scale 1 + |b_i| + ||a_i|| ||c|| of each row a_i v <= b_i for the target c."""
-    return 1.0 + np.abs(b) + np.linalg.norm(a, axis=1) * np.linalg.norm(c)
+    """The scale 1 + |b_i| + ||a_i|| ||c|| of each row a_i v <= b_i for the finite target c."""
+    return 1.0 + np.abs(b) + np.linalg.norm(a, axis=1) * _norm(c, c.dot(c))
 
 
 def _on_rows(c, rows, b):
@@ -172,13 +180,12 @@ def _on_rows(c, rows, b):
     return lam, shift
 
 
-def _solve(gram, rhs):
-    """np.linalg.solve's LAPACK gesv without its wrapper; singular gives non-finite, no error."""
-    with np.errstate(all="ignore"):
-        return _gesv(gram, rhs)
+# np.linalg.solve's LAPACK gesv without its wrapper, in numpy's decorator form of
+# errstate: a singular Gram matrix gives a non-finite solution and no warning
+_solve = np.errstate(all="ignore")(_gesv)
 
 
-def _active_set(c, polytope, gate):
+def _active_set(c, polytope, gate, u, gu):
     """Bound-aware primal-dual active-set solve; None when it does not settle.
 
     The bound rows read v >= floor on their coordinates (floor = -inf
@@ -198,11 +205,11 @@ def _active_set(c, polytope, gate):
     Gram system squares the rows' condition number, and the fallback re-solves
     such a vertex on the rows. Without bound rows, F is every coordinate,
     the floor and mask work is skipped and the first iteration reads the
-    polytope's Gram matrix.
+    polytope's Gram matrix and, unless gu is None, gu = g u from the direct test
+    (u = -c).
     """
     bounds, g, h = polytope.bound_idx, polytope.g, polytope.h
     s = bounds.size
-    u = -c
     if s:
         floor = np.full(u.size, -np.inf)
         floor[bounds] = polytope.floor
@@ -212,9 +219,10 @@ def _active_set(c, polytope, gate):
         if s:
             gram = (g_active * free) @ g_active.T
             rhs = g_active @ np.where(free, u, floor) - h_active
+        elif active is None:
+            gram, rhs = polytope.gram, (g @ u if gu is None else gu) - h
         else:
-            gram = polytope.gram if active is None else g_active @ g_active.T
-            rhs = g_active @ u - h_active
+            gram, rhs = g_active @ g_active.T, g_active @ u - h_active
         if active is None:
             mu = _solve(gram, rhs)
         else:
@@ -318,14 +326,18 @@ def project_velocity(target, polytope):
     if not (math.isfinite(squares) or np.isfinite(c).all()):
         raise ValueError("target must be finite")
 
-    bounds, keep, u = polytope.bound_idx, polytope.kept, -c
-    g, h = (polytope.g, polytope.h) if polytope.all_kept else (polytope.g[keep], polytope.h[keep])
-    if (not bounds.size or (c[bounds] <= -polytope.floor).all()) and (g @ u <= h).all():
-        return _certified(c, polytope, u, np.zeros(bounds.size + polytope.h.size), "direct")
+    bounds, u, gu = polytope.bound_idx, -c, None
+    if not bounds.size or (c[bounds] <= -polytope.floor).all():  # violated bounds skip g u
+        if polytope.all_kept:
+            gu = g_u = polytope.g @ u  # the active set's first iteration reuses it
+            h = polytope.h
+        else:
+            g_u, h = polytope.g[polytope.kept] @ u, polytope.h[polytope.kept]
+        if all(map(operator.le, g_u.tolist(), h.tolist())):  # NaN fails
+            return _certified(c, polytope, u, np.zeros(bounds.size + polytope.h.size), "direct")
 
-    norm = math.sqrt(squares) if squares < math.inf else math.hypot(*c.tolist())  # c.c overflows
-    gate = max(KKT_TOL, 1e3 * KKT_TOL * (1.0 + norm))
-    result = _active_set(c, polytope, gate)
+    gate = max(KKT_TOL, 1e3 * KKT_TOL * (1.0 + _norm(c, squares)))
+    result = _active_set(c, polytope, gate, u, gu)
     if result is not None:
         return result
     logger.warning(

@@ -368,10 +368,24 @@ class TestVelocityPolytope:
         assert polytope.matrix()[1].size == violated.size
 
     def test_nonpositive_alpha_rejected(self):
+        # and a NaN alpha, which alpha <= 0 let through, or an infinite one
         problem = rap_generate(5, seed=1)
-        with pytest.raises(ValueError):
-            values = problem.constraints.values(problem.x0)
-            build_polytope(problem.constraints, problem.x0, 0.0, values, violated_set(values))
+        x = np.array([-0.1, 0.3, 0.3, 0.3, 0.2])  # violates the first bound
+        for point in (problem.x0, x):
+            values = problem.constraints.values(point)
+            for alpha in (0.0, -1.0, np.nan, np.inf):
+                with pytest.raises(ValueError, match="alpha"):
+                    build_polytope(problem.constraints, point, alpha, values, violated_set(values))
+
+    def test_violated_set_is_flatnonzero_of_positive_values(self):
+        # the method behind np.flatnonzero: the same indices and the same intp dtype
+        zero_nan_inf = [0.0, -0.0, np.nan, np.inf, -np.inf, 1e-300, -1e-300, 5e-324]
+        rng = np.random.default_rng(4)
+        for values in (np.array(zero_nan_inf), np.zeros(0), np.array([np.nan]),
+                       *(rng.choice(zero_nan_inf, size=n) for n in (1, 7, 60))):
+            got, expected = violated_set(values), np.flatnonzero(values > 0)
+            assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+        assert violated_set(np.array(zero_nan_inf)).tolist() == [3, 5, 7]
 
 
 def _polytope_parts(polytope):
@@ -466,6 +480,8 @@ class TestPolytopeCache:
         for bad in (np.nan, np.inf, -np.inf):
             with pytest.raises(ValueError, match="finite"):
                 first.with_rhs(np.array([bad]), first.bound_idx, first.floor)
+            with pytest.raises(ValueError, match="finite"):
+                first.with_rhs(first.h, np.array([0]), np.array([bad]))
 
     def test_append_starts_with_an_empty_cache(self):
         problem = hbg_instantiate(5, 0.5, seed=0)

@@ -186,6 +186,17 @@ def test_nonfinite_rows_rejected(bad):
             VelocityPolytope(np.array(g), np.array(h), np.zeros(0, int), np.zeros(0))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nonfinite_floors_rejected(bad):
+    # a NaN floor once reached the fallback and an infinite one its step cap
+    for floor in ([bad], [0.0, bad]):
+        bound_idx = np.arange(len(floor))
+        with pytest.raises(ValueError, match="floors must be finite"):
+            VelocityPolytope(np.zeros((0, 3)), np.zeros(0), bound_idx, np.array(floor))
+        with pytest.raises(ValueError, match="floors must be finite"):
+            VelocityPolytope(np.ones((1, 3)), np.ones(1), bound_idx, np.array(floor))
+
+
 def test_rows_whose_squares_overflow_are_accepted():
     # 1e200 squares to inf, and 1.7e308 + 1e307 overflows, but every entry is finite
     for g, h in (([[1e200, 0.0], [0.0, 1.0]], [1.0, -1e300]), ([[1e153, 0.0]], [1.7e308])):
@@ -198,8 +209,8 @@ def test_norms_are_bitwise_np_linalg_norm(monkeypatch):
     rng = np.random.default_rng(8)
     gates = []
     real = cgm.qp._active_set
-    monkeypatch.setattr(
-        cgm.qp, "_active_set", lambda c, p, gate: gates.append(gate) or real(c, p, gate))
+    monkeypatch.setattr(cgm.qp, "_active_set",
+                        lambda c, p, gate, u, gu: gates.append(gate) or real(c, p, gate, u, gu))
     for n in (1, 2, 50, 257):
         no_rows = from_rows(np.zeros((0, n)), np.zeros(0))
         row = from_rows(-np.ones((1, n)), np.full(1, -1.0))  # sum(v) >= 1
@@ -370,7 +381,7 @@ def test_large_rap_polytopes_pass_kkt_gate():
 def test_fallbacks_are_logged(monkeypatch, caplog):
     # with the active set stubbed out, the dual fallback logs one warning and
     # still returns the projection v = 0 (row 0 active, row 1 slack)
-    monkeypatch.setattr(cgm.qp, "_active_set", lambda c, polytope, gate: None)
+    monkeypatch.setattr(cgm.qp, "_active_set", lambda c, polytope, gate, u, gu: None)
     polytope = from_rows(np.eye(2), np.array([0.0, 5.0]))
     c = np.array([-1.0, 0.0])
     with caplog.at_level("WARNING", logger="cgm.qp"):
@@ -400,7 +411,7 @@ def _raises_on_a_shifted_fallback_answer(monkeypatch, shift, target=(-1.0, 0.0))
         result.kkt_residual = kkt_residual_qp(result, c, polytope)
         return result
 
-    monkeypatch.setattr(cgm.qp, "_active_set", lambda c, polytope, gate: None)
+    monkeypatch.setattr(cgm.qp, "_active_set", lambda c, polytope, gate, u, gu: None)
     monkeypatch.setattr(cgm.qp, "_goldfarb_idnani", perturbed)
     polytope = from_rows(np.eye(2), np.array([0.0, 5.0]))
     with pytest.raises(MaxIterations):
@@ -422,6 +433,40 @@ def test_overflowing_target_keeps_a_finite_gate(monkeypatch):
     # hypot; v = [3e200, 1e140] misses v_0 <= 0 by 3e200 and fails the gate
     with np.errstate(over="ignore"):
         _raises_on_a_shifted_fallback_answer(monkeypatch, np.array([2e200, 1e140]), (-1e200, 0.0))
+
+
+def test_fallback_projects_an_overflowing_target():
+    # c . c overflows, so the rows' scale takes |c| from hypot: the tolerance is
+    # 1e190, not inf, and v_0 <= 0 is added
+    polytope = from_rows(np.eye(2), np.array([0.0, 5.0]))
+    with np.errstate(over="ignore"):
+        result = cgm.qp._goldfarb_idnani(np.array([-1e200, 0.0]), polytope)
+    assert result.v.tolist() == [0.0, 0.0] and result.kkt_residual == 0.0
+    assert result.dual.tolist() == [1e200, 0.0]
+
+
+def test_direct_test_hands_g_u_to_the_active_set(monkeypatch):
+    # gu = g u reaches the first iteration without bound rows when every row is
+    # kept; a violated bound skips the product, and dropped rows change its rows
+    real, handed = cgm.qp._active_set, []
+
+    def spy(c, polytope, gate, u, gu):
+        handed.append(gu)
+        assert u.tobytes() == (-c).tobytes()
+        return real(c, polytope, gate, u, gu)
+
+    monkeypatch.setattr(cgm.qp, "_active_set", spy)
+    c = np.array([-1.0, -2.0, 0.5])
+    g = np.array([[1.0, 0.0, 0.0], [0.3, 1.0, -2.0]])
+    assert project_velocity(c, from_rows(g, np.zeros(2))).path == "dual"
+    assert handed.pop().tobytes() == (g @ -c).tobytes()
+    assert project_velocity(c, from_rows(np.vstack([-np.eye(3)[2], g]), [0.0, 0.0, 0.0],
+                                         bound_idx=[2])).path == "dual"
+    assert handed.pop() is None  # -c = (1, 2, -0.5) misses v_2 >= 0
+    with_zero_row = from_rows(np.vstack([g, np.zeros(3)]), np.zeros(3))
+    assert not with_zero_row.all_kept
+    project_velocity(c, with_zero_row)
+    assert handed.pop() is None
 
 
 def test_fallback_is_logged_with_row_counts(caplog):
@@ -530,7 +575,7 @@ def dual_trajectories():
 
 def test_fallback_matches_dual_trajectories(monkeypatch, dual_trajectories):
     # the dual fallback reaches the same iterates as the active set
-    monkeypatch.setattr(cgm.qp, "_active_set", lambda c, polytope, gate: None)
+    monkeypatch.setattr(cgm.qp, "_active_set", lambda c, polytope, gate, u, gu: None)
     cold = _trajectories()
     for name, trace in dual_trajectories.items():
         assert "dual" not in cold[name].qp_path
