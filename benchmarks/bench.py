@@ -42,7 +42,7 @@ and every pair's best times.
 A paired entry also gets the two verdicts a gain claim cites, which are
 printed with it: whether the quartiles of its pair ratios exclude 1, and
 whether they lie wholly outside the entry's own A/A band, the lowest to
-highest pair ratio of the same entry in ``BENCH_21_AA.json`` (an interleaved
+highest pair ratio of the same entry in ``BENCH_25_AA.json`` (an interleaved
 run of one tree against a copy of itself). Entries are judged by their own
 band because their noise differs: a quiet solver entry and the interpreter
 start of ``setup_s`` do not share one range. An entry the A/A run lacks reads
@@ -77,7 +77,7 @@ BUDGET_S = 5.0
 PAIRS = 10
 PAIR_BUDGET_S = 1.0
 PAIR_ROUNDS = 9
-AA_RUN = ROOT / "BENCH_21_AA.json"
+AA_RUN = ROOT / "BENCH_25_AA.json"
 # entries reported in other units than seconds per call
 SCALE = {"rap_d200_T20_varying_ms_per_iter": 1e3 / 20}
 SETUP_PROBE = """

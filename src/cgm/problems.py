@@ -198,11 +198,16 @@ class ConstraintSet:
         return out
 
     def gradients(self, x, idx):
-        """Gradients of the rows idx at x as a (len(idx), n) array."""
-        k, p = self.n_bounds, self.c.size
+        """Gradients of the rows idx at x as a (len(idx), n) array.
+
+        Raises ValueError, naming the row, for a row outside [0, len(self)).
+        """
+        k, p, m = self.n_bounds, self.c.size, len(self)
         idx = np.asarray(idx, dtype=int)
         out = np.zeros((idx.size, self.W.shape[1]))
         for r, i in enumerate(idx.tolist()):
+            if not 0 <= i < m:
+                raise ValueError(f"row {i} is not in [0, {m})")
             if i >= k + p:
                 out[r] = self.smooth[i - k - p].gradient(x)
             elif i >= k:

@@ -39,6 +39,27 @@ class MaxIterations(QpError):
     """The dual fallback did not settle or its answer failed the KKT gate."""
 
 
+def _squares(g):
+    """The squared norms of the rows of g, by ndarray.sum's own reduction."""
+    return np.add.reduce(g * g, axis=1)
+
+
+def _check_bound_idx(bound_idx, floor, n):
+    """Raise ValueError unless bound_idx holds distinct coordinates in [0, n), one per floor.
+
+    Ascending indices, as build_polytope makes them, pass one numpy comparison of
+    neighbours at any length; others are checked through a set.
+    """
+    if bound_idx.ndim != 1 or bound_idx.dtype.kind not in "iu" or floor.shape != bound_idx.shape:
+        raise ValueError("need integer bound_idx of shape (s,) and floor of its shape")
+    s = bound_idx.size
+    if s and not (np.count_nonzero(bound_idx[1:] > bound_idx[:-1]) == s - 1
+                  and 0 <= bound_idx[0] and bound_idx[-1] < n):
+        idx = bound_idx.tolist()
+        if len(set(idx)) < s or not 0 <= min(idx) <= max(idx) < n:
+            raise ValueError(f"bound_idx must hold distinct coordinates in [0, {n})")
+
+
 @dataclass(frozen=True)
 class VelocityPolytope:
     """The polytope {v : v[bound_idx] >= floor, g v <= h} in R^n, n = g.shape[1].
@@ -46,29 +67,29 @@ class VelocityPolytope:
     bound_idx holds distinct coordinates with finite lower bounds floor; g (p, n)
     and h (p,) are the general rows, of which kept masks the non-degenerate ones
     (a zero normal with h >= 0 is vacuous) and all_kept says none is degenerate.
-    The Gram matrix g g' is built on demand and cached for the active-set solve.
+    The mask kept and the Gram matrix g g' are built on demand and cached.
     """
 
     g: np.ndarray
     h: np.ndarray
     bound_idx: np.ndarray
     floor: np.ndarray
-    kept: np.ndarray = field(init=False, repr=False, compare=False)
     all_kept: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         g, h = self.g, self.h
         if g.ndim != 2 or g.shape[1] < 1 or h.shape != g.shape[:1]:
             raise ValueError("need g of shape (p, n) with n >= 1 and h of shape (p,)")
-        squares = (g * g).sum(axis=1)
-        # squares + h is finite when g and h are; g and h are read only when a square overflows
-        if not (np.isfinite(squares + h).all() or np.isfinite(g).all() and np.isfinite(h).all()):
+        squares = _squares(g).tolist()
+        # the squares and h are finite when g and h are; g and h are read only when a square overflows
+        if not (all(map(math.isfinite, squares + h.tolist()))
+                or np.isfinite(g).all() and np.isfinite(h).all()):
             raise ValueError("halfspace rows must be finite")
-        if not all(map(math.isfinite, self.floor.tolist())):
+        _check_bound_idx(self.bound_idx, self.floor, g.shape[1])
+        floor = self.floor  # floor . floor is finite when floor is; floor is read only on overflow
+        if not (math.isfinite(floor.dot(floor)) or np.isfinite(floor).all()):
             raise ValueError("bound floors must be finite")
-        degenerate = squares < DEGENERATE_NORMAL**2
-        object.__setattr__(self, "kept", ~degenerate)
-        object.__setattr__(self, "all_kept", not degenerate.any())
+        object.__setattr__(self, "all_kept", min(squares, default=math.inf) >= DEGENERATE_NORMAL**2)
         self._check_degenerate()
 
     def _check_degenerate(self):
@@ -79,9 +100,10 @@ class VelocityPolytope:
         """The polytope {v : v[bound_idx] >= floor, g v <= h} on these general rows g.
 
         g, its row check (kept, all_kept) and its Gram matrix are shared, not
-        built again; h and floor are checked as the constructor checks them:
-        finite, and h >= 0 on every zero normal.
+        built again; h, bound_idx and floor are checked as the constructor
+        checks them: h finite and h >= 0 on every zero normal, and the bound rows.
         """
+        _check_bound_idx(bound_idx, floor, self.g.shape[1])
         if h.shape != self.h.shape or not all(map(math.isfinite, h.tolist() + floor.tolist())):
             raise ValueError("need a finite h of shape (p,) and a finite floor")
         polytope = object.__new__(VelocityPolytope)
@@ -89,6 +111,10 @@ class VelocityPolytope:
                                  kept=self.kept, all_kept=self.all_kept, gram=self.gram)
         polytope._check_degenerate()
         return polytope
+
+    @cached_property
+    def kept(self):
+        return _squares(self.g) >= DEGENERATE_NORMAL**2
 
     @cached_property
     def gram(self):
@@ -117,20 +143,25 @@ class ProjectionResult:
     iterations: int = 0  # active-set iterations or "gi" steps; 0 on "direct"
 
 
-def _certified(c, polytope, v, dual, path, iterations=0, g_dual=None, slack=None):
+def _certified(c, polytope, v, dual, path, iterations=0, g_dual=None, slack=None, clamp=None):
     """The result for (v, dual) with its KKT residual, as kkt_residual_qp defines it.
 
     The general rows' products g_dual = g' dual[s:] and slack = g v - h are computed
-    unless given. Up to FEW_ROWS rows, the reductions run on Python floats, since
-    numpy's dispatch costs more than the arithmetic there; more rows (bound rows
-    can number up to n) are reduced in numpy.
+    unless given, and so is clamp, the bound duals dual[:s] on their coordinates
+    and +0.0 elsewhere: subtracting it gives the bits of gradient[bounds] -= dual[:s],
+    as x - 0.0 == x for every x, -0.0 included. Up to FEW_ROWS rows, the
+    reductions run on Python floats, since numpy's dispatch costs more than the
+    arithmetic there; more rows (bound rows can number up to n) are reduced in numpy.
     """
     bounds, s = polytope.bound_idx, polytope.bound_idx.size
     if g_dual is None:
         g_dual, slack = polytope.g.T @ dual[s:], polytope.g @ v - polytope.h
     gradient = v + c + g_dual
     if s:
-        gradient[bounds] -= dual[:s]
+        if clamp is None:
+            clamp = np.zeros(v.size)
+            clamp[bounds] = dual[:s]
+        gradient -= clamp
         slack = np.concatenate((polytope.floor - v[bounds], slack))
     stationarity = math.sqrt(gradient.dot(gradient))  # np.linalg.norm's own arithmetic
     # scale by multiplier size: near-parallel rows make dual huge while the
@@ -211,14 +242,17 @@ def _active_set(c, polytope, gate, u, gu):
     bounds, g, h = polytope.bound_idx, polytope.g, polytope.h
     s = bounds.size
     if s:
-        floor = np.full(u.size, -np.inf)
+        floor = np.empty(u.size)  # np.full's arithmetic without its Python wrapper
+        floor.fill(-np.inf)
         floor[bounds] = polytope.floor
         free = floor == -np.inf
+        z = u.copy()  # np.where(free, u, floor) of the first iteration
+        z[bounds] = polytope.floor
     active, g_active, h_active = None, g, h  # None: every row, so no copies
     for iteration in range(1, ACTIVE_SET_ITERATIONS + 1):
         if s:
             gram = (g_active * free) @ g_active.T
-            rhs = g_active @ np.where(free, u, floor) - h_active
+            rhs = g_active @ z - h_active
         elif active is None:
             gram, rhs = polytope.gram, (g @ u if gu is None else gu) - h
         else:
@@ -236,9 +270,10 @@ def _active_set(c, polytope, gate, u, gu):
         v = np.maximum(w, floor) if s else w
         slack = g @ v - h
         slacks = slack.tolist()
-        if min(mus, default=0.0) >= 0 and all(z <= gate for z in slacks):  # NaN fails
-            dual = np.concatenate(((v - w)[bounds], mu)) if s else mu
-            result = _certified(c, polytope, v, dual, "dual", iteration, g_mu, slack)
+        if min(mus, default=0.0) >= 0 and all(t <= gate for t in slacks):  # NaN fails
+            clamp = v - w if s else None  # the bound duals, and +0.0 where v == w
+            dual = np.concatenate((clamp[bounds], mu)) if s else mu
+            result = _certified(c, polytope, v, dual, "dual", iteration, g_mu, slack, clamp)
             if result.kkt_residual <= gate:
                 worst = max(slacks, default=-math.inf)
                 if worst > ROUNDOFF and (slack > ROUNDOFF * _row_scale(c, g, h)).any():
@@ -246,6 +281,7 @@ def _active_set(c, polytope, gate, u, gu):
                 return result
         if s:
             free = w >= floor
+            z = np.where(free, u, floor)
         active = mu > 0 if active is None else np.where(active, mu > 0, slack > 0)
         g_active, h_active = g[active], h[active]
     return None
@@ -327,7 +363,8 @@ def project_velocity(target, polytope):
         raise ValueError("target must be finite")
 
     bounds, u, gu = polytope.bound_idx, -c, None
-    if not bounds.size or (c[bounds] <= -polytope.floor).all():  # violated bounds skip g u
+    # violated bounds skip g u; count_nonzero, unlike ndarray.all, has no Python wrapper
+    if not bounds.size or np.count_nonzero(u[bounds] >= polytope.floor) == bounds.size:
         if polytope.all_kept:
             gu = g_u = polytope.g @ u  # the active set's first iteration reuses it
             h = polytope.h

@@ -28,11 +28,10 @@ def from_rows(a, b, bound_idx=()):
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     bounds = np.asarray(bound_idx, dtype=int)
     s = bounds.size
-    polytope = VelocityPolytope(a[s:], b[s:], bounds, -b[:s])  # checks the general rows
-    if not (bounds.ndim == 1 and s <= b.size and np.isfinite(b[:s]).all()
-            and ((0 <= bounds) & (bounds < a.shape[1])).all()
-            and np.unique(bounds).size == s and np.array_equal(polytope.matrix()[0], a)):
-        raise ValueError("bound rows must be -e_i for distinct i in bound_idx, finite rhs")
+    # the constructor checks the general rows, the bound coordinates and the floors
+    polytope = VelocityPolytope(a[s:], b[s:], bounds, -b[:s])
+    if not np.array_equal(polytope.matrix()[0], a):
+        raise ValueError("bound rows must be -e_i for distinct i in bound_idx")
     return polytope
 
 

@@ -11,6 +11,7 @@ from cgm.problems import (
     QuadraticRow,
     RapData,
     build_polytope,
+    hbg_constraints,
     hbg_instantiate,
     hbg_operator,
     rap_generate,
@@ -246,6 +247,17 @@ class TestConstraintSet:
         assert ball.smoothness == base.smoothness
         assert ball.values(x)[-1] == float(x @ x) - 1.0
         np.testing.assert_array_equal(ball.gradients(x, [len(base)]), [2.0 * x])
+
+    def test_gradients_reject_rows_that_do_not_exist(self):
+        # row -1 once read as bound row 3 of these 8 rows, and row 8 raised IndexError
+        constraints = hbg_constraints(2)
+        x = np.full(4, 0.5)
+        for rows in ([-1], [8], [0, 100], [3, -9]):
+            bad = next(i for i in rows if not 0 <= i < 8)
+            with pytest.raises(ValueError, match=rf"row {bad} is not in \[0, 8\)"):
+                constraints.gradients(x, rows)
+        np.testing.assert_array_equal(constraints.gradients(x, [3, 7]),
+                                      [[0.0, 0.0, 0.0, -1.0], [0.0, 0.0, -1.0, -1.0]])
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):

@@ -197,6 +197,79 @@ def test_nonfinite_floors_rejected(bad):
             VelocityPolytope(np.ones((1, 3)), np.ones(1), bound_idx, np.array(floor))
 
 
+def test_bound_rows_are_checked_at_construction():
+    # a floor per bound coordinate, distinct integer coordinates in [0, n): one
+    # floor for two coordinates once broadcast to both, and a coordinate bounded
+    # twice once reached the fallback and raised MaxIterations
+    g, h = np.zeros((0, 3)), np.zeros(0)
+    first = VelocityPolytope(np.ones((1, 3)), np.ones(1), np.zeros(0, int), np.zeros(0))
+    for bound_idx, floor in (
+        ([0, 1], [0.5]),
+        ([0, 0], [0.5, -1.0]),
+        ([2, 0, 2], [0.0, 0.0, 0.0]),
+        ([3], [0.0]),
+        ([-1], [0.0]),
+        ([1, 3], [0.0, 0.0]),
+        ([[0]], [[0.0]]),
+        (np.array([0.0]), [0.0]),
+        (np.array([True]), [0.0]),
+    ):
+        bound_idx, floor = np.array(bound_idx), np.array(floor)
+        with pytest.raises(ValueError):
+            VelocityPolytope(g, h, bound_idx, floor)
+        with pytest.raises(ValueError):
+            first.with_rhs(first.h, bound_idx, floor)
+    # distinct coordinates in any order are bounds
+    polytope = VelocityPolytope(g, h, np.array([2, 0]), np.array([0.5, -1.0]))
+    np.testing.assert_array_equal(project_velocity(np.ones(3), polytope).v, [-1.0, -1.0, 0.5])
+    assert first.with_rhs(first.h, np.array([2, 0]), np.array([0.5, -1.0])).bound_idx.size == 2
+
+
+def parent_row_check(g, h, floor):
+    """VelocityPolytope's row check as it was, reduced in numpy: an error name or (kept, all_kept)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        squares = (g * g).sum(axis=1)
+        if not (np.isfinite(squares + h).all() or np.isfinite(g).all() and np.isfinite(h).all()):
+            return "ValueError"
+    if not np.isfinite(floor).all():
+        return "ValueError"
+    degenerate = squares < cgm.qp.DEGENERATE_NORMAL**2
+    if degenerate.any() and (h[degenerate] < 0).any():
+        return "Infeasible"
+    return (~degenerate).tolist(), not degenerate.any()
+
+
+def test_row_check_accepts_and_rejects_as_the_numpy_check_did():
+    # the fresh check scans Python floats and reads g and h only when that scan fails
+    cases = [([[1.0, 0.5], [0.0, 1.0]], [1.0, -1.0], [0.0]),
+             ([[1e200, 0.0], [0.0, 1.0]], [1.0, -1e300], [0.0]),  # squares overflow: accepted
+             ([[1e153, 0.0]], [1.7e308], [-1e308]),
+             ([[0.0, 0.0], [1.0, 0.0]], [-1.0, 1.0], [0.0]),  # zero normal, h < 0: Infeasible
+             ([[0.0, 0.0], [1.0, 0.0]], [0.0, 1.0], [0.0]),  # zero normal, h >= 0: not kept
+             ([[1e-14, 0.0]], [-1.0], []),  # on the degenerate threshold: kept
+             ([[9e-15, 0.0]], [-1.0], []),
+             ([[9e-15, 0.0]], [2.0], [1.0])]
+    for bad in (np.nan, np.inf, -np.inf):
+        cases += [([[1.0, bad], [0.0, 1.0]], [1.0, 1.0], [0.0]),
+                  ([[1.0, 0.0], [0.0, 1.0]], [1.0, bad], [0.0]),
+                  ([[1e200, bad]], [0.0], []), ([[1e200, 1.0]], [bad], []),
+                  ([[bad, 0.0]], [-1e308], []), ([[1.0, 0.0]], [1.0], [bad]),
+                  ([[1.0, 0.0]], [1.0], [0.0, bad])]
+    outcomes = set()
+    for g, h, floor in cases:
+        g, h, floor = np.array(g, dtype=float), np.array(h, dtype=float), np.array(floor)
+        expected = parent_row_check(g, h, floor)
+        try:
+            polytope = VelocityPolytope(g, h, np.arange(floor.size), floor)
+        except (ValueError, Infeasible) as exc:
+            got = type(exc).__name__
+        else:
+            got = polytope.kept.tolist(), polytope.all_kept
+        assert got == expected, (g, h, floor)
+        outcomes.add(expected if isinstance(expected, str) else expected[1])
+    assert outcomes == {"ValueError", "Infeasible", True, False}
+
+
 def test_rows_whose_squares_overflow_are_accepted():
     # 1e200 squares to inf, and 1.7e308 + 1e307 overflows, but every entry is finite
     for g, h in (([[1e200, 0.0], [0.0, 1.0]], [1.0, -1e300]), ([[1e153, 0.0]], [1.7e308])):
@@ -733,6 +806,43 @@ def _assert_kkt_matches_dense(result, c, polytope):
     # _certified's reductions, on Python floats or in numpy, give the numpy formula's bits
     residual, n_active = numpy_certified(result, c, polytope)
     assert (float(result.kkt_residual).hex(), result.n_active) == (residual.hex(), n_active)
+
+
+def fancy_index_gradient(c, polytope, v, dual, g_dual):
+    """_certified's stationarity vector as it was: the bound duals subtracted by fancy index."""
+    gradient = v + c + g_dual
+    gradient[polytope.bound_idx] -= dual[: polytope.bound_idx.size]
+    return gradient
+
+
+@pytest.mark.parametrize("n", [5, 60])
+def test_bound_stationarity_keeps_the_fancy_index_bits(monkeypatch, n):
+    # the dual path subtracts clamp = v - w over all coordinates; it is +0.0 off
+    # the bound coordinates, so every entry keeps its bits; at n = 60 about 42
+    # bound rows take _certified past FEW_ROWS, into the numpy reductions
+    real = cgm.qp._certified
+    sizes = []
+
+    def checked(c, polytope, v, dual, path, iterations=0, g_dual=None, slack=None, clamp=None):
+        if clamp is not None:
+            s = polytope.bound_idx.size
+            assert clamp[polytope.bound_idx].tobytes() == dual[:s].tobytes()
+            gradient = v + c + g_dual
+            gradient -= clamp
+            assert gradient.tobytes() == fancy_index_gradient(c, polytope, v, dual, g_dual).tobytes()
+            sizes.append(dual.size)
+        return real(c, polytope, v, dual, path, iterations, g_dual, slack, clamp)
+
+    monkeypatch.setattr(cgm.qp, "_certified", checked)
+    rng = np.random.default_rng(25)
+    for _ in range(300):
+        c, polytope = bounded_instance(rng, n, int(rng.integers(1, 4)))
+        try:
+            result = project_velocity(c, polytope)
+        except Infeasible:
+            continue
+        _assert_kkt_matches_dense(result, c, polytope)
+    assert len(sizes) >= 100 and {size > cgm.qp.FEW_ROWS for size in sizes} == {n == 60}, sizes
 
 
 def test_structural_kkt_matches_dense_on_trajectories(monkeypatch):
