@@ -41,12 +41,14 @@ and every pair's best times.
 
 A paired entry also gets the two verdicts a gain claim cites, which are
 printed with it: whether the quartiles of its pair ratios exclude 1, and
-whether they lie wholly outside the entry's own A/A band, the lowest to
-highest pair ratio of the same entry in ``BENCH_25_AA.json`` (an interleaved
-run of one tree against a copy of itself). Entries are judged by their own
-band because their noise differs: a quiet solver entry and the interpreter
-start of ``setup_s`` do not share one range. An entry the A/A run lacks reads
-"no band". The 9-of-10 wins count alone flags sub-percent load-order effects
+whether they lie wholly outside the entry's own A/A band, the quartiles of
+the same entry's pair ratios pooled over the AA_RUNS, interleaved runs of one
+tree against a copy of itself in both load orders (20 ratios an entry).
+Quartiles, not the lowest to highest ratio, so that one slow pair cannot set
+a band. Entries are judged by their own band because
+their noise differs: a quiet solver entry and the interpreter start of
+``setup_s`` do not share one range. An entry the A/A runs lack reads "no
+band". The 9-of-10 wins count alone flags sub-percent load-order effects
 on code a change does not touch.
 """
 
@@ -77,7 +79,7 @@ BUDGET_S = 5.0
 PAIRS = 10
 PAIR_BUDGET_S = 1.0
 PAIR_ROUNDS = 9
-AA_RUN = ROOT / "BENCH_25_AA.json"
+AA_RUNS = (ROOT / "BENCH_25_AA.json", ROOT / "BENCH_25_AA_SWAPPED.json")
 # entries reported in other units than seconds per call
 SCALE = {"rap_d200_T20_varying_ms_per_iter": 1e3 / 20}
 SETUP_PROBE = """
@@ -198,12 +200,18 @@ def pair(parent, change, k):
     return best[0], best[1], statistics.median(ratios)
 
 
-def aa_bands(path=AA_RUN):
-    """{entry: (lowest, highest) pair ratio} of an A/A paired run; {} without one."""
-    if not path.exists():
-        return {}
-    entries = json.loads(path.read_text())["paired"]
-    return {name: (min(entry["ratios"]), max(entry["ratios"])) for name, entry in entries.items()}
+def aa_bands(paths=AA_RUNS):
+    """{entry: (first, third) quartile of its pair ratios pooled over the A/A paired runs}.
+
+    Runs that do not exist are skipped, so no run gives {}.
+    """
+    pooled = {}
+    for path in paths:
+        if path.exists():
+            for name, entry in json.loads(path.read_text())["paired"].items():
+                pooled.setdefault(name, []).extend(entry["ratios"])
+    return {name: tuple(statistics.quantiles(ratios, n=4)[::2])
+            for name, ratios in pooled.items()}
 
 
 def paired(parent_samples, change_samples, bands):
@@ -262,7 +270,7 @@ def main(argv=None):
             change = samples(load(src, "cgm_change"), src, Path(tmp, "change"))
             best, record = paired(parent, change, aa_bands())
             env.update(pairs=PAIRS, pair_budget_s=PAIR_BUDGET_S, pair_rounds=PAIR_ROUNDS,
-                       interleaved=True, aa_run=AA_RUN.name)
+                       interleaved=True, aa_runs=[path.name for path in AA_RUNS])
             for side in best:
                 data.setdefault("columns", {})[side] = {"env": env, "results": best[side]}
             data["paired"] = record

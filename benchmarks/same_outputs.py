@@ -43,6 +43,9 @@ COMMANDS = [
      "--iters", "100,1000,3000"],
     ["--problem", "rap", "--d", "50", "--schedule", "varying", "--check-bounds", "--plots",
      "--iters", "100,500,2000"],
+    # QPs with about 160 bound rows
+    ["--problem", "rap", "--d", "200", "--schedule", "varying", "--check-bounds",
+     "--iters", "200", "--seed", "3"],
     ["--problem", "rap", "--d", "2", "--seed", "0", "--iters", "10"],  # exit 3: reference
     ["--problem", "rap", "--d", "50", "--schedule", "constant", "--iters", "1"],  # exit 2
 ]

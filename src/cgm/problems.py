@@ -96,8 +96,8 @@ class MinProblem:
     data: Optional[object] = None
 
     def __post_init__(self):
-        if not (0 < self.mu <= self.ell_f):
-            raise ValueError("need 0 < mu <= ell_f")
+        if not 0 < self.mu <= self.ell_f < math.inf:  # NaN fails
+            raise ValueError("need finite 0 < mu <= ell_f")
 
 
 @dataclass(frozen=True)
@@ -113,10 +113,10 @@ class VIProblem:
     simplex_blocks: Optional[tuple] = None
 
     def __post_init__(self):
-        if not (0 < self.mu <= self.ell_F):
-            raise ValueError("need 0 < mu <= ell_F")
-        if self.B < 0 or self.diameter_D <= 0:
-            raise ValueError("need B >= 0 and diameter_D > 0")
+        if not 0 < self.mu <= self.ell_F < math.inf:  # NaN fails
+            raise ValueError("need finite 0 < mu <= ell_F")
+        if not (0 <= self.B < math.inf and 0 < self.diameter_D < math.inf):
+            raise ValueError("need finite B >= 0 and diameter_D > 0")
 
 
 @dataclass(frozen=True)

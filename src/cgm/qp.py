@@ -24,7 +24,6 @@ DEGENERATE_NORMAL = 1e-14
 KKT_TOL = 1e-10  # scale of the KKT gate every projection must pass
 ACTIVE_SET_ITERATIONS = 10  # cap of the bound-aware active-set solve
 ROUNDOFF = 1e-13  # slack, on a row's scale, that an accurate solve stays within
-FEW_ROWS = 32  # rows up to which a KKT residual is reduced on Python floats
 
 
 class QpError(Exception):
@@ -44,22 +43,6 @@ def _squares(g):
     return np.add.reduce(g * g, axis=1)
 
 
-def _check_bound_idx(bound_idx, floor, n):
-    """Raise ValueError unless bound_idx holds distinct coordinates in [0, n), one per floor.
-
-    Ascending indices, as build_polytope makes them, pass one numpy comparison of
-    neighbours at any length; others are checked through a set.
-    """
-    if bound_idx.ndim != 1 or bound_idx.dtype.kind not in "iu" or floor.shape != bound_idx.shape:
-        raise ValueError("need integer bound_idx of shape (s,) and floor of its shape")
-    s = bound_idx.size
-    if s and not (np.count_nonzero(bound_idx[1:] > bound_idx[:-1]) == s - 1
-                  and 0 <= bound_idx[0] and bound_idx[-1] < n):
-        idx = bound_idx.tolist()
-        if len(set(idx)) < s or not 0 <= min(idx) <= max(idx) < n:
-            raise ValueError(f"bound_idx must hold distinct coordinates in [0, {n})")
-
-
 @dataclass(frozen=True)
 class VelocityPolytope:
     """The polytope {v : v[bound_idx] >= floor, g v <= h} in R^n, n = g.shape[1].
@@ -77,39 +60,53 @@ class VelocityPolytope:
     all_kept: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        g, h = self.g, self.h
-        if g.ndim != 2 or g.shape[1] < 1 or h.shape != g.shape[:1]:
-            raise ValueError("need g of shape (p, n) with n >= 1 and h of shape (p,)")
+        g = self.g
+        if g.ndim != 2 or g.shape[1] < 1:
+            raise ValueError("need g of shape (p, n) with n >= 1")
         squares = _squares(g).tolist()
-        # the squares and h are finite when g and h are; g and h are read only when a square overflows
-        if not (all(map(math.isfinite, squares + h.tolist()))
-                or np.isfinite(g).all() and np.isfinite(h).all()):
+        # the squares are finite when g is; g is read only when a square overflows
+        if not (all(map(math.isfinite, squares)) or np.isfinite(g).all()):
             raise ValueError("halfspace rows must be finite")
-        _check_bound_idx(self.bound_idx, self.floor, g.shape[1])
-        floor = self.floor  # floor . floor is finite when floor is; floor is read only on overflow
-        if not (math.isfinite(floor.dot(floor)) or np.isfinite(floor).all()):
-            raise ValueError("bound floors must be finite")
         object.__setattr__(self, "all_kept", min(squares, default=math.inf) >= DEGENERATE_NORMAL**2)
-        self._check_degenerate()
+        self._check()
 
-    def _check_degenerate(self):
-        if not self.all_kept and (self.h[~self.kept] < 0).any():
+    def _check(self):
+        """Raise unless h, bound_idx and floor fit the rows g.
+
+        h must be finite of shape (p,), and h >= 0 on every zero normal
+        (Infeasible otherwise). bound_idx must hold distinct coordinates in
+        [0, n), one per finite floor: ascending indices, as build_polytope
+        makes them, pass one numpy comparison of neighbours at any length,
+        others are checked through a set. floor . floor is finite when floor
+        is; floor is read entry by entry only when it overflows.
+        """
+        h, bound_idx, floor, n = self.h, self.bound_idx, self.floor, self.g.shape[1]
+        if h.shape != self.g.shape[:1] or not all(map(math.isfinite, h.tolist())):
+            raise ValueError("need a finite h of shape (p,)")
+        if bound_idx.ndim != 1 or bound_idx.dtype.kind not in "iu" or floor.shape != bound_idx.shape:
+            raise ValueError("need integer bound_idx of shape (s,) and floor of its shape")
+        s = bound_idx.size
+        if s:
+            if not (np.count_nonzero(bound_idx[1:] > bound_idx[:-1]) == s - 1
+                    and 0 <= bound_idx[0] and bound_idx[-1] < n):
+                idx = bound_idx.tolist()
+                if len(set(idx)) < s or not 0 <= min(idx) <= max(idx) < n:
+                    raise ValueError(f"bound_idx must hold distinct coordinates in [0, {n})")
+            if not (math.isfinite(floor.dot(floor)) or np.isfinite(floor).all()):
+                raise ValueError("bound floors must be finite")
+        if not self.all_kept and (h[~self.kept] < 0).any():
             raise Infeasible("zero normal with negative rhs: 0 <= rhs is violated")
 
     def with_rhs(self, h, bound_idx, floor):
         """The polytope {v : v[bound_idx] >= floor, g v <= h} on these general rows g.
 
         g, its row check (kept, all_kept) and its Gram matrix are shared, not
-        built again; h, bound_idx and floor are checked as the constructor
-        checks them: h finite and h >= 0 on every zero normal, and the bound rows.
+        built again; h, bound_idx and floor get the constructor's check.
         """
-        _check_bound_idx(bound_idx, floor, self.g.shape[1])
-        if h.shape != self.h.shape or not all(map(math.isfinite, h.tolist() + floor.tolist())):
-            raise ValueError("need a finite h of shape (p,) and a finite floor")
         polytope = object.__new__(VelocityPolytope)
         polytope.__dict__.update(g=self.g, h=h, bound_idx=bound_idx, floor=floor,
                                  kept=self.kept, all_kept=self.all_kept, gram=self.gram)
-        polytope._check_degenerate()
+        polytope._check()
         return polytope
 
     @cached_property
@@ -147,37 +144,37 @@ def _certified(c, polytope, v, dual, path, iterations=0, g_dual=None, slack=None
     """The result for (v, dual) with its KKT residual, as kkt_residual_qp defines it.
 
     The general rows' products g_dual = g' dual[s:] and slack = g v - h are computed
-    unless given, and so is clamp, the bound duals dual[:s] on their coordinates
-    and +0.0 elsewhere: subtracting it gives the bits of gradient[bounds] -= dual[:s],
-    as x - 0.0 == x for every x, -0.0 included. Up to FEW_ROWS rows, the
-    reductions run on Python floats, since numpy's dispatch costs more than the
-    arithmetic there; more rows (bound rows can number up to n) are reduced in numpy.
+    unless given. Bound stationarity subtracts clamp, the bound duals dual[:s] on
+    their coordinates and +0.0 elsewhere: that gives the bits of
+    gradient[bounds] -= dual[:s], as x - 0.0 == x for every x, -0.0 included.
+    A given clamp is v - w with v = max(w, floor) (the "dual" path), so each
+    bound slack floor - v is <= 0 and each product clamp * slack an exact 0.0:
+    the bound rows cannot change the residual, and only their active duals are
+    counted. Without it, clamp is built here and the bound rows are reduced
+    with the general ones. The reductions run on Python floats.
     """
     bounds, s = polytope.bound_idx, polytope.bound_idx.size
     if g_dual is None:
         g_dual, slack = polytope.g.T @ dual[s:], polytope.g @ v - polytope.h
     gradient = v + c + g_dual
+    duals, slacks, n_active = dual, slack.tolist(), 0
+    if clamp is not None:
+        duals, n_active = dual[s:], int(np.count_nonzero(clamp > 0))
+    elif s:
+        clamp = np.zeros(v.size)
+        clamp[bounds] = dual[:s]
+        slacks = (polytope.floor - v[bounds]).tolist() + slacks
     if s:
-        if clamp is None:
-            clamp = np.zeros(v.size)
-            clamp[bounds] = dual[:s]
         gradient -= clamp
-        slack = np.concatenate((polytope.floor - v[bounds], slack))
+    duals = duals.tolist()
     stationarity = math.sqrt(gradient.dot(gradient))  # np.linalg.norm's own arithmetic
+    primal = max(slacks, default=0.0)  # stationarity >= 0 floors the residual
     # scale by multiplier size: near-parallel rows make dual huge while the
     # product dual*slack stays a faithful zero up to roundoff in slack alone
-    if dual.size > FEW_ROWS:
-        primal = float(slack.max(initial=0.0))
-        comp = float((np.abs(dual * slack) / (1.0 + dual)).max(initial=0.0))
-        n_active = int(np.count_nonzero(dual > 0))
-    else:
-        duals, slack = dual.tolist(), slack.tolist()
-        primal = max(slack, default=0.0)  # stationarity >= 0 floors the residual
-        comp = max([abs(y * z) / (1.0 + y) for y, z in zip(duals, slack)], default=0.0)
-        n_active = sum(y > 0 for y in duals)
+    comp = max([abs(y * z) / (1.0 + y) for y, z in zip(duals, slacks)], default=0.0)
     return ProjectionResult(
         v=v, dual=dual, kkt_residual=max(stationarity, primal, comp),
-        n_active=n_active, path=path, iterations=iterations,
+        n_active=n_active + sum(y > 0 for y in duals), path=path, iterations=iterations,
     )
 
 

@@ -1,5 +1,8 @@
 """Instance generation invariants and velocity-polytope membership laws."""
 
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -32,6 +35,18 @@ def feasible_rap_point(problem, rng):
             return y
         y = 0.5 * y + 0.5 * problem.x0
     return np.array(problem.x0)
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_problem_constants_must_be_finite(bad):
+    # ell_f = inf once gave all-zero varying steps, and diameter_D = NaN a
+    # delta_default of 1.0, since max(1.0, nan) is 1.0
+    rap, hbg = rap_generate(5, seed=0), hbg_instantiate(5, 0.5, seed=0)
+    for problem, name in ((rap, "mu"), (rap, "ell_f"), (hbg, "mu"), (hbg, "ell_F"),
+                          (hbg, "B"), (hbg, "diameter_D")):
+        with pytest.raises(ValueError, match="finite"):
+            replace(problem, **{name: bad})
+    assert replace(rap, mu=rap.ell_f).mu == rap.ell_f and replace(hbg, B=0.0).B == 0.0
 
 
 class TestRapGeneration:

@@ -197,12 +197,36 @@ def test_nonfinite_floors_rejected(bad):
             VelocityPolytope(np.ones((1, 3)), np.ones(1), bound_idx, np.array(floor))
 
 
+def assert_rejected_alike(first, h, bound_idx, floor, error=ValueError):
+    """The constructor on first's rows g and first.with_rhs raise one error with one message."""
+    with pytest.raises(error) as fresh:
+        VelocityPolytope(first.g, h, bound_idx, floor)
+    with pytest.raises(error) as shared:
+        first.with_rhs(h, bound_idx, floor)
+    assert (shared.type, str(shared.value)) == (fresh.type, str(fresh.value))
+
+
+def test_constructor_and_with_rhs_reject_alike():
+    # one check of h, the floors and the zero-normal rule serves both
+    g = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])  # the second row is a zero normal
+    first = VelocityPolytope(g, np.array([1.0, 0.0]), np.zeros(0, int), np.zeros(0))
+    bound_idx, floor = np.array([0, 2]), np.array([0.5, -1.0])
+    for h in (np.ones(3), np.ones((2, 1)), *(np.array([1.0, x]) for x in (np.nan, np.inf, -np.inf))):
+        assert_rejected_alike(first, h, bound_idx, floor)
+    for bad in ([0.0, np.nan], [np.inf, 0.0], [-np.inf, 1e200]):
+        assert_rejected_alike(first, np.ones(2), bound_idx, np.array(bad))
+    assert_rejected_alike(first, np.array([1.0, -1e-300]), bound_idx, floor, Infeasible)
+    shared = first.with_rhs(np.ones(2), bound_idx, floor)
+    assert shared.gram is first.gram and shared.kept is first.kept and not shared.all_kept
+
+
 def test_bound_rows_are_checked_at_construction():
     # a floor per bound coordinate, distinct integer coordinates in [0, n): one
     # floor for two coordinates once broadcast to both, and a coordinate bounded
     # twice once reached the fallback and raised MaxIterations
     g, h = np.zeros((0, 3)), np.zeros(0)
     first = VelocityPolytope(np.ones((1, 3)), np.ones(1), np.zeros(0, int), np.zeros(0))
+    empty = VelocityPolytope(g, h, np.zeros(0, int), np.zeros(0))
     for bound_idx, floor in (
         ([0, 1], [0.5]),
         ([0, 0], [0.5, -1.0]),
@@ -215,10 +239,8 @@ def test_bound_rows_are_checked_at_construction():
         (np.array([True]), [0.0]),
     ):
         bound_idx, floor = np.array(bound_idx), np.array(floor)
-        with pytest.raises(ValueError):
-            VelocityPolytope(g, h, bound_idx, floor)
-        with pytest.raises(ValueError):
-            first.with_rhs(first.h, bound_idx, floor)
+        for polytope in (empty, first):
+            assert_rejected_alike(polytope, polytope.h, bound_idx, floor)
     # distinct coordinates in any order are bounds
     polytope = VelocityPolytope(g, h, np.array([2, 0]), np.array([0.5, -1.0]))
     np.testing.assert_array_equal(project_velocity(np.ones(3), polytope).v, [-1.0, -1.0, 0.5])
@@ -803,7 +825,8 @@ def _assert_kkt_matches_dense(result, c, polytope):
     structural = kkt_residual_qp(result, c, polytope)
     assert abs(structural - dense) <= 1e-12 * (1.0 + abs(dense)), (structural, dense)
     assert result.kkt_residual == structural
-    # _certified's reductions, on Python floats or in numpy, give the numpy formula's bits
+    # _certified's reductions (the bound rows skipped on the dual path) give the
+    # bits of the numpy formula over every row
     residual, n_active = numpy_certified(result, c, polytope)
     assert (float(result.kkt_residual).hex(), result.n_active) == (residual.hex(), n_active)
 
@@ -818,8 +841,9 @@ def fancy_index_gradient(c, polytope, v, dual, g_dual):
 @pytest.mark.parametrize("n", [5, 60])
 def test_bound_stationarity_keeps_the_fancy_index_bits(monkeypatch, n):
     # the dual path subtracts clamp = v - w over all coordinates; it is +0.0 off
-    # the bound coordinates, so every entry keeps its bits; at n = 60 about 42
-    # bound rows take _certified past FEW_ROWS, into the numpy reductions
+    # the bound coordinates, so every entry keeps its bits; at n = 60 every
+    # dual-path QP holds more than 32 rows (about 42 bound rows), which
+    # _certified leaves out of its reductions and numpy_certified reduces
     real = cgm.qp._certified
     sizes = []
 
@@ -842,7 +866,7 @@ def test_bound_stationarity_keeps_the_fancy_index_bits(monkeypatch, n):
         except Infeasible:
             continue
         _assert_kkt_matches_dense(result, c, polytope)
-    assert len(sizes) >= 100 and {size > cgm.qp.FEW_ROWS for size in sizes} == {n == 60}, sizes
+    assert len(sizes) >= 100 and {size > 32 for size in sizes} == {n == 60}, sizes
 
 
 def test_structural_kkt_matches_dense_on_trajectories(monkeypatch):
@@ -853,18 +877,19 @@ def test_structural_kkt_matches_dense_on_trajectories(monkeypatch):
     def checked_projection(c, polytope):
         result = real(c, polytope)
         _assert_kkt_matches_dense(result, c, polytope)
-        checked.append(polytope.bound_idx.size)
+        checked.append((polytope.bound_idx.size, result.path))
         return result
 
     monkeypatch.setattr(cgm.cgm_min, "project_velocity", checked_projection)
     for schedule in ("constant", "varying"):
         cgm_min_run(rap_generate(50, seed=0), MinSolverConfig(horizon=500, schedule=schedule))
-    # d=200 polytopes hold more than FEW_ROWS rows, whose residual is reduced in numpy
+    # d=200 dual-path polytopes hold more than 32 bound rows, left out of
+    # _certified's reductions and reduced by numpy_certified
     cgm_min_run(rap_generate(200, seed=0), MinSolverConfig(horizon=20, schedule="varying"))
     rap_qps = len(checked)
     cgm_vi_run(hbg_instantiate(50, 0.8, seed=0), VISolverConfig(horizon=1000))
-    assert rap_qps >= 500 and max(checked[:rap_qps]) > cgm.qp.FEW_ROWS
-    assert len(checked) - rap_qps >= 500 and max(checked[rap_qps:]) == 0
+    assert rap_qps >= 500 and max(s for s, path in checked[:rap_qps] if path == "dual") > 32
+    assert len(checked) - rap_qps >= 500 and max(checked[rap_qps:])[0] == 0
 
 
 def test_structural_kkt_matches_dense_on_bounded_batch():
