@@ -2,42 +2,34 @@
 
 Run from the root of a checkout:
 
-    python3 benchmarks/bench.py --column change --out BENCH.json
-    python3 benchmarks/bench.py --column parent --src ../parent/src --out BENCH.json
     python3 benchmarks/bench.py --src-parent ../parent/src --out BENCH.json
 
-Each entry is the best ``time.perf_counter`` wall time of one call at a fixed
-seed, with one BLAS thread, over at least REPEAT = 3 calls repeated until
-BUDGET_S = 5 s have passed, so millisecond entries take the best of hundreds of
-calls and second-long ones the best of a few. ``setup_s`` follows the same
-rule over fresh interpreters that import ``cgm`` and build the d=50 RAP
-instance, and ``cli_hbg_d50_T1000_s`` and ``cli_rap_d50_T500_s`` over whole
-``cgm-bench`` runs into a temporary directory, with the command lines of
-perfbench's hbg-d50 and rap-d50 workloads at seed 42.
-``cli_hbg_d50_T100_1000_3000_s`` times the hbg-d50 command line with the
-horizons 100, 1000 and 3000, where the cells of one experiment share runs.
-``baselines_hbg_d50_T1000_s`` times GDA and EG on the HBG d=50 instance the
-way ``run_experiment`` runs them: in lockstep through ``gda_eg_run``.
-``--src`` selects the source tree whose ``cgm`` package is timed (default:
-this checkout's ``src``), so two commits can be measured by the same script
-and settings. Results are merged into --out under the name given by --column,
-next to the environment they were taken in.
+It loads the parent tree's ``cgm`` (--src-parent) and --src's (default: this
+checkout's ``src``) into this one process, under the package names
+``cgm_parent`` and ``cgm_change`` (every import inside ``cgm`` is relative),
+and interleaves them call by call, with one BLAS thread, so a slow spell of a
+shared host or a heap state falls on both sides. Each entry times one call at
+a fixed seed. ``setup_s`` starts a fresh interpreter that imports ``cgm`` and
+builds the d=50 RAP instance, and ``cli_hbg_d50_T1000_s`` and
+``cli_rap_d50_T500_s`` run whole ``cgm-bench`` experiments into a temporary
+directory, with the command lines of perfbench's hbg-d50 and rap-d50
+workloads at seed 42. ``cli_hbg_d50_T100_1000_3000_s`` times the hbg-d50
+command line with the horizons 100, 1000 and 3000, where the cells of one
+experiment share runs. ``baselines_hbg_d50_T1000_s`` times GDA and EG on the
+HBG d=50 instance the way ``run_experiment`` runs them: in lockstep through
+``gda_eg_run``.
 
-``--src-parent`` loads the parent tree's ``cgm`` and --src's into this one
-process, under the package names ``cgm_parent`` and ``cgm_change`` (every
-import inside ``cgm`` is relative), and interleaves them call by call, so a
-slow spell of a shared host or a heap state falls on both sides. Each entry
-runs PAIRS pairs; a pair runs rounds of one call of each side, back to back,
-swapping which goes first every round, for at least PAIR_ROUNDS = 9 rounds and
-PAIR_BUDGET_S seconds, so a pair's budget scales with the entry's call time
-(a pair of a 0.3 s call used to hold 3 rounds, and one slow spell set its
-ratio). A pair's ratio is the median over its rounds of the
+Each entry runs PAIRS pairs; a pair runs rounds of one call of each side, back
+to back, swapping which goes first every round, for at least PAIR_ROUNDS = 9
+rounds and PAIR_BUDGET_S seconds, so a pair's budget scales with the entry's
+call time (a pair of a 0.3 s call used to hold 3 rounds, and one slow spell
+set its ratio). A pair's ratio is the median over its rounds of the
 change/parent time ratio, so host drift slower than one round cancels; it
-also keeps each side's best time. Only ``setup_s`` still starts an
-interpreter per call. The columns ``parent`` and ``change`` then hold each
-entry's best over the pairs, and ``paired`` holds, per entry, the median of
-the pair ratios, the pairs the change won (ratio below 1), every pair's ratio
-and every pair's best times.
+also keeps each side's best time. The columns ``parent`` and ``change`` of
+--out then hold each entry's best over the pairs, next to the environment
+they were taken in, and ``paired`` holds, per entry, the median of the pair
+ratios, the pairs the change won (ratio below 1), every pair's ratio and
+every pair's best times.
 
 A paired entry also gets the two verdicts a gain claim cites, which are
 printed with it: whether the quartiles of its pair ratios exclude 1, and
@@ -74,8 +66,6 @@ import numpy as np  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 42
-REPEAT = 3
-BUDGET_S = 5.0
 PAIRS = 10
 PAIR_BUDGET_S = 1.0
 PAIR_ROUNDS = 9
@@ -103,14 +93,6 @@ def load(src, name):
     spec.loader.exec_module(package)
     importlib.import_module(f"{name}.cli")
     return package
-
-
-def best_over_budget(sample):
-    """Min of sample() over at least REPEAT calls that together span BUDGET_S seconds."""
-    best, calls, start = float("inf"), 0, time.perf_counter()
-    while calls < REPEAT or time.perf_counter() - start < BUDGET_S:
-        best, calls = min(best, sample()), calls + 1
-    return best
 
 
 def timer(fn, *args):
@@ -243,15 +225,12 @@ def paired(parent_samples, change_samples, bands):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--column", help="name of this measurement (without --src-parent)")
     parser.add_argument("--out", required=True, type=Path, help="JSON file to merge into")
     parser.add_argument("--src", type=Path, default=ROOT / "src",
                         help="source tree holding the cgm package to time")
-    parser.add_argument("--src-parent", type=Path,
+    parser.add_argument("--src-parent", type=Path, required=True,
                         help="parent source tree to interleave with --src, call by call")
     args = parser.parse_args(argv)
-    if (args.column is None) == (args.src_parent is None):
-        parser.error("give exactly one of --column and --src-parent")
 
     src = args.src.resolve()
     data = json.loads(args.out.read_text()) if args.out.exists() else {}
@@ -261,30 +240,23 @@ def main(argv=None):
         "numpy": np.__version__,
         "blas_threads": int(os.environ["OPENBLAS_NUM_THREADS"]),
         "seed": SEED,
-        "repeat": REPEAT,
+        "pairs": PAIRS,
+        "pair_budget_s": PAIR_BUDGET_S,
+        "pair_rounds": PAIR_ROUNDS,
+        "interleaved": True,
+        "aa_runs": [path.name for path in AA_RUNS],
     }
+    parent_src = args.src_parent.resolve()
     with tempfile.TemporaryDirectory() as tmp:
-        if args.src_parent is not None:
-            parent_src = args.src_parent.resolve()
-            parent = samples(load(parent_src, "cgm_parent"), parent_src, Path(tmp, "parent"))
-            change = samples(load(src, "cgm_change"), src, Path(tmp, "change"))
-            best, record = paired(parent, change, aa_bands())
-            env.update(pairs=PAIRS, pair_budget_s=PAIR_BUDGET_S, pair_rounds=PAIR_ROUNDS,
-                       interleaved=True, aa_runs=[path.name for path in AA_RUNS])
-            for side in best:
-                data.setdefault("columns", {})[side] = {"env": env, "results": best[side]}
-            data["paired"] = record
-            verdicts = ("median_ratio", "wins", "pairs", "aa_band", "outside_aa_band",
-                        "ratio_quartiles", "quartiles_exclude_1")
-            summary = {name: {k: entry[k] for k in verdicts} for name, entry in record.items()}
-        else:
-            env.update(budget_s=BUDGET_S)
-            results = {
-                name: best_over_budget(sample) * SCALE.get(name, 1.0)
-                for name, sample in samples(load(src, "cgm"), src, Path(tmp)).items()
-            }
-            data.setdefault("columns", {})[args.column] = {"env": env, "results": results}
-            summary = {args.column: results}
+        parent = samples(load(parent_src, "cgm_parent"), parent_src, Path(tmp, "parent"))
+        change = samples(load(src, "cgm_change"), src, Path(tmp, "change"))
+        best, record = paired(parent, change, aa_bands())
+    for side in best:
+        data.setdefault("columns", {})[side] = {"env": env, "results": best[side]}
+    data["paired"] = record
+    verdicts = ("median_ratio", "wins", "pairs", "aa_band", "outside_aa_band",
+                "ratio_quartiles", "quartiles_exclude_1")
+    summary = {name: {k: entry[k] for k in verdicts} for name, entry in record.items()}
     args.out.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
     print(json.dumps(summary, indent=2))
     return 0

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .problems import build_polytope, max_violation_of, violated_set
+from .problems import ConstraintSet, build_polytope, max_violation_of, violated_set
 from .qp import project_velocity
 
 
@@ -40,14 +40,19 @@ class MinSolverConfig:
             raise ValueError(f"unknown schedule {self.schedule!r}")
 
 
+def diminishing_steps(mu, offset, horizon):
+    """1/(mu (t + offset)), t < horizon: offset kappa on CGM-Min, 16 kappa^2 on CGM-VI."""
+    return 1.0 / (mu * (np.arange(horizon) + offset))
+
+
 def step_sizes(problem, horizon, schedule):
-    """The T = horizon step sizes: 1/(mu (t + kappa)) when varying, else log(T)/(mu T) each.
+    """The T = horizon step sizes: diminishing with offset kappa when varying, else log(T)/(mu T).
 
     The constant schedule raises ScheduleInvalid unless T >= 2 and T >= kappa log T.
     """
     mu, kappa = problem.mu, problem.ell_f / problem.mu
     if schedule == VARYING:
-        return 1.0 / (mu * (np.arange(horizon) + kappa))
+        return diminishing_steps(mu, kappa, horizon)
     if horizon < 2:
         raise ScheduleInvalid("constant schedule needs T >= 2")
     if horizon < kappa * math.log(horizon):
@@ -115,7 +120,7 @@ def cgm_iterate(direction, constraints, x0, alpha, etas):
     return dict(
         xs=xs, vs=vs, etas=etas, max_violation=viol, wall_s=wall,
         n_violated=n_violated, n_active=n_active, kkt_residual=kkt_residual,
-        qp_path=qp_path, v_norms=np.linalg.norm(vs, axis=1),
+        qp_path=qp_path, v_norms=np.linalg.norm(vs, axis=1), constraints=constraints,
     )
 
 
@@ -139,6 +144,7 @@ class CgmTrace:
     kkt_residual: np.ndarray
     qp_path: np.ndarray
     v_norms: np.ndarray
+    constraints: ConstraintSet  # the rows the run stepped on, which the certificates read
 
     @property
     def horizon(self):

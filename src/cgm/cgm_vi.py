@@ -10,7 +10,7 @@ from typing import Optional
 
 import numpy as np
 
-from .cgm_min import CgmTrace, cgm_iterate
+from .cgm_min import CgmTrace, cgm_iterate, diminishing_steps
 from .metrics import row_norms
 from .problems import QuadraticRow
 
@@ -27,11 +27,6 @@ def delta_default(normFx0_sq, B, D, ell_F):
     return max(1.0, D**2 * ell_F**2 / denom)
 
 
-def step_vi(t, mu, kappa):
-    """Fixed schedule 1/(mu (t + 16 kappa^2)); at most mu/(16 ell_F^2)."""
-    return 1.0 / (mu * (t + 16.0 * kappa**2))
-
-
 @dataclass(frozen=True)
 class VISolverConfig:
     horizon: int
@@ -46,12 +41,12 @@ class VISolverConfig:
 
 @dataclass(kw_only=True)
 class VITrace(CgmTrace):
-    """A CGM-VI run over constraints [m+1], with each state's distance to x0."""
+    """A CGM-VI run with each state's distance to x0, over constraints [m+1]
+    whose last row, constraints.smooth[-1], is the ball ||x - x0||^2 <= r."""
 
     dist_x0: np.ndarray
     kappa: float
     delta: float
-    aux: QuadraticRow  # the ball ||x - x0||^2 <= r, appended as row m+1
     normFx0_sq: float
 
     @property
@@ -80,14 +75,14 @@ def cgm_vi_run(problem, config):
     delta = tight if config.delta is None else config.delta
     if not delta >= tight:
         raise ValueError(f"delta={delta} below admissible minimum {tight}")
-    aux = QuadraticRow(problem.x0, delta / problem.ell_F**2 * (norm_f0_sq + problem.B))
-    constraints = problem.constraints.append(aux)
+    ball = QuadraticRow(problem.x0, delta / problem.ell_F**2 * (norm_f0_sq + problem.B))
+    constraints = problem.constraints.append(ball)
 
     kappa = problem.ell_F / problem.mu
-    etas = step_vi(np.arange(config.horizon), problem.mu, kappa)
+    etas = diminishing_steps(problem.mu, 16.0 * kappa**2, config.horizon)  # <= mu/(16 ell_F^2)
     arrays = cgm_iterate(problem.op_F, constraints, problem.x0, problem.mu, etas)
     xs = arrays["xs"]
     return VITrace(
         **arrays, dist_x0=row_norms(xs, xs[0]),
-        kappa=kappa, delta=delta, aux=aux, normFx0_sq=norm_f0_sq,
+        kappa=kappa, delta=delta, normFx0_sq=norm_f0_sq,
     )

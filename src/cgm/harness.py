@@ -16,8 +16,8 @@ import numpy as np
 from .baselines import gda_eg_run
 from .cgm_min import CONSTANT, VARYING, MinSolverConfig, ScheduleInvalid, cgm_min_run, step_sizes
 from .cgm_vi import VISolverConfig, cgm_vi_run
-from .metrics import certify_min, certify_vi, hbg_gap_closed_form, row_norms
-from .problems import hbg_instantiate, rap_generate, rap_unconstrained_min
+from .metrics import certify_min, certify_vi, row_norms, simplex_gaps
+from .problems import by_row_blocks, hbg_instantiate, rap_generate, rap_unconstrained_min
 from .reference import BarrierFailure, solve_rap_reference
 
 GDA_ETA = 0.005
@@ -185,7 +185,7 @@ def _run_rap_cell(config, horizon, problem, reference, f_floor):
         "abs_f_resid": np.abs(trace.f_resid[1:]),
         "max_violation": trace.max_violation[1:],
         "v_norm": trace.v_norms,
-        "dist_x0": np.linalg.norm(trace.xs - trace.xs[0], axis=1)[1:],
+        "dist_x0": by_row_blocks(lambda xs: np.linalg.norm(xs - problem.x0, axis=1), trace.xs[1:]),
     }
     # certify after the columns: over repeated RAP d=50 runs certify_min took 1.07 ms
     # straight after the solver and 0.79 ms here (glibc heap state; same work)
@@ -195,11 +195,10 @@ def _run_rap_cell(config, horizon, problem, reference, f_floor):
 
 def _run_hbg_cell(config, horizon, problem, x_star):
     trace = cgm_vi_run(problem, VISolverConfig(horizon=horizon))
-    beta = problem.mu / 2.0
     ref_norm = float(np.linalg.norm(x_star))
     columns = {
         "eta": trace.etas,
-        "gap": hbg_gap_closed_form(trace.xs[1:], beta),
+        "gap": simplex_gaps(problem, trace.xs[1:]),
         "max_violation": trace.max_violation[1:],
         "v_norm": trace.v_norms,
         "dist_x0": trace.dist_x0[1:],

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cgm_min import CONSTANT
-from .problems import by_row_blocks, hbg_operator
+from .problems import by_row_blocks
 
 ABS_SLACK = 1e-9
 REL_SLACK = 1e-7
@@ -94,24 +94,25 @@ def row_norms(xs, center):
     return by_row_blocks(norms, xs)
 
 
-def _hbg_gaps(x, beta):
-    d = x.shape[-1] // 2
-    fx = hbg_operator(beta)(x)
-    top, bot = fx[..., :d], fx[..., d:]
-    dots = _row_dots(top, x[..., :d]) + _row_dots(bot, x[..., d:])
-    return dots - top.min(axis=-1) - bot.min(axis=-1)
+def simplex_gaps(problem, xs):
+    """Strong gap max_{y in product of simplices} <F(x), x - y> of each row x of xs.
 
-
-def hbg_gap_closed_form(x, beta):
-    """Strong gap max_{y in product simplex} <F(x), x - y> in closed form.
-
-    x is one point (the gap comes back as a float) or a trajectory of points as
-    rows (one gap per row, each bitwise the gap of that point alone).
+    F is problem.op_F and the simplices are problem.simplex_blocks. Each row's
+    gap is bitwise that of the row alone: the block dots summed in block order,
+    then each block's min of F(x) subtracted in block order.
     """
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        return float(_hbg_gaps(x, beta))
-    return by_row_blocks(lambda block: _hbg_gaps(block, beta), x)
+    bounds = np.cumsum((0, *problem.simplex_blocks)).tolist()
+    blocks = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+    def gaps(rows):
+        fx = problem.op_F(rows)
+        dots = [_row_dots(fx[:, block], rows[:, block]) for block in blocks]
+        gap = sum(dots[1:], dots[0])  # not from 0, which would turn a -0.0 into +0.0
+        for block in blocks:
+            gap = gap - fx[:, block].min(axis=-1)
+        return gap
+
+    return by_row_blocks(gaps, xs)
 
 
 def _feasibility_rhs(c, offset, T, mu, l_g, ell_g):
@@ -140,8 +141,8 @@ def certify_min(trace, problem, reference, f_star_unconstrained):
     c1 = math.sqrt(max(c1_sq, 0.0))
     grad_star = float(np.linalg.norm(problem.grad_f(x_star)))
     c2 = (grad_star + math.sqrt(grad_star**2 + 2.0 * mu * max(f0 - f_star, 0.0))) / mu
-    ell_g = problem.constraints.smoothness
-    l_g = problem.constraints.grad_norm_bound(trace.xs)
+    ell_g = trace.constraints.smoothness
+    l_g = trace.constraints.grad_norm_bound(trace.xs)
 
     report = BoundsReport(
         track="min",
@@ -181,9 +182,8 @@ def certify_vi(trace, problem):
 
     c3 = math.sqrt((2.0 * delta + 1.25) * energy / ell_f_op**2)
     c4 = math.sqrt((16.0 * delta + 20.0) * energy)
-    constraints = problem.constraints.append(trace.aux)
-    ell_g = constraints.smoothness
-    l_g = constraints.grad_norm_bound(trace.xs)
+    ell_g = trace.constraints.smoothness
+    l_g = trace.constraints.grad_norm_bound(trace.xs)
 
     report = BoundsReport(
         track="vi",
@@ -200,8 +200,7 @@ def certify_vi(trace, problem):
     denom = T + 32.0 * kappa**2 - 3.0
     x_bar = trace.ergodic
     if problem.simplex_blocks is not None:
-        beta = problem.mu / 2.0
-        gap = hbg_gap_closed_form(x_bar, beta)
+        gap = simplex_gaps(problem, x_bar[None])
         gap_rhs = (
             2.0 * mu * problem.diameter_D**2
             * (8.0 * kappa**2 - 1.0) * (16.0 * kappa**2 - 1.0) / (T * denom)
@@ -213,7 +212,7 @@ def certify_vi(trace, problem):
         rhs = _feasibility_rhs(c4, 16.0 * kappa**2, T, mu, l_g, ell_g)
         recs.append(_check("feasibility_nonergodic", trace.max_violation[2:], rhs))
 
-    erg_viol = constraints.max_violation(x_bar)
+    erg_viol = trace.constraints.max_violation(x_bar)
     erg_rhs = 4.0 * c4 / (mu * denom) * (l_g + ell_g * c4 / (2.0 * mu)) + (
         2.0 * ell_g * c4**2 * math.log(T) / (mu**2 * denom)
     )

@@ -117,6 +117,10 @@ class VIProblem:
             raise ValueError("need finite 0 < mu <= ell_F")
         if not (0 <= self.B < math.inf and 0 < self.diameter_D < math.inf):
             raise ValueError("need finite B >= 0 and diameter_D > 0")
+        blocks = self.simplex_blocks
+        if blocks is not None and not (sum(blocks) == self.dim and all(
+                isinstance(n, (int, np.integer)) and n > 0 for n in blocks)):
+            raise ValueError("simplex_blocks must be positive integers that sum to dim")
 
 
 @dataclass(frozen=True)
@@ -134,8 +138,8 @@ class RapData:
         np.linalg.cholesky(self.Sigma)  # raises if not positive definite
         if np.min(np.linalg.eigvalsh(self.E)) < -1e-10:
             raise ValueError("E must be positive semidefinite")
-        if self.Rmax <= 0 or self.Emax <= 0:
-            raise ValueError("Rmax and Emax must be positive")
+        if not (0 < self.Rmax < math.inf and 0 < self.Emax < math.inf):  # NaN fails
+            raise ValueError("Rmax and Emax must be finite and positive")
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ import pytest
 from cgm.cgm_min import MinSolverConfig, cgm_min_run
 from cgm.cgm_vi import VISolverConfig, cgm_vi_run
 from cgm.harness import ExperimentConfig, run_experiment
-from cgm.metrics import ABS_SLACK, REL_SLACK, certify_min, certify_vi, hbg_gap_closed_form
+from cgm.metrics import ABS_SLACK, REL_SLACK, certify_min, certify_vi, simplex_gaps
 from cgm.problems import build_polytope, hbg_instantiate, rap_generate, violated_set
 from cgm.qp import Infeasible, project_velocity
 from exact_oracle import exact_projection
@@ -167,8 +167,7 @@ def test_criterion_07_vi_bounds(hbg_problem, vi_trace, hbg_equilibrium):
     }
     records = {rec.name: rec for rec in bounds.records}
     bounds_ok = all(records[name].passed for name in wanted)
-    beta = hbg_problem.mu / 2.0
-    gap_at_star = abs(hbg_gap_closed_form(hbg_equilibrium, beta))
+    gap_at_star = abs(simplex_gaps(hbg_problem, hbg_equilibrium[None])[0])
     gap_ok = gap_at_star <= 1e-12
     runtime_ok = vi_trace["seconds"] < 180.0
     ok = bounds_ok and gap_ok and runtime_ok

@@ -128,8 +128,7 @@ class TestRun:
         if family == "hbg":
             problem = hbg_instantiate(10, 0.8, seed=0)
             trace = cgm_vi_run(problem, VISolverConfig(horizon=200))
-            constraints = problem.constraints.append(trace.aux)
-            direction = problem.op_F
+            constraints, direction = trace.constraints, problem.op_F
         else:
             problem = rap_generate(50, seed=0) if family == "rap" else MinProblem(
                 value_f=lambda x: 0.5 * (x * x).sum(axis=-1), grad_f=lambda x: x, mu=1.0, ell_f=1.0,
@@ -138,6 +137,7 @@ class TestRun:
             )
             trace = cgm_min_run(problem, MinSolverConfig(horizon=200))
             constraints, direction = problem.constraints, problem.grad_f
+            assert trace.constraints is constraints
         qp = trace.qp_path != ""
         assert trace.n_violated.shape == trace.kkt_residual.shape == (trace.horizon,)
         assert qp.all() if family != "interior" else not qp.any()

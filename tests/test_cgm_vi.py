@@ -11,7 +11,6 @@ from cgm.cgm_vi import (
     cgm_vi_run,
     delta_default,
     ergodic_average,
-    step_vi,
 )
 from cgm.problems import ConstraintSet, QuadraticRow, VIProblem, hbg_instantiate
 
@@ -48,6 +47,18 @@ class TestAuxConstraint:
         np.testing.assert_allclose(g.gradient(np.array([1.0, 1.0])), [2.0, 2.0])
         assert g.smoothness == 2.0
 
+    def test_trace_holds_the_rows_it_stepped_on(self, small_problem, small_trace):
+        # the problem's rows, then the ball ||x - x0||^2 <= r as the last row
+        rows, problem_rows = small_trace.constraints, small_problem.constraints
+        assert rows.n_bounds == problem_rows.n_bounds
+        np.testing.assert_array_equal(rows.W, problem_rows.W)
+        np.testing.assert_array_equal(rows.c, problem_rows.c)
+        assert len(rows.smooth) == len(problem_rows.smooth) + 1
+        ball = rows.smooth[-1]
+        np.testing.assert_array_equal(ball.center, small_problem.x0)
+        energy = small_trace.normFx0_sq + small_problem.B
+        assert ball.Q is None and ball.r == small_trace.delta / small_problem.ell_F**2 * energy
+
     def test_nonpositive_radius_rejected(self):
         for r in (0.0, -1.0, np.nan, np.inf):
             with pytest.raises(ValueError):
@@ -59,15 +70,18 @@ class TestAuxConstraint:
 
 
 class TestSchedule:
-    def test_step_formula(self, small_problem):
+    def test_step_formula(self, small_problem, small_trace):
         kappa = small_problem.ell_F / small_problem.mu
-        eta0 = step_vi(0, small_problem.mu, kappa)
+        eta0 = small_trace.etas[0]
         assert eta0 == pytest.approx(
             1.0 / (small_problem.mu * 16.0 * kappa**2)
         )
+        t = np.arange(small_trace.horizon)
+        np.testing.assert_allclose(
+            small_trace.etas, 1.0 / (small_problem.mu * (t + 16.0 * kappa**2)), rtol=1e-15)
 
-    def test_steps_decrease(self):
-        steps = [step_vi(t, 1.5, 2.0) for t in range(20)]
+    def test_steps_decrease(self, small_trace):
+        steps = small_trace.etas
         assert all(a > b for a, b in zip(steps, steps[1:]))
 
 
@@ -82,7 +96,7 @@ class TestRun:
         assert small_trace.horizon == T
 
     def test_iterates_stay_in_ball(self, small_trace):
-        radius = np.sqrt(small_trace.aux.r)
+        radius = np.sqrt(small_trace.constraints.smooth[-1].r)
         # ball violations are possible transiently but distances stay bounded
         assert float(np.max(small_trace.dist_x0)) <= 2.0 * radius
 
@@ -121,9 +135,8 @@ class TestRun:
         trace = cgm_vi_run(small_problem, VISolverConfig(horizon=T))
         assert len(calls) <= T + 2
         monkeypatch.undo()
-        constraints = small_problem.constraints.append(trace.aux)
         for x, viol in zip(trace.xs, trace.max_violation):
-            assert viol == constraints.max_violation(x)
+            assert viol == trace.constraints.max_violation(x)
 
     def test_determinism(self, small_problem):
         t1 = cgm_vi_run(small_problem, VISolverConfig(horizon=60))

@@ -21,7 +21,7 @@ from cgm.harness import (
     parse_config,
     run_experiment,
 )
-from cgm.metrics import hbg_gap_closed_form
+from cgm.metrics import simplex_gaps
 from cgm.reference import KktCertificate
 from cgm import plots
 from cgm.plots import FLOOR, EmptySeries, emit_plots, render_line_chart
@@ -254,7 +254,7 @@ class TestRunExperiment:
         expect_rows(vi_path, {
             "iter": range(1, horizon + 1),
             "eta": trace.etas,
-            "gap": [hbg_gap_closed_form(x, 0.7) for x in trace.xs[1:]],
+            "gap": [simplex_gaps(problem, x[None])[0] for x in trace.xs[1:]],
             "max_violation": trace.max_violation[1:],
             "v_norm": trace.v_norms,
             "dist_x0": trace.dist_x0[1:],

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from cgm.cgm_vi import VISolverConfig, cgm_vi_run
 from cgm.metrics import (
     ABS_SLACK,
     REL_SLACK,
@@ -13,10 +14,19 @@ from cgm.metrics import (
     _feasibility_rhs,
     certify_min,
     certify_vi,
-    hbg_gap_closed_form,
     row_norms,
+    simplex_gaps,
 )
-from cgm.problems import ROW_BLOCK, QuadraticRow, hbg_instantiate, hbg_operator, rap_generate
+from cgm.problems import (
+    ROW_BLOCK,
+    ConstraintSet,
+    QuadraticRow,
+    VIProblem,
+    hbg_constraints,
+    hbg_instantiate,
+    hbg_operator,
+    rap_generate,
+)
 
 
 class TestCheck:
@@ -71,14 +81,14 @@ class TestMeasures:
     def test_gap_zero_at_equilibrium(self):
         d = 20
         x_eq = np.full(2 * d, 1.0 / d)
-        assert abs(hbg_gap_closed_form(x_eq, 0.8)) <= 1e-12
+        assert abs(simplex_gaps(hbg_instantiate(d, 0.8), x_eq[None])[0]) <= 1e-12
 
     def test_gap_positive_off_equilibrium(self):
         d = 5
         x = np.zeros(2 * d)
         x[0] = 1.0
         x[d] = 1.0
-        assert hbg_gap_closed_form(x, 0.6) > 0.0
+        assert simplex_gaps(hbg_instantiate(d, 0.6), x[None])[0] > 0.0
 
     def test_gap_matches_enumeration(self):
         # compare against explicit maximization over simplex vertices
@@ -99,7 +109,7 @@ class TestMeasures:
                 y1, y2 = y[:d], y[d:]
                 val = float(top @ (x1 - y1) + bot @ (x2 - y2))
                 best = max(best, val)
-        assert hbg_gap_closed_form(x, beta) == pytest.approx(best)
+        assert simplex_gaps(hbg_instantiate(d, beta), x[None])[0] == pytest.approx(best)
 
     def test_empirical_grad_bound(self):
         problem = hbg_instantiate(5, 0.5, seed=0)
@@ -193,21 +203,69 @@ def _gap_per_point(x, beta):
     return float(fx[0] @ x[:d] + fx[1] @ x[d:]) - top_min - bot_min
 
 
+def _gap_per_point_blocks(problem, x):
+    # the one-point closed form over problem.simplex_blocks: 1-D block products
+    # summed in block order, then each block's min of F(x) subtracted
+    fx = problem.op_F(x)
+    bounds = np.cumsum((0, *problem.simplex_blocks))
+    blocks = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    dots = [float(fx[block] @ x[block]) for block in blocks]
+    gap = dots[0]
+    for dot in dots[1:]:
+        gap += dot
+    for block in blocks:
+        gap -= float(fx[block].min())
+    return gap
+
+
 class TestTrajectoryColumns:
     """Trajectory-wide columns equal their per-point formulas bitwise, across row blocks."""
 
-    def test_batched_gap_equals_per_point(self, vi_trace):
+    def test_batched_gap_equals_per_point(self, vi_trace, hbg_problem):
         xs = vi_trace["trace"].xs
         assert len(xs) > 2 * ROW_BLOCK and len(xs) % ROW_BLOCK
         expected = np.array([_gap_per_point(x, 0.8) for x in xs])
-        assert np.array_equal(hbg_gap_closed_form(xs, 0.8), expected)
-        single = hbg_gap_closed_form(xs[7], 0.8)
-        assert type(single) is float and single == expected[7]
+        assert np.array_equal(simplex_gaps(hbg_problem, xs), expected)
+        assert np.array_equal(simplex_gaps(hbg_problem, xs[7:8]), expected[7:8])
 
     def test_batched_gap_off_the_simplex(self):
         xs = np.random.default_rng(6).standard_normal((ROW_BLOCK + 3, 12))
         expected = [_gap_per_point(x, 0.6) for x in xs]
-        assert np.array_equal(hbg_gap_closed_form(xs, 0.6), expected)
+        assert np.array_equal(simplex_gaps(hbg_instantiate(6, 0.6), xs), expected)
+
+    def test_unequal_blocks_gap_equals_per_point(self):
+        # simplices of sizes 1 and 3 and an operator other than HBG's, on rows
+        # on the product of simplices and off it, over three row blocks
+        w, s = np.array([2.0, 2.5, 3.0, 2.2]), np.array([0.1, -0.4, 0.3, 0.2])
+        top, bot = np.array([1.0, 0.0, 0.0, 0.0]), np.array([0.0, 1.0, 1.0, 1.0])
+        rows = ConstraintSet(n_bounds=4, W=np.stack([top, -top, bot, -bot]),
+                             c=np.array([-1.0, 1.0, -1.0, 1.0]))
+        problem = VIProblem(
+            op_F=lambda x: w * x + 0.5 * x[..., ::-1] - s, mu=1.5, ell_F=3.5, B=0.0,
+            constraints=rows, x0=np.array([1.0, 0.2, 0.3, 0.5]), diameter_D=2.0, dim=4,
+            simplex_blocks=(1, 3),
+        )
+        rng = np.random.default_rng(11)
+        on = rng.random((ROW_BLOCK + 40, 4))
+        on[:, 0] = 1.0
+        on[:, 1:] /= on[:, 1:].sum(axis=1, keepdims=True)
+        xs = np.concatenate([on, rng.standard_normal((ROW_BLOCK + 5, 4))])
+        expected = np.array([_gap_per_point_blocks(problem, x) for x in xs])
+        assert np.array_equal(simplex_gaps(problem, xs), expected)
+
+    def test_non_hbg_vi_certifies(self):
+        # F(x) = w x - s over two 2-simplices: the gap certificate once read
+        # HBG's operator in place of F and failed, 0.4993 against 0.2140
+        w, s = np.array([1.5, 2.0, 3.0, 2.5]), np.array([0.3, -0.2, 0.7, 0.1])
+        problem = VIProblem(
+            op_F=lambda x: w * x - s, mu=1.5, ell_F=3.0, B=0.0, constraints=hbg_constraints(2),
+            x0=np.array([0.4, 0.6, 0.7, 0.3]), diameter_D=2.0, dim=4, simplex_blocks=(2, 2),
+        )
+        trace = cgm_vi_run(problem, VISolverConfig(horizon=2000))
+        report = certify_vi(trace, problem)
+        assert report.all_pass
+        (record,) = [rec for rec in report.records if rec.name == "ergodic_gap_bound"]
+        assert record.lhs == _gap_per_point_blocks(problem, trace.ergodic)
 
     def test_row_norms_equal_per_point(self, vi_trace):
         trace = vi_trace["trace"]

@@ -49,6 +49,26 @@ def test_problem_constants_must_be_finite(bad):
     assert replace(rap, mu=rap.ell_f).mu == rap.ell_f and replace(hbg, B=0.0).B == 0.0
 
 
+@pytest.mark.parametrize("name", ["Rmax", "Emax"])
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_rap_budgets_must_be_finite(name, bad):
+    # Rmax = NaN or inf once reached the barrier solve, which failed after 100 iterations
+    data = rap_generate(5, seed=0).data
+    with pytest.raises(ValueError, match="Rmax and Emax must be finite and positive"):
+        replace(data, **{name: bad})
+
+
+@pytest.mark.parametrize("blocks", [(1, 2), (2, 3), (0, 4), (-1, 5), (2.0, 2.0), ()])
+def test_simplex_blocks_must_fit_dim(blocks):
+    # blocks summing to less than dim once failed inside gda_eg_run's projection,
+    # and a 0 block made it warn "invalid value encountered in subtract"
+    hbg = hbg_instantiate(2, 0.5, seed=0)
+    with pytest.raises(ValueError, match="simplex_blocks"):
+        replace(hbg, simplex_blocks=blocks)
+    for fits in ((2, 2), (1, 3), (np.int64(4),), None):
+        assert replace(hbg, simplex_blocks=fits).simplex_blocks == fits
+
+
 class TestRapGeneration:
     def test_deterministic_given_seed(self):
         p1 = rap_generate(20, seed=5)
@@ -331,7 +351,7 @@ class TestQuadraticRow:
         else:
             problem = hbg_instantiate(50, 0.8, seed=1)
             trace = cgm_vi_run(problem, VISolverConfig(horizon=1000))
-            row = trace.aux
+            row = trace.constraints.smooth[-1]
         expected = max(float(np.linalg.norm(row.gradient(x))) for x in trace.xs)
         assert row.grad_norm_bound(trace.xs) == expected
 
