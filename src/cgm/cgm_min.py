@@ -15,8 +15,8 @@ from typing import Optional
 
 import numpy as np
 
-from .problems import ConstraintSet, build_polytope, max_violation_of, violated_set
-from .qp import project_velocity
+from .problems import ConstraintSet, max_violation_of, violated_set
+from .qp import VelocityPolytope, project_velocity
 
 
 class ScheduleInvalid(Exception):
@@ -58,6 +58,35 @@ def step_sizes(problem, horizon, schedule):
     if horizon < kappa * math.log(horizon):
         raise ScheduleInvalid(f"T={horizon} violates T >= kappa*log(T) with kappa={kappa:.3g}")
     return np.full(horizon, math.log(horizon) / (mu * horizon))
+
+
+def build_polytope(constraints, x, alpha, values, violated):
+    """Rows grad g_i(x) v <= -alpha g_i(x) over violated = violated_set(values = g(x)).
+
+    The violated bound rows become floors on their coordinates (bound_idx) and
+    the others the general rows (g, h). When those hold no quadratic row, g
+    does not depend on x, so the polytope first built on the same general
+    rows (kept in the ConstraintSet, g read-only) lends its g, row check and
+    Gram matrix; each step builds its own h, checked again, and bound rows.
+    x must be finite; the solvers check each iterate. A non-finite general
+    row is rejected by VelocityPolytope.
+    """
+    if not 0 < alpha < math.inf:  # NaN fails
+        raise ValueError("alpha must be positive and finite")
+    s = int(violated.searchsorted(constraints.n_bounds))
+    rhs = -alpha * values[violated]
+    general, h, bound_idx, floor = violated[s:], rhs[s:], violated[:s], -rhs[:s]
+    if general.size and general[-1] >= constraints.n_bounds + constraints.c.size:
+        return VelocityPolytope(constraints.gradients(x, general), h, bound_idx, floor)
+    key = general.tobytes()
+    first = constraints._polytopes.get(key)
+    if first is not None:
+        return first.with_rhs(h, bound_idx, floor)
+    g = constraints.gradients(x, general)
+    g.flags.writeable = False
+    polytope = VelocityPolytope(g, h, bound_idx, floor)
+    constraints._polytopes[key] = polytope
+    return polytope
 
 
 def cgm_step(direction, constraints, x, alpha, eta):

@@ -1,14 +1,15 @@
 """Command line front end for running experiments and rendering plots.
 
 Exit codes: 0 on success, 1 when --check-bounds is set and a certificate fails,
-2 on bad input and 3 when the reference solve fails (no CSV is written).
+2 on bad input, 3 when the reference solve fails (no CSV is written) and 4 when
+a solver cell fails, say on a non-finite iterate.
 """
 
 import argparse
 import sys
 from pathlib import Path
 
-from .harness import ParseError, ValidationError, parse_config, run_experiment
+from .harness import CellFailure, ParseError, ValidationError, parse_config, run_experiment
 from .plots import emit_plots
 from .reference import BarrierFailure
 
@@ -45,6 +46,9 @@ def main(argv=None):
     except BarrierFailure as exc:
         print(f"error: reference: {exc}", file=sys.stderr)
         return 3
+    except CellFailure as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
     for path in summary["files"]:
         print(path)
     for path, report in summary["reports"].items():

@@ -31,6 +31,10 @@ class ValidationError(Exception):
     pass
 
 
+class CellFailure(RuntimeError):
+    """A (solver, horizon) cell raised; the message names the horizon and the cause."""
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     problem: str
@@ -256,7 +260,7 @@ def run_experiment(config):
                 results.append(_cell(config, f"hbg_{label}", trace.wall_s[:horizon],
                                      {"rel_err": trace.rel_err[:horizon]}))
         except Exception as exc:
-            raise RuntimeError(f"cell {horizon} failed: {exc}") from exc
+            raise CellFailure(f"cell {horizon} failed: {exc}") from exc
 
     files = [str(path) for path, _, _ in results]
     reports = {str(path): report for path, _, report in results if report is not None}

@@ -12,8 +12,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .qp import VelocityPolytope
-
 ROW_BLOCK = 128  # rows per block of a trajectory-wide column
 
 
@@ -152,9 +150,9 @@ class ConstraintSet:
     row's own dot routine (gemv W @ x is not), so values(x) matches the per-row
     arithmetic bit for bit and no row on the feasibility boundary flips.
     W and c must be finite. An affine row's gradient does not depend on x, so
-    _polytopes keeps the first velocity polytope build_polytope made on each
-    distinct set of violated general rows that holds no quadratic row, keyed
-    by their indices.
+    _polytopes keeps the first velocity polytope cgm_min.build_polytope made
+    on each distinct set of violated general rows that holds no quadratic
+    row, keyed by their indices.
     """
 
     n_bounds: int
@@ -362,31 +360,3 @@ def violated_set(values):
     """Indices i with g_i(x) strictly positive, in index order, from values = g(x)."""
     return (values > 0.0).nonzero()[0]  # np.flatnonzero's intp array, without its wrapper
 
-
-def build_polytope(constraints, x, alpha, values, violated):
-    """Rows grad g_i(x) v <= -alpha g_i(x) over violated = violated_set(values = g(x)).
-
-    The violated bound rows become floors on their coordinates (bound_idx) and
-    the others the general rows (g, h). When those hold no quadratic row, g
-    does not depend on x, so the polytope first built on the same general
-    rows (kept in the ConstraintSet, g read-only) lends its g, row check and
-    Gram matrix; each step builds its own h, checked again, and bound rows.
-    x must be finite; the solvers check each iterate. A non-finite general
-    row is rejected by VelocityPolytope.
-    """
-    if not 0 < alpha < math.inf:  # NaN fails
-        raise ValueError("alpha must be positive and finite")
-    s = int(violated.searchsorted(constraints.n_bounds))
-    rhs = -alpha * values[violated]
-    general, h, bound_idx, floor = violated[s:], rhs[s:], violated[:s], -rhs[:s]
-    if general.size and general[-1] >= constraints.n_bounds + constraints.c.size:
-        return VelocityPolytope(constraints.gradients(x, general), h, bound_idx, floor)
-    key = general.tobytes()
-    first = constraints._polytopes.get(key)
-    if first is not None:
-        return first.with_rhs(h, bound_idx, floor)
-    g = constraints.gradients(x, general)
-    g.flags.writeable = False
-    polytope = VelocityPolytope(g, h, bound_idx, floor)
-    constraints._polytopes[key] = polytope
-    return polytope

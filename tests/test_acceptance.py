@@ -11,11 +11,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cgm.cgm_min import MinSolverConfig, cgm_min_run
+from cgm.cgm_min import MinSolverConfig, build_polytope, cgm_min_run
 from cgm.cgm_vi import VISolverConfig, cgm_vi_run
 from cgm.harness import ExperimentConfig, run_experiment
 from cgm.metrics import ABS_SLACK, REL_SLACK, certify_min, certify_vi, simplex_gaps
-from cgm.problems import build_polytope, hbg_instantiate, rap_generate, violated_set
+from cgm.problems import hbg_instantiate, rap_generate, violated_set
 from cgm.qp import Infeasible, project_velocity
 from exact_oracle import exact_projection
 from test_problems import _random_product_simplex, feasible_rap_point

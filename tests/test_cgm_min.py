@@ -11,6 +11,7 @@ from cgm.cgm_min import (
     VARYING,
     MinSolverConfig,
     ScheduleInvalid,
+    build_polytope,
     cgm_iterate,
     cgm_min_run,
     cgm_step,
@@ -100,8 +101,6 @@ class TestStep:
         assert diag["max_violation"] == small_problem.constraints.max_violation(x)
         assert diag["qp_path"] in ("direct", "dual", "gi")
         # velocity must satisfy every polytope row
-        from cgm.problems import build_polytope, violated_set
-
         constraints = small_problem.constraints
         values = constraints.values(x)
         polytope = build_polytope(constraints, x, small_problem.mu, values, violated_set(values))

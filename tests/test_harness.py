@@ -480,6 +480,19 @@ class TestCli:
         assert captured.out == ""
         assert list(tmp_path.iterdir()) == []
 
+    def test_failed_cell_exits_4_with_its_cause(self, tmp_path, capsys, monkeypatch):
+        # exit 1 stays reserved for a failed certificate
+        def blow_up(problem, config):
+            raise RuntimeError("iteration 5: non-finite iterate")
+
+        monkeypatch.setattr("cgm.harness.cgm_vi_run", blow_up)
+        argv = ["--problem", "hbg", "--d", "3", "--iters", "10", "--out", str(tmp_path)]
+        assert cli_main(argv) == 4
+        captured = capsys.readouterr()
+        assert captured.err == "error: cell 10 failed: iteration 5: non-finite iterate\n"
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
     def test_console_script_installed(self):
         # the subprocess imports the same cgm package, installed or not
         package_root = str(Path(cgm.__file__).resolve().parent.parent)

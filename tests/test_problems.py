@@ -7,13 +7,12 @@ import numpy as np
 import pytest
 
 import cgm.cgm_min
-from cgm.cgm_min import MinSolverConfig, cgm_min_run
+from cgm.cgm_min import MinSolverConfig, build_polytope, cgm_min_run
 from cgm.cgm_vi import VISolverConfig, cgm_vi_run
 from cgm.problems import (
     ConstraintSet,
     QuadraticRow,
     RapData,
-    build_polytope,
     hbg_constraints,
     hbg_instantiate,
     hbg_operator,

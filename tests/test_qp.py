@@ -14,9 +14,9 @@ from hypothesis import strategies as st
 
 import cgm.cgm_min
 import cgm.qp
-from cgm.cgm_min import MinSolverConfig, cgm_min_run
+from cgm.cgm_min import MinSolverConfig, build_polytope, cgm_min_run
 from cgm.cgm_vi import VISolverConfig, cgm_vi_run
-from cgm.problems import build_polytope, hbg_instantiate, rap_generate, violated_set
+from cgm.problems import hbg_instantiate, rap_generate, violated_set
 from cgm.qp import (
     KKT_TOL,
     Infeasible,
@@ -629,19 +629,30 @@ def test_bounded_oracle_batch():
     assert paths["gi"] >= 800
 
 
-def test_import_cgm_does_not_load_scipy():
-    # a fresh interpreter that builds both benchmark instances never loads scipy
+def fresh_interpreter(probe):
+    """Stdout lines of a new interpreter that runs probe against this cgm package."""
     package_root = str(Path(cgm.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
-    probe = (
-        "import sys, cgm; cgm.rap_generate(50); cgm.hbg_instantiate(50, 0.8); "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    )
     out = subprocess.run(
         [sys.executable, "-c", probe],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, check=True,
     )
-    assert out.stdout.strip() == "[]"
+    return out.stdout.splitlines()
+
+
+def test_import_cgm_does_not_load_scipy():
+    # a fresh interpreter that builds both benchmark instances never loads scipy,
+    # and of cgm only the package and the module that builds them
+    probe = (
+        "import sys, cgm; cgm.rap_generate(50); cgm.hbg_instantiate(50, 0.8)\n"
+        "for top in ('scipy', 'cgm'):\n"
+        "    print(sorted(m for m in sys.modules if m.split('.')[0] == top))"
+    )
+    assert fresh_interpreter(probe) == ["[]", "['cgm', 'cgm.problems']"]
+
+
+SUBMODULES = ("baselines", "cgm_min", "cgm_vi", "harness", "metrics", "plots", "problems",
+              "qp", "reference")
 
 
 def test_public_names_resolve():
@@ -651,6 +662,28 @@ def test_public_names_resolve():
     for name in cgm.__all__:
         assert namespace[name] is getattr(cgm, name), name
     assert len(set(cgm.__all__)) == len(cgm.__all__)
+    # in a fresh interpreter, each name resolves on first lookup to its defining
+    # module's object, and dir() lists it before any lookup
+    probe = (
+        "import importlib, cgm\n"
+        "listed = dir(cgm)\n"
+        f"for name in [*cgm.__all__, '__version__', *{SUBMODULES!r}]:\n"
+        "    value = getattr(cgm, name)\n"
+        "    home = getattr(value, '__module__', None) or getattr(value, '__name__', 'cgm')\n"
+        "    owner = importlib.import_module(home)\n"
+        "    same = value is owner or getattr(owner, name) is value\n"
+        "    print(name, name in listed, same)\n"
+        "try:\n"
+        "    cgm.nope\n"
+        "except AttributeError as exc:\n"
+        "    print(exc)"
+    )
+    lines = fresh_interpreter(probe)
+    names = [*cgm.__all__, "__version__", *SUBMODULES]
+    assert lines[:-1] == [f"{name} True True" for name in names]
+    assert lines[-1] == "module 'cgm' has no attribute 'nope'"
+    assert {"build_polytope", "project_velocity", "rap_generate"} <= set(cgm.__all__)
+    assert len(cgm.__all__) == 30
 
 
 def _trajectories():
