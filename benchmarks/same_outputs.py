@@ -43,6 +43,8 @@ COMMANDS = [
      "--iters", "100,1000,3000"],
     ["--problem", "rap", "--d", "50", "--schedule", "varying", "--check-bounds", "--plots",
      "--iters", "100,500,2000"],
+    # one-row ergodic averages; T=1 has no non-ergodic feasibility record
+    ["--problem", "hbg", "--d", "3", "--baselines", "--check-bounds", "--iters", "1,2"],
     # QPs with about 160 bound rows
     ["--problem", "rap", "--d", "200", "--schedule", "varying", "--check-bounds",
      "--iters", "200", "--seed", "3"],

@@ -55,11 +55,15 @@ class VITrace(CgmTrace):
 
 
 def ergodic_average(trace, T):
-    """Weighted average of x^0..x^{T-1} with weights t + 16 kappa^2 - 1."""
+    """Weighted average of x^0..x^{T-1} with weights t + 16 kappa^2 - 1.
+
+    einsum adds the products w_t x_t into each coordinate in t order, as
+    (w[:, None] * xs).sum(axis=0) does, so the two agree bitwise; it skips the
+    (T, n) temporary. gemv (w @ xs) sums in another order."""
     if T < 1 or trace.xs.shape[0] < T:
         raise ValueError("trace holds fewer than T iterates")
     w = np.arange(T) + 16.0 * trace.kappa**2 - 1.0
-    return (w[:, None] * trace.xs[:T]).sum(axis=0) / w.sum()
+    return np.einsum("t,tj->j", w, trace.xs[:T]) / w.sum()
 
 
 def cgm_vi_run(problem, config):

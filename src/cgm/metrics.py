@@ -64,15 +64,14 @@ def _slack(lhs):
 
 
 def _check(name, lhs_arr, rhs_arr):
-    """Reduce pointwise inequalities to the worst-margin record."""
-    lhs_arr = np.atleast_1d(np.asarray(lhs_arr, dtype=float))
-    rhs_arr = np.broadcast_to(np.asarray(rhs_arr, dtype=float), lhs_arr.shape)
-    margins = rhs_arr - lhs_arr
-    worst = int(np.argmin(margins))
-    lhs, rhs = float(lhs_arr[worst]), float(rhs_arr[worst])
-    slack = _slack(lhs)
-    passed = bool(np.all(lhs_arr <= rhs_arr + ABS_SLACK + REL_SLACK * np.abs(lhs_arr)))
-    return CertificateRecord(name=name, lhs=lhs, rhs=rhs, slack=slack, passed=passed)
+    """Reduce pointwise inequalities to the record of the first least (or NaN) margin
+    rhs - lhs; it passes if lhs <= rhs + slack everywhere. rhs has lhs's shape or one value."""
+    lhs_arr = np.asarray(lhs_arr, dtype=float)
+    rhs_arr = np.asarray(rhs_arr, dtype=float)
+    worst = int((rhs_arr - lhs_arr).argmin())
+    lhs, rhs = lhs_arr.item(worst), rhs_arr.item(worst if rhs_arr.size > 1 else 0)
+    passed = bool((lhs_arr <= rhs_arr + ABS_SLACK + REL_SLACK * abs(lhs_arr)).all())
+    return CertificateRecord(name=name, lhs=lhs, rhs=rhs, slack=_slack(lhs), passed=passed)
 
 
 def _row_dots(a, b):
@@ -183,7 +182,10 @@ def certify_vi(trace, problem):
     c3 = math.sqrt((2.0 * delta + 1.25) * energy / ell_f_op**2)
     c4 = math.sqrt((16.0 * delta + 20.0) * energy)
     ell_g = trace.constraints.smoothness
-    l_g = trace.constraints.grad_norm_bound(trace.xs)
+    # the run's rows are the problem's and the ball, whose ||2 (x - x0)|| is 2 dist_x0
+    ball = trace.constraints.smooth[-1]
+    l_g = max(problem.constraints.grad_norm_bound(trace.xs),
+              ball.grad_norm_max(trace.xs, 2.0 * trace.dist_x0))
 
     report = BoundsReport(
         track="vi",

@@ -71,10 +71,14 @@ class QuadraticRow:
             half = block - self.center if self.Q is None else (block - self.center) @ self.Q.T
             return 2.0 * np.sqrt(np.einsum("ij,ij->i", half, half))
 
-        norms = by_row_blocks(batched, xs)
-        # A batched norm can differ from the per-point norm in its last bit, which
-        # moved the maximum on RAP d=50 seed 7, T=2000; so the points within 1e-12
-        # of the batched maximum are re-evaluated one at a time.
+        return self.grad_norm_max(xs, by_row_blocks(batched, xs))
+
+    def grad_norm_max(self, xs, norms):
+        """max ||gradient(x)|| over the rows x of xs, given their norms to roundoff.
+
+        A batched norm can differ from the per-point norm in its last bit, which
+        moved the maximum on RAP d=50 seed 7, T=2000; so the points within 1e-12
+        of the largest of `norms` are re-evaluated one at a time."""
         near = np.flatnonzero(norms >= (1.0 - 1e-12) * norms.max(initial=0.0))
         return max((float(np.linalg.norm(self.gradient(xs[i]))) for i in near), default=0.0)
 

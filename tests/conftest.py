@@ -91,6 +91,13 @@ def vi_trace(hbg_problem):
 
 
 @pytest.fixture(scope="session")
+def hbg_seed_runs():
+    """(problem, trace) of CGM-VI on HBG d=50, beta 0.8, seeds 0-3, T=1000."""
+    problems = [hbg_instantiate(50, 0.8, seed=seed) for seed in range(4)]
+    return [(p, cgm_vi_run(p, VISolverConfig(horizon=1000))) for p in problems]
+
+
+@pytest.fixture(scope="session")
 def hbg_equilibrium(hbg_problem):
     d = hbg_problem.dim // 2
     return np.full(2 * d, 1.0 / d)

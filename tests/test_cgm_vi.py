@@ -189,6 +189,15 @@ class TestErgodicAverage:
         expected = (w[:, None] * small_trace.xs[:T]).sum(axis=0) / w.sum()
         np.testing.assert_allclose(ergodic_average(small_trace, T), expected)
 
+    def test_contraction_is_the_two_step_sum_bitwise(self, hbg_seed_runs, vi_trace):
+        # ergodic_average's one einsum must add the same products in the same
+        # order as the (T, n) product summed over axis 0
+        cases = [(trace, T) for _, trace in hbg_seed_runs for T in (1, 2, 129, 1000)]
+        for trace, T in [*cases, (vi_trace["trace"], 3000)]:
+            w = np.arange(T) + 16.0 * trace.kappa**2 - 1.0
+            expected = (w[:, None] * trace.xs[:T]).sum(axis=0) / w.sum()
+            assert ergodic_average(trace, T).tobytes() == expected.tobytes(), T
+
     def test_weight_sum_closed_form(self, small_trace):
         T = 40
         w = np.arange(T) + 16.0 * small_trace.kappa**2 - 1.0

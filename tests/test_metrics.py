@@ -12,6 +12,7 @@ from cgm.metrics import (
     ReferenceMissing,
     _check,
     _feasibility_rhs,
+    _slack,
     certify_min,
     certify_vi,
     row_norms,
@@ -29,7 +30,37 @@ from cgm.problems import (
 )
 
 
+def _check_oracle(name, lhs_arr, rhs_arr):
+    # _check as it stood before its lean form, copied verbatim
+    lhs_arr = np.atleast_1d(np.asarray(lhs_arr, dtype=float))
+    rhs_arr = np.broadcast_to(np.asarray(rhs_arr, dtype=float), lhs_arr.shape)
+    margins = rhs_arr - lhs_arr
+    worst = int(np.argmin(margins))
+    lhs, rhs = float(lhs_arr[worst]), float(rhs_arr[worst])
+    slack = _slack(lhs)
+    passed = bool(np.all(lhs_arr <= rhs_arr + ABS_SLACK + REL_SLACK * np.abs(lhs_arr)))
+    return CertificateRecord(name=name, lhs=lhs, rhs=rhs, slack=slack, passed=passed)
+
+
 class TestCheck:
+    @pytest.mark.parametrize("lhs, rhs", [
+        ([0.1, 0.7, 0.3], 0.5),  # scalar rhs
+        ([0.1, 0.7, 0.3], [0.2, 0.6, 0.9]),  # array rhs
+        (np.array([0.1, 0.2]), np.array([0.3, 0.1])),
+        (np.float64(0.4), 0.3),  # 0-d lhs
+        (0.4, [0.5]),
+        (np.array(2.0), np.array(2.0)),
+        ([0.1, 0.9, 0.4], [0.5]),  # (1,) rhs against a longer lhs
+        ([0.1, np.nan, 0.4, np.nan], 0.5),  # NaN in lhs fails, first NaN recorded
+        ([0.1, 0.2], [np.nan, 1.0]),
+        ([1.0, 2.0, 3.0, 2.0], [1.5, 2.5, 3.5, 2.5]),  # tied margins: the first
+        ([-0.0, 0.0, -0.0], [0.0, -0.0, -0.0]),  # -0.0 entries
+        (-0.0, 0.0),
+        ([1.0, 1.0 + 5e-10], 1.0),  # within the slack
+    ])
+    def test_records_equal_the_broadcast_form(self, lhs, rhs):
+        assert repr(_check("demo", lhs, rhs)) == repr(_check_oracle("demo", lhs, rhs))
+
     def test_pass_and_margin(self):
         rec = _check("demo", [1.0, 2.0], [1.5, 2.5])
         assert rec.passed
@@ -218,6 +249,16 @@ def _gap_per_point_blocks(problem, x):
     return gap
 
 
+@pytest.fixture(scope="module")
+def non_hbg_run():
+    w, s = np.array([1.5, 2.0, 3.0, 2.5]), np.array([0.3, -0.2, 0.7, 0.1])
+    problem = VIProblem(
+        op_F=lambda x: w * x - s, mu=1.5, ell_F=3.0, B=0.0, constraints=hbg_constraints(2),
+        x0=np.array([0.4, 0.6, 0.7, 0.3]), diameter_D=2.0, dim=4, simplex_blocks=(2, 2),
+    )
+    return problem, cgm_vi_run(problem, VISolverConfig(horizon=2000))
+
+
 class TestTrajectoryColumns:
     """Trajectory-wide columns equal their per-point formulas bitwise, across row blocks."""
 
@@ -253,15 +294,10 @@ class TestTrajectoryColumns:
         expected = np.array([_gap_per_point_blocks(problem, x) for x in xs])
         assert np.array_equal(simplex_gaps(problem, xs), expected)
 
-    def test_non_hbg_vi_certifies(self):
+    def test_non_hbg_vi_certifies(self, non_hbg_run):
         # F(x) = w x - s over two 2-simplices: the gap certificate once read
         # HBG's operator in place of F and failed, 0.4993 against 0.2140
-        w, s = np.array([1.5, 2.0, 3.0, 2.5]), np.array([0.3, -0.2, 0.7, 0.1])
-        problem = VIProblem(
-            op_F=lambda x: w * x - s, mu=1.5, ell_F=3.0, B=0.0, constraints=hbg_constraints(2),
-            x0=np.array([0.4, 0.6, 0.7, 0.3]), diameter_D=2.0, dim=4, simplex_blocks=(2, 2),
-        )
-        trace = cgm_vi_run(problem, VISolverConfig(horizon=2000))
+        problem, trace = non_hbg_run
         report = certify_vi(trace, problem)
         assert report.all_pass
         (record,) = [rec for rec in report.records if rec.name == "ergodic_gap_bound"]
@@ -283,3 +319,51 @@ class TestTrajectoryColumns:
         report = certify_min(min_trace_constant["trace"], rap_problem, reference, rap_floor)
         (record,) = [rec for rec in report.records if rec.name == "distance_bound_C2"]
         assert record.lhs == np.linalg.norm(xs - x_star, axis=1).max()
+
+
+class TestVIGradNormBound:
+    """certify_vi's L_g, with the ball's norms read off dist_x0, is the run's rows' bound."""
+
+    @staticmethod
+    def _assert_rows_bound(problem, trace):
+        lg = certify_vi(trace, problem).constants["empirical_Lg"]
+        assert lg == trace.constraints.grad_norm_bound(trace.xs)
+        ball = trace.constraints.smooth[-1]
+        from_dist = ball.grad_norm_max(trace.xs, 2.0 * trace.dist_x0)
+        assert from_dist == ball.grad_norm_bound(trace.xs)
+        return lg, from_dist
+
+    def test_hbg_seeds(self, hbg_seed_runs):
+        for problem, trace in hbg_seed_runs:
+            self._assert_rows_bound(problem, trace)
+
+    @pytest.mark.parametrize("horizon", [1, 2])
+    def test_short_horizons(self, horizon):
+        # d=3: the block-sum rows have norm sqrt(3)
+        problem = hbg_instantiate(3, 0.8, seed=0)
+        self._assert_rows_bound(problem, cgm_vi_run(problem, VISolverConfig(horizon)))
+
+    def test_non_hbg_vi(self, non_hbg_run):
+        self._assert_rows_bound(*non_hbg_run)
+
+    def test_ball_row_picked_when_it_dominates(self):
+        # one coordinate row's gradient norm is 1 < the ball's 2 ||x - x0||
+        rows = ConstraintSet(n_bounds=2, W=np.zeros((0, 2)), c=np.zeros(0))
+        problem = VIProblem(op_F=lambda x: 2.0 * x - 3.0, mu=2.0, ell_F=2.0, B=0.0,
+                            constraints=rows, x0=np.array([1.0, 1.0]), diameter_D=2.0, dim=2)
+        lg, from_dist = self._assert_rows_bound(
+            problem, cgm_vi_run(problem, VISolverConfig(horizon=200)))
+        assert lg == from_dist > 1.0
+
+    def test_problem_quadratic_row_keeps_its_pass(self):
+        # a quadratic row of the problem's own, steep enough to dominate the
+        # block-sum rows and the ball, is bounded over the run's points
+        steep = QuadraticRow(np.zeros(4), 100.0, np.diag([30.0, 20.0, 25.0, 35.0]))
+        problem = VIProblem(
+            op_F=hbg_operator(0.8), mu=1.6, ell_F=float(np.sqrt(2.6)), B=0.0,
+            constraints=hbg_constraints(2).append(steep), x0=np.array([0.4, 0.6, 0.7, 0.3]),
+            diameter_D=2.0, dim=4, simplex_blocks=(2, 2),
+        )
+        trace = cgm_vi_run(problem, VISolverConfig(horizon=300))
+        lg, from_dist = self._assert_rows_bound(problem, trace)
+        assert lg == steep.grad_norm_bound(trace.xs) > from_dist
