@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .problems import ConstraintSet, max_violation_of, violated_set
+from .problems import ConstraintSet, max_violation_of, pairwise_row_norms, violated_set
 from .qp import VelocityPolytope, project_velocity
 
 
@@ -149,7 +149,7 @@ def cgm_iterate(direction, constraints, x0, alpha, etas):
     return dict(
         xs=xs, vs=vs, etas=etas, max_violation=viol, wall_s=wall,
         n_violated=n_violated, n_active=n_active, kkt_residual=kkt_residual,
-        qp_path=qp_path, v_norms=np.linalg.norm(vs, axis=1), constraints=constraints,
+        qp_path=qp_path, v_norms=pairwise_row_norms(vs), constraints=constraints,
     )
 
 

@@ -32,20 +32,41 @@ def by_row_blocks(fn, xs):
     return out
 
 
+def pairwise_row_norms(xs, center=0.0):
+    """||x - center|| for every row x of xs, bitwise np.linalg.norm(xs - center, axis=1):
+    its pairwise sum of squares, with one temporary per row block where numpy makes
+    the difference, a conj() copy and their product (x - 0.0 is x in every float)."""
+
+    def norms(block):
+        sq = block - center
+        sq *= sq
+        return np.sqrt(np.add.reduce(sq, axis=1))
+
+    return by_row_blocks(norms, xs)
+
+
 @dataclass(frozen=True)
 class QuadraticRow:
-    """Row (x - center)' Q (x - center) - r <= 0, where Q = None means the identity."""
+    """Row (x - center)' Q (x - center) - r <= 0, where Q = None means the identity.
+
+    center is read-only. A row at the origin computes on x itself, without the
+    copy x - center: x - 0.0 is x in every float, so the values are bitwise equal.
+    """
 
     center: np.ndarray
     r: float
     Q: Optional[np.ndarray] = None
     smoothness: float = field(init=False, default=2.0)  # 2 lambda_max(Q), set once
+    _at_origin: bool = field(init=False, default=False, repr=False, compare=False)
 
     def __post_init__(self):
         center = np.array(self.center, dtype=float)
+        center.flags.writeable = False
         object.__setattr__(self, "center", center)
         if center.ndim != 1 or not np.all(np.isfinite(center)) or not 0 < self.r < np.inf:
             raise ValueError("need a finite 1-D center and a finite r > 0")
+        # +0.0 only: x - (-0.0) turns a -0.0 entry of x into +0.0
+        object.__setattr__(self, "_at_origin", not (center.any() or np.signbit(center).any()))
         if self.Q is not None:
             if np.shape(self.Q) != (center.size, center.size):
                 raise ValueError("Q must be (n, n) with n = center.size")
@@ -56,11 +77,11 @@ class QuadraticRow:
             object.__setattr__(self, "smoothness", 2.0 * float(np.max(np.linalg.eigvalsh(self.Q))))
 
     def value(self, x):
-        diff = x - self.center
+        diff = x if self._at_origin else x - self.center
         return float(diff @ diff if self.Q is None else diff @ self.Q @ diff) - self.r
 
     def gradient(self, x):
-        diff = x - self.center
+        diff = x if self._at_origin else x - self.center
         return 2.0 * (diff if self.Q is None else self.Q @ diff)
 
     def grad_norm_bound(self, xs):
@@ -68,7 +89,8 @@ class QuadraticRow:
 
         def batched(block):
             # half the gradients (a Q row adds its product); x2 is exact
-            half = block - self.center if self.Q is None else (block - self.center) @ self.Q.T
+            diff = block if self._at_origin else block - self.center
+            half = diff if self.Q is None else diff @ self.Q.T
             return 2.0 * np.sqrt(np.einsum("ij,ij->i", half, half))
 
         return self.grad_norm_max(xs, by_row_blocks(batched, xs))
@@ -80,7 +102,8 @@ class QuadraticRow:
         moved the maximum on RAP d=50 seed 7, T=2000; so the points within 1e-12
         of the largest of `norms` are re-evaluated one at a time."""
         near = np.flatnonzero(norms >= (1.0 - 1e-12) * norms.max(initial=0.0))
-        return max((float(np.linalg.norm(self.gradient(xs[i]))) for i in near), default=0.0)
+        grads = (self.gradient(xs[i]) for i in near)
+        return max((math.sqrt(g.dot(g)) for g in grads), default=0.0)  # np.linalg.norm's 1-D rule
 
 
 @dataclass(frozen=True)
@@ -165,6 +188,8 @@ class ConstraintSet:
     smooth: tuple = ()
     _affine: np.ndarray = field(init=False, repr=False, compare=False)  # W[:, None, :]
     _polytopes: dict = field(init=False, repr=False, compare=False)
+    # (largest gradient norm of the bound and affine rows,), or () with neither
+    _fixed_norm: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         W = np.array(self.W, dtype=float)
@@ -178,6 +203,9 @@ class ConstraintSet:
             raise ValueError("W and c must be finite")
         object.__setattr__(self, "_affine", W[:, None, :])
         object.__setattr__(self, "_polytopes", {})
+        norms = [1.0] if self.n_bounds else []
+        norms += [float(np.linalg.norm(w)) for w in W]
+        object.__setattr__(self, "_fixed_norm", (max(norms),) if norms else ())
         if any(g.center.size != W.shape[1] for g in self.smooth):
             raise ValueError("need every quadratic row's center of size n = W.shape[1]")
 
@@ -227,11 +255,8 @@ class ConstraintSet:
         return max_violation_of(self.values(x))
 
     def grad_norm_bound(self, xs):
-        """Largest row gradient norm over the points xs; fixed rows are normed once."""
-        norms = [1.0] if self.n_bounds else []
-        norms += [float(np.linalg.norm(w)) for w in self.W]
-        norms += [g.grad_norm_bound(xs) for g in self.smooth]
-        return max(norms, default=0.0)
+        """Largest row gradient norm over the points xs; fixed rows were normed at construction."""
+        return max((*self._fixed_norm, *(g.grad_norm_bound(xs) for g in self.smooth)), default=0.0)
 
 
 def rap_constraints(data):

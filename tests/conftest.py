@@ -80,6 +80,15 @@ def min_trace_varying(rap_problem, rap_reference):
 
 
 @pytest.fixture(scope="session")
+def rap_runs(rap_problem, min_trace_constant):
+    """(problem, trace) of CGM-Min on RAP d=50 (seed 42, constant, T=2000) and
+    d=200 (seed 0, varying, T=300)."""
+    d200 = rap_generate(200, seed=0)
+    return [(rap_problem, min_trace_constant["trace"]),
+            (d200, cgm_min_run(d200, MinSolverConfig(horizon=300, schedule="varying")))]
+
+
+@pytest.fixture(scope="session")
 def hbg_problem():
     return hbg_instantiate(50, 0.8, seed=42)
 

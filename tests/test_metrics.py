@@ -1,8 +1,13 @@
 """Certificate engine: record reduction, slack policy, closed-form gap."""
 
+import logging
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from cgm.cgm_min import MinSolverConfig, cgm_min_run
 from cgm.cgm_vi import VISolverConfig, cgm_vi_run
 from cgm.metrics import (
     ABS_SLACK,
@@ -21,11 +26,13 @@ from cgm.metrics import (
 from cgm.problems import (
     ROW_BLOCK,
     ConstraintSet,
+    MinProblem,
     QuadraticRow,
     VIProblem,
     hbg_constraints,
     hbg_instantiate,
     hbg_operator,
+    pairwise_row_norms,
     rap_generate,
 )
 
@@ -57,9 +64,31 @@ class TestCheck:
         ([-0.0, 0.0, -0.0], [0.0, -0.0, -0.0]),  # -0.0 entries
         (-0.0, 0.0),
         ([1.0, 1.0 + 5e-10], 1.0),  # within the slack
+        # non-finite points: the broadcast form passed an infinite worst lhs or rhs
+        ([np.inf, 1.0], 2.0),
+        ([1.0, 2.0], np.inf),
+        ([1.0, np.inf], [np.inf, np.inf]),  # inf - inf: a NaN margin, recorded first
+        (np.inf, np.inf),
+        ([-np.inf, 1.0], 2.0),  # +inf margin; the finite point is the worst
+        ([1.0, 2.0], [np.inf, 2.5]),  # an infinite rhs away from the worst point
+        ([1.0, 2.0], [np.inf, 1.5]),
     ])
     def test_records_equal_the_broadcast_form(self, lhs, rhs):
-        assert repr(_check("demo", lhs, rhs)) == repr(_check_oracle("demo", lhs, rhs))
+        # the same records, except that a non-finite worst lhs or rhs fails
+        old = _check_oracle("demo", lhs, rhs)
+        finite = math.isfinite(old.lhs) and math.isfinite(old.rhs)
+        expected = replace(old, passed=old.passed and finite)
+        assert repr(_check("demo", lhs, rhs)) == repr(expected)
+
+    def test_infinite_lhs_fails(self):
+        # its slack REL_SLACK * |lhs| is infinite too, so lhs <= rhs + slack held
+        rec = _check("x", [np.inf, 1.0], 2.0)
+        assert (rec.lhs, rec.rhs, rec.slack, rec.passed) == (np.inf, 2.0, np.inf, False)
+
+    def test_infinite_rhs_fails(self):
+        rec = _check("x", [1.0, 0.5], np.inf)
+        assert (rec.lhs, rec.rhs, rec.passed) == (1.0, np.inf, False)
+        assert _check("x", [1.0, 0.5], [np.inf, 0.75]).passed
 
     def test_pass_and_margin(self):
         rec = _check("demo", [1.0, 2.0], [1.5, 2.5])
@@ -186,6 +215,99 @@ class TestCertify:
         assert report.constants["C1"] > 0
 
 
+def _certify_min_oracle(trace, problem, reference, f_star_unconstrained):
+    # certify_min's records and constants as they stood before the origin skip,
+    # the blocked norms and the finite-point rule, with np.linalg.norm throughout
+    # and the per-point gradient norms of the rows
+    x_star, f_star = reference
+    alpha, mu, ell_f = trace.alpha, problem.mu, problem.ell_f
+    T, f0 = trace.horizon, trace.f_values[0]
+    resid = trace.f_values - f_star
+    c1 = math.sqrt(max(4.0 * (2.0 * ell_f - alpha) * (f0 - f_star) + 8.0 * ell_f * (
+        f_star - f_star_unconstrained), 0.0))
+    grad_star = float(np.linalg.norm(problem.grad_f(x_star)))
+    c2 = (grad_star + math.sqrt(grad_star**2 + 2.0 * mu * max(f0 - f_star, 0.0))) / mu
+    rows = trace.constraints
+    ell_g = rows.smoothness
+    l_g = max([1.0] * bool(rows.n_bounds) + [float(np.linalg.norm(w)) for w in rows.W]
+              + [max(float(np.linalg.norm(g.gradient(x))) for x in trace.xs)
+                 for g in rows.smooth])
+    v_norms = np.linalg.norm(trace.vs, axis=1)
+    records = [
+        _check_oracle("per_iteration_contraction", resid[1:],
+                      (1.0 - alpha * trace.etas) * resid[:-1]),
+        _check_oracle("velocity_bound_C1", v_norms, c1),
+        _check_oracle("distance_bound_C2", np.linalg.norm(trace.xs - x_star, axis=1), c2),
+        _check_oracle("velocity_bound_per_iter", v_norms**2,
+                      4.0 * (2.0 * ell_f - alpha) * resid[:-1]
+                      + 8.0 * ell_f * (f_star - f_star_unconstrained)),
+    ]
+    if abs(alpha - mu) <= 1e-12 * mu:
+        rhs = c1 / mu * max(c1 * ell_g / (2.0 * mu), l_g) * math.log(T) / T
+        records.append(_check_oracle("feasibility_constant_step", trace.max_violation, rhs))
+    constants = {"C1": c1, "C2": c2, "empirical_Lg": l_g, "ell_g": ell_g}
+    return records, constants
+
+
+def _off_origin_problem():
+    # f = x'Sx/2 + a'x with S = diag(s), its minimizer x_u inside the feasible set:
+    # the bounds, sum(x) <= 1.2 and an ellipse centred off the origin
+    s = np.array([1.0, 2.0, 1.5, 3.0])
+    x_u = np.array([0.3, 0.2, 0.25, 0.15])
+    a = -s * x_u
+    ellipse = QuadraticRow(np.full(4, 0.25), 0.09, np.diag([1.0, 2.0, 1.0, 2.0]))
+    rows = ConstraintSet(n_bounds=4, W=np.ones((1, 4)), c=[-1.2], smooth=(ellipse,))
+    problem = MinProblem(
+        value_f=lambda x: 0.5 * (x * s * x).sum(axis=-1) + x @ a,
+        grad_f=lambda x: s * x + a, mu=1.0, ell_f=3.0, constraints=rows,
+        x0=np.array([0.35, 0.15, 0.25, 0.25]), dim=4,
+    )
+    f_u = float(problem.value_f(x_u))
+    return problem, (x_u, f_u), f_u
+
+
+class TestCertifyMinAsBefore:
+    def test_off_origin_row(self):
+        problem, reference, floor = _off_origin_problem()
+        assert not problem.constraints.smooth[0]._at_origin
+        trace = cgm_min_run(problem, MinSolverConfig(horizon=300), reference)
+        report = certify_min(trace, problem, reference, floor)
+        records, constants = _certify_min_oracle(trace, problem, reference, floor)
+        assert [repr(rec) for rec in report.records] == [repr(rec) for rec in records]
+        assert repr(report.constants) == repr(constants)
+        assert report.all_pass
+
+    def test_rap_origin_row(self, min_trace_constant, rap_problem, rap_reference, rap_floor):
+        trace = min_trace_constant["trace"]
+        reference = (rap_reference["x_star"], rap_reference["f_star"])
+        report = certify_min(trace, rap_problem, reference, rap_floor)
+        records, constants = _certify_min_oracle(trace, rap_problem, reference, rap_floor)
+        assert [repr(rec) for rec in report.records] == [repr(rec) for rec in records]
+        assert repr(report.constants) == repr(constants)
+
+
+class TestSkippedBoundLogged:
+    @pytest.mark.parametrize("schedule, name", [
+        ("constant", "feasibility_constant_step"), ("varying", "feasibility_varying_step")])
+    def test_alpha_below_mu_warns(self, caplog, schedule, name):
+        problem, reference, floor = _off_origin_problem()
+        config = MinSolverConfig(horizon=300, schedule=schedule, alpha=0.5)
+        trace = cgm_min_run(problem, config, reference)
+        with caplog.at_level(logging.WARNING, logger="cgm.metrics"):
+            report = certify_min(trace, problem, reference, floor)
+        assert name not in {rec.name for rec in report.records}
+        (record,) = [r for r in caplog.records if r.name == "cgm.metrics"]
+        assert record.levelno == logging.WARNING and name in record.getMessage()
+
+    def test_alpha_at_mu_is_silent(self, caplog):
+        problem, reference, floor = _off_origin_problem()
+        trace = cgm_min_run(problem, MinSolverConfig(horizon=300), reference)
+        with caplog.at_level(logging.DEBUG, logger="cgm.metrics"):
+            report = certify_min(trace, problem, reference, floor)
+        assert "feasibility_constant_step" in {rec.name for rec in report.records}
+        assert not [r for r in caplog.records if r.name == "cgm.metrics"]
+
+
 def _varying_step_rhs(c1, kappa, T, mu, l_g, ell_g):
     # certify_min's formula as it stood before _feasibility_rhs, copied verbatim
     t_idx = np.arange(1, T)
@@ -309,6 +431,19 @@ class TestTrajectoryColumns:
         center = np.full(xs.shape[1], 1.0 / (xs.shape[1] // 2))
         assert np.array_equal(row_norms(xs, center), [np.linalg.norm(x - center) for x in xs])
         assert np.array_equal(trace.dist_x0, [np.linalg.norm(x - xs[0]) for x in xs])
+
+    def test_v_norms_equal_unblocked(self, hbg_seed_runs, rap_runs):
+        # the run's v_norms, blocked, are bitwise np.linalg.norm over the whole trajectory
+        for _, trace in [*hbg_seed_runs, *rap_runs]:
+            assert trace.v_norms.tobytes() == np.linalg.norm(trace.vs, axis=1).tobytes()
+
+    def test_pairwise_row_norms_equal_unblocked(self, rap_runs, rap_reference):
+        # the RAP dist_x0 column and certify_min's distances to x*
+        (problem, trace), (d200, d200_trace) = rap_runs
+        for xs, center in ((trace.xs[1:], problem.x0), (d200_trace.xs[1:], d200.x0),
+                           (trace.xs, rap_reference["x_star"])):
+            expected = np.linalg.norm(xs - center, axis=1)
+            assert pairwise_row_norms(xs, center).tobytes() == expected.tobytes()
 
     def test_distance_column_equals_unblocked(
         self, min_trace_constant, rap_problem, rap_reference, rap_floor

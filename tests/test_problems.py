@@ -13,6 +13,7 @@ from cgm.problems import (
     ConstraintSet,
     QuadraticRow,
     RapData,
+    by_row_blocks,
     hbg_constraints,
     hbg_instantiate,
     hbg_operator,
@@ -309,6 +310,31 @@ class TestConstraintSet:
         with pytest.raises(ValueError, match="finite"):
             ConstraintSet(2, [[0.0, 1.0]], [bad])
 
+    def test_fixed_norm_is_the_per_call_form(self):
+        # the bound and affine rows are normed once, at construction; the
+        # stored value and the bound are bitwise the form that normed them per call
+        rng = np.random.default_rng(23)
+        rap = rap_generate(12, seed=4)
+        ball = QuadraticRow(rng.random(12), 0.5)
+        sets = [
+            rap.constraints,
+            rap.constraints.append(ball),
+            hbg_constraints(6),
+            ConstraintSet(n_bounds=0, W=rng.standard_normal((3, 12)), c=np.zeros(3)),
+            ConstraintSet(n_bounds=5, W=np.zeros((0, 12)), c=np.zeros(0)),
+            ConstraintSet(n_bounds=0, W=np.zeros((0, 12)), c=np.zeros(0), smooth=(ball,)),
+            ConstraintSet(n_bounds=0, W=np.zeros((0, 12)), c=np.zeros(0)),
+        ]
+        points = rng.random((30, 12)) * 3.0
+        for constraints in sets:
+            xs = points[:, : constraints.W.shape[1]]
+            norms = [1.0] if constraints.n_bounds else []
+            norms += [float(np.linalg.norm(w)) for w in constraints.W]
+            assert constraints._fixed_norm == ((max(norms),) if norms else ())
+            per_call = max(norms + [g.grad_norm_bound(xs) for g in constraints.smooth],
+                           default=0.0)
+            assert constraints.grad_norm_bound(xs).hex() == per_call.hex()
+
     def test_missized_quadratic_row_rejected(self):
         # caught here, not later as a broadcast error inside values()
         base = ConstraintSet(n_bounds=3, W=np.ones((1, 3)), c=np.zeros(1))
@@ -353,6 +379,57 @@ class TestQuadraticRow:
             row = trace.constraints.smooth[-1]
         expected = max(float(np.linalg.norm(row.gradient(x))) for x in trace.xs)
         assert row.grad_norm_bound(trace.xs) == expected
+
+    def test_origin_row_equals_centred_arithmetic(self, rap_runs, monkeypatch):
+        # RAP's risk row sits at the origin and computes on x itself; its values,
+        # gradients, batched norms and bound stay bitwise those of x - np.zeros(n)
+        batched = []
+        grad_norm_max = QuadraticRow.grad_norm_max
+
+        def keep_norms(row, xs, norms):
+            batched.append(norms)
+            return grad_norm_max(row, xs, norms)
+
+        monkeypatch.setattr(QuadraticRow, "grad_norm_max", keep_norms)
+        for problem, trace in rap_runs:
+            risk = problem.constraints.smooth[0]
+            assert risk._at_origin
+            e_mat, emax, zeros = problem.data.E, problem.data.Emax, np.zeros(problem.dim)
+            for x in trace.xs:
+                diff = x - zeros
+                assert risk.value(x) == float(diff @ e_mat @ diff) - emax
+                assert risk.gradient(x).tobytes() == (2.0 * (e_mat @ diff)).tobytes()
+
+            def centred(block):
+                half = (block - zeros) @ e_mat.T
+                return 2.0 * np.sqrt(np.einsum("ij,ij->i", half, half))
+
+            norms = by_row_blocks(centred, trace.xs)
+            near = np.flatnonzero(norms >= (1.0 - 1e-12) * norms.max(initial=0.0))
+            expected = max(float(np.linalg.norm(2.0 * (e_mat @ (trace.xs[i] - zeros))))
+                           for i in near)
+            batched.clear()
+            assert risk.grad_norm_bound(trace.xs) == expected
+            assert batched[0].tobytes() == norms.tobytes()
+
+    def test_origin_noted_for_plus_zero_centers_only(self):
+        assert QuadraticRow(np.zeros(3), 1.0)._at_origin
+        assert QuadraticRow([0, 0], 1.0, np.eye(2))._at_origin
+        assert not QuadraticRow(np.array([0.0, 1e-300, 0.0]), 1.0)._at_origin
+        # -0.0 - (-0.0) is +0.0, so a center with a -0.0 entry keeps the subtraction
+        signed = QuadraticRow(np.array([-0.0, 0.0, 0.0]), 1.0)
+        assert not signed._at_origin
+        x = np.array([-0.0, 1.0, 2.0])
+        expected = 2.0 * (x - signed.center)
+        assert np.signbit(signed.gradient(x)).tolist() == np.signbit(expected).tolist()
+
+    def test_center_is_a_read_only_copy(self):
+        center = np.zeros(3)
+        row = QuadraticRow(center, 1.0)
+        with pytest.raises(ValueError):
+            row.center[0] = 1.0
+        center[0] = 1.0
+        assert row._at_origin and not row.center.any()
 
     def test_center_must_be_finite_1d(self):
         with pytest.raises(ValueError):
