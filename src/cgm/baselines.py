@@ -12,7 +12,7 @@ from typing import Optional
 
 import numpy as np
 
-from .metrics import row_norms
+from .problems import row_norms
 
 
 class UnsupportedConstraintSet(Exception):

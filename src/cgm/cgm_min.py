@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .problems import ConstraintSet, max_violation_of, pairwise_row_norms, violated_set
+from .problems import ConstraintSet, max_violation_of, row_norms, violated_set
 from .qp import VelocityPolytope, project_velocity
 
 
@@ -149,7 +149,8 @@ def cgm_iterate(direction, constraints, x0, alpha, etas):
     return dict(
         xs=xs, vs=vs, etas=etas, max_violation=viol, wall_s=wall,
         n_violated=n_violated, n_active=n_active, kkt_residual=kkt_residual,
-        qp_path=qp_path, v_norms=pairwise_row_norms(vs), constraints=constraints,
+        qp_path=qp_path, v_norms=row_norms(vs), dist_x0=row_norms(xs, xs[0]),
+        constraints=constraints,
     )
 
 
@@ -159,8 +160,9 @@ class CgmTrace:
 
     max_violation has T+1 entries; n_violated counts each step's violated
     rows, and n_active, kkt_residual and qp_path record its projection (0, 0
-    and "" where no QP ran). v_norms holds each ||v_t||, computed once per run
-    for the CSV column and the certificates.
+    and "" where no QP ran). v_norms holds each ||v_t|| and dist_x0 each
+    ||x_t - x_0|| (T+1 entries), computed once per run for the CSV columns and
+    the certificates.
     """
 
     xs: np.ndarray
@@ -173,6 +175,7 @@ class CgmTrace:
     kkt_residual: np.ndarray
     qp_path: np.ndarray
     v_norms: np.ndarray
+    dist_x0: np.ndarray
     constraints: ConstraintSet  # the rows the run stepped on, which the certificates read
 
     @property

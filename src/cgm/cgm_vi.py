@@ -11,7 +11,6 @@ from typing import Optional
 import numpy as np
 
 from .cgm_min import CgmTrace, cgm_iterate, diminishing_steps
-from .metrics import row_norms
 from .problems import QuadraticRow
 
 
@@ -41,10 +40,9 @@ class VISolverConfig:
 
 @dataclass(kw_only=True)
 class VITrace(CgmTrace):
-    """A CGM-VI run with each state's distance to x0, over constraints [m+1]
-    whose last row, constraints.smooth[-1], is the ball ||x - x0||^2 <= r."""
+    """A CGM-VI run over constraints [m+1] whose last row, constraints.smooth[-1],
+    is the ball ||x - x0||^2 <= r."""
 
-    dist_x0: np.ndarray
     kappa: float
     delta: float
     normFx0_sq: float
@@ -85,8 +83,4 @@ def cgm_vi_run(problem, config):
     kappa = problem.ell_F / problem.mu
     etas = diminishing_steps(problem.mu, 16.0 * kappa**2, config.horizon)  # <= mu/(16 ell_F^2)
     arrays = cgm_iterate(problem.op_F, constraints, problem.x0, problem.mu, etas)
-    xs = arrays["xs"]
-    return VITrace(
-        **arrays, dist_x0=row_norms(xs, xs[0]),
-        kappa=kappa, delta=delta, normFx0_sq=norm_f0_sq,
-    )
+    return VITrace(**arrays, kappa=kappa, delta=delta, normFx0_sq=norm_f0_sq)

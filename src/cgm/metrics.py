@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cgm_min import CONSTANT
-from .problems import by_row_blocks, pairwise_row_norms
+from .problems import by_row_blocks, row_dots, row_norms
 
 logger = logging.getLogger(__name__)
 
@@ -73,32 +73,14 @@ def _check(name, lhs_arr, rhs_arr):
     one value."""
     lhs_arr = np.asarray(lhs_arr, dtype=float)
     rhs_arr = np.asarray(rhs_arr, dtype=float)
-    worst = int((rhs_arr - lhs_arr).argmin())
+    with np.errstate(invalid="ignore"):  # inf - inf: a NaN margin, which argmin picks
+        worst = int((rhs_arr - lhs_arr).argmin())
     lhs, rhs = lhs_arr.item(worst), rhs_arr.item(worst if rhs_arr.size > 1 else 0)
     bound = np.abs(lhs_arr)  # rhs + ABS_SLACK + REL_SLACK |lhs|, in place
     bound *= REL_SLACK
     bound += rhs_arr + ABS_SLACK
     passed = bool((lhs_arr <= bound).all()) and math.isfinite(lhs) and math.isfinite(rhs)
     return CertificateRecord(name=name, lhs=lhs, rhs=rhs, slack=_slack(lhs), passed=passed)
-
-
-def _row_dots(a, b):
-    """a[..., i, :] @ b[..., i, :] per row, bitwise the 1-D product of the two rows.
-
-    A stacked (1, n) @ (n, 1) matmul takes the 1-D dot path; einsum does not
-    and differs in the last bit.
-    """
-    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
-
-
-def row_norms(xs, center):
-    """||x - center|| for every row x of xs, bitwise np.linalg.norm(x - center)."""
-
-    def norms(block):
-        diff = block - center
-        return np.sqrt(_row_dots(diff, diff))
-
-    return by_row_blocks(norms, xs)
 
 
 def simplex_gaps(problem, xs):
@@ -113,7 +95,7 @@ def simplex_gaps(problem, xs):
 
     def gaps(rows):
         fx = problem.op_F(rows)
-        dots = [_row_dots(fx[:, block], rows[:, block]) for block in blocks]
+        dots = [row_dots(fx[:, block], rows[:, block]) for block in blocks]
         gap = sum(dots[1:], dots[0])  # not from 0, which would turn a -0.0 into +0.0
         for block in blocks:
             gap = gap - fx[:, block].min(axis=-1)
@@ -161,7 +143,7 @@ def certify_min(trace, problem, reference, f_star_unconstrained):
     contraction = (1.0 - alpha * trace.etas) * resid[:-1]
     recs.append(_check("per_iteration_contraction", resid[1:], contraction))
     recs.append(_check("velocity_bound_C1", trace.v_norms, c1))
-    recs.append(_check("distance_bound_C2", pairwise_row_norms(trace.xs, x_star), c2))
+    recs.append(_check("distance_bound_C2", row_norms(trace.xs, x_star), c2))
     sharp_rhs = 4.0 * (2.0 * ell_f - alpha) * resid[:-1] + 8.0 * ell_f * (
         f_star - f_star_unconstrained
     )

@@ -32,15 +32,22 @@ def by_row_blocks(fn, xs):
     return out
 
 
-def pairwise_row_norms(xs, center=0.0):
-    """||x - center|| for every row x of xs, bitwise np.linalg.norm(xs - center, axis=1):
-    its pairwise sum of squares, with one temporary per row block where numpy makes
-    the difference, a conj() copy and their product (x - 0.0 is x in every float)."""
+def row_dots(a, b):
+    """a[..., i, :] @ b[..., i, :] per row, bitwise the 1-D product of the two rows.
+
+    A stacked (1, n) @ (n, 1) matmul takes the 1-D dot path; einsum does not
+    and differs in the last bit.
+    """
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
+def row_norms(xs, center=None):
+    """||x - center|| (||x|| without a center) for every row x of xs, in row blocks,
+    each bitwise np.linalg.norm of that row alone: sqrt of its 1-D dot."""
 
     def norms(block):
-        sq = block - center
-        sq *= sq
-        return np.sqrt(np.add.reduce(sq, axis=1))
+        diff = block if center is None else block - center
+        return np.sqrt(row_dots(diff, diff))
 
     return by_row_blocks(norms, xs)
 
@@ -88,10 +95,9 @@ class QuadraticRow:
         """max ||gradient(x)|| over the rows x of xs, equal to the per-point loop."""
 
         def batched(block):
-            # half the gradients (a Q row adds its product); x2 is exact
+            # half the gradients (Q is symmetric, so a row's half is diff @ Q); x2 is exact
             diff = block if self._at_origin else block - self.center
-            half = diff if self.Q is None else diff @ self.Q.T
-            return 2.0 * np.sqrt(np.einsum("ij,ij->i", half, half))
+            return 2.0 * row_norms(diff if self.Q is None else diff @ self.Q)
 
         return self.grad_norm_max(xs, by_row_blocks(batched, xs))
 

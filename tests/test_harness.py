@@ -240,7 +240,7 @@ class TestRunExperiment:
                 "abs_f_resid": [abs(r) for r in trace.f_resid[1:]],
                 "max_violation": trace.max_violation[1:],
                 "v_norm": trace.v_norms,
-                "dist_x0": np.linalg.norm(trace.xs - trace.xs[0], axis=1)[1:],
+                "dist_x0": [np.linalg.norm(x - trace.xs[0]) for x in trace.xs[1:]],
             })
 
         config = ExperimentConfig(
@@ -469,14 +469,20 @@ class TestCli:
         assert out.stdout == ""
         assert list(tmp_path.iterdir()) == []
 
-    def test_uncertified_reference_exits_3_with_its_residual(self, tmp_path, capsys, monkeypatch):
+    def test_uncertified_reference_exits_3_with_its_residual(
+        self, tmp_path, capsys, caplog, monkeypatch
+    ):
+        # solve_rap_reference returns only a certified point: each polish whose
+        # certificate fails is logged with its residual, and then the solve raises
         certificate = KktCertificate(3e-7, 0.0, 0.0, 0.0)
-        monkeypatch.setattr("cgm.harness.solve_rap_reference",
-                            lambda data: (np.full(8, 0.125), 0.0, certificate))
+        monkeypatch.setattr("cgm.reference.kkt_residual", lambda data, x, pair: certificate)
         argv = ["--problem", "rap", "--d", "8", "--iters", "10", "--out", str(tmp_path)]
-        assert cli_main(argv) == 3
+        with caplog.at_level("DEBUG", logger="cgm.reference"):
+            assert cli_main(argv) == 3
         captured = capsys.readouterr()
-        assert captured.err == "error: reference: KKT certificate failed with residual 3.0e-07\n"
+        assert re.fullmatch(r"error: reference: no active-set polish certified [^\n]*\n",
+                            captured.err)
+        assert "polish rejected (certificate residual 3.0e-07)" in caplog.text
         assert captured.out == ""
         assert list(tmp_path.iterdir()) == []
 

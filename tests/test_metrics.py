@@ -7,8 +7,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from cgm import metrics
 from cgm.cgm_min import MinSolverConfig, cgm_min_run
 from cgm.cgm_vi import VISolverConfig, cgm_vi_run
+from cgm.harness import ExperimentConfig, run_experiment
 from cgm.metrics import (
     ABS_SLACK,
     REL_SLACK,
@@ -20,7 +22,6 @@ from cgm.metrics import (
     _slack,
     certify_min,
     certify_vi,
-    row_norms,
     simplex_gaps,
 )
 from cgm.problems import (
@@ -32,16 +33,16 @@ from cgm.problems import (
     hbg_constraints,
     hbg_instantiate,
     hbg_operator,
-    pairwise_row_norms,
     rap_generate,
 )
 
 
 def _check_oracle(name, lhs_arr, rhs_arr):
-    # _check as it stood before its lean form, copied verbatim
+    # _check as it stood before its lean form, copied verbatim but for its inf - inf warning
     lhs_arr = np.atleast_1d(np.asarray(lhs_arr, dtype=float))
     rhs_arr = np.broadcast_to(np.asarray(rhs_arr, dtype=float), lhs_arr.shape)
-    margins = rhs_arr - lhs_arr
+    with np.errstate(invalid="ignore"):
+        margins = rhs_arr - lhs_arr
     worst = int(np.argmin(margins))
     lhs, rhs = float(lhs_arr[worst]), float(rhs_arr[worst])
     slack = _slack(lhs)
@@ -381,6 +382,44 @@ def non_hbg_run():
     return problem, cgm_vi_run(problem, VISolverConfig(horizon=2000))
 
 
+NORM_COLUMNS = ["rap50-v_norms", "rap200-v_norms", "hbg-v_norms", "rap50-dist_x0",
+                "rap200-dist_x0", "hbg-dist_x0", "cgm_vi-rel_err", "gda-rel_err",
+                "eg-rel_err", "certify_min-C2"]
+
+
+@pytest.fixture(scope="module")
+def norm_columns(rap_runs, rap_reference, rap_floor, hbg_seed_runs, hbg_problem,
+                 hbg_equilibrium, baseline_traces, tmp_path_factory):
+    """{NORM_COLUMNS entry: (column, rows, center, scale)}: each column is
+    ||x - center|| / scale over the rows x."""
+    (rap, rap_trace), (_, d200_trace) = rap_runs
+    (_, hbg_trace), *_ = hbg_seed_runs
+    x_star, ref_norm = hbg_equilibrium, float(np.linalg.norm(hbg_equilibrium))
+    c2, check = [], metrics._check
+
+    def keep_c2(name, lhs, rhs):
+        if name == "distance_bound_C2":
+            c2.append(lhs)
+        return check(name, lhs, rhs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(metrics, "_check", keep_c2)
+        certify_min(rap_trace, rap, (rap_reference["x_star"], rap_reference["f_star"]),
+                    rap_floor)
+    config = ExperimentConfig(problem="hbg", horizons=(300,), d=50, seed=42,
+                              out_dir=str(tmp_path_factory.mktemp("norm_columns")))
+    (written,) = run_experiment(config)["columns"].values()
+    vi_xs = cgm_vi_run(hbg_problem, VISolverConfig(horizon=300)).xs[1:]
+    columns = {"cgm_vi-rel_err": (written["rel_err"], vi_xs, x_star, ref_norm),
+               "certify_min-C2": (c2[0], rap_trace.xs, rap_reference["x_star"], 1.0)}
+    for label, trace in (("rap50", rap_trace), ("rap200", d200_trace), ("hbg", hbg_trace)):
+        columns[f"{label}-v_norms"] = (trace.v_norms, trace.vs, 0.0, 1.0)
+        columns[f"{label}-dist_x0"] = (trace.dist_x0, trace.xs, trace.xs[0], 1.0)
+    for label, trace in baseline_traces.items():
+        columns[f"{label}-rel_err"] = (trace.rel_err, trace.xs[1:], x_star, ref_norm)
+    return columns
+
+
 class TestTrajectoryColumns:
     """Trajectory-wide columns equal their per-point formulas bitwise, across row blocks."""
 
@@ -425,25 +464,13 @@ class TestTrajectoryColumns:
         (record,) = [rec for rec in report.records if rec.name == "ergodic_gap_bound"]
         assert record.lhs == _gap_per_point_blocks(problem, trace.ergodic)
 
-    def test_row_norms_equal_per_point(self, vi_trace):
-        trace = vi_trace["trace"]
-        xs = trace.xs
-        center = np.full(xs.shape[1], 1.0 / (xs.shape[1] // 2))
-        assert np.array_equal(row_norms(xs, center), [np.linalg.norm(x - center) for x in xs])
-        assert np.array_equal(trace.dist_x0, [np.linalg.norm(x - xs[0]) for x in xs])
-
-    def test_v_norms_equal_unblocked(self, hbg_seed_runs, rap_runs):
-        # the run's v_norms, blocked, are bitwise np.linalg.norm over the whole trajectory
-        for _, trace in [*hbg_seed_runs, *rap_runs]:
-            assert trace.v_norms.tobytes() == np.linalg.norm(trace.vs, axis=1).tobytes()
-
-    def test_pairwise_row_norms_equal_unblocked(self, rap_runs, rap_reference):
-        # the RAP dist_x0 column and certify_min's distances to x*
-        (problem, trace), (d200, d200_trace) = rap_runs
-        for xs, center in ((trace.xs[1:], problem.x0), (d200_trace.xs[1:], d200.x0),
-                           (trace.xs, rap_reference["x_star"])):
-            expected = np.linalg.norm(xs - center, axis=1)
-            assert pairwise_row_norms(xs, center).tobytes() == expected.tobytes()
+    @pytest.mark.parametrize("column", NORM_COLUMNS)
+    def test_norm_column_equals_per_point(self, norm_columns, column):
+        # one rule for every trajectory-wide norm: each row's own np.linalg.norm
+        values, xs, center, scale = norm_columns[column]
+        assert len(xs) > 2 * ROW_BLOCK and len(xs) % ROW_BLOCK
+        expected = np.array([np.linalg.norm(x - center) for x in xs]) / scale
+        assert values.tobytes() == expected.tobytes()
 
     def test_distance_column_equals_unblocked(
         self, min_trace_constant, rap_problem, rap_reference, rap_floor
@@ -453,7 +480,7 @@ class TestTrajectoryColumns:
         reference = (x_star, rap_reference["f_star"])
         report = certify_min(min_trace_constant["trace"], rap_problem, reference, rap_floor)
         (record,) = [rec for rec in report.records if rec.name == "distance_bound_C2"]
-        assert record.lhs == np.linalg.norm(xs - x_star, axis=1).max()
+        assert record.lhs == max(np.linalg.norm(x - x_star) for x in xs)
 
 
 class TestVIGradNormBound:

@@ -401,8 +401,7 @@ class TestQuadraticRow:
                 assert risk.gradient(x).tobytes() == (2.0 * (e_mat @ diff)).tobytes()
 
             def centred(block):
-                half = (block - zeros) @ e_mat.T
-                return 2.0 * np.sqrt(np.einsum("ij,ij->i", half, half))
+                return 2.0 * np.array([np.linalg.norm(half) for half in (block - zeros) @ e_mat])
 
             norms = by_row_blocks(centred, trace.xs)
             near = np.flatnonzero(norms >= (1.0 - 1e-12) * norms.max(initial=0.0))

@@ -651,6 +651,22 @@ def test_import_cgm_does_not_load_scipy():
     assert fresh_interpreter(probe) == ["[]", "['cgm', 'cgm.problems']"]
 
 
+def test_solvers_do_not_load_the_certificates():
+    # both solvers and the baselines norm their own columns, so running them
+    # loads neither the certificate module nor the harness
+    probe = (
+        "import sys, cgm\n"
+        "vi = cgm.hbg_instantiate(3, 0.8, seed=0)\n"
+        "cgm.cgm_vi_run(vi, cgm.VISolverConfig(horizon=5))\n"
+        "cgm.cgm_min_run(cgm.rap_generate(5, seed=0), cgm.MinSolverConfig(5, 'varying'))\n"
+        "cgm.gda_eg_run(vi, 0.005, 0.1, 5, vi.x0)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'cgm'))"
+    )
+    (loaded,) = fresh_interpreter(probe)
+    assert loaded == str(["cgm", "cgm.baselines", "cgm.cgm_min", "cgm.cgm_vi", "cgm.problems",
+                          "cgm.qp"])
+
+
 SUBMODULES = ("baselines", "cgm_min", "cgm_vi", "harness", "metrics", "plots", "problems",
               "qp", "reference")
 
