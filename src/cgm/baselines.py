@@ -12,7 +12,7 @@ from typing import Optional
 
 import numpy as np
 
-from .problems import row_norms
+from .problems import ROW_BLOCK, row_norms
 
 
 class UnsupportedConstraintSet(Exception):
@@ -66,45 +66,80 @@ class SimplexProjector:
 
 @dataclass
 class BaselineTrace:
-    xs: np.ndarray
+    """One method's run: rel_err and wall_s per step, and its final iterate x."""
+
     rel_err: np.ndarray
     wall_s: np.ndarray
+    x: np.ndarray
 
     @property
     def horizon(self):
         return self.rel_err.size
 
 
-def gda_eg_run(problem, eta_gda, eta_eg, T, x_star):
-    """(GDA trace, EG trace), stepped in lockstep over one (2, n) stack [x_gda, x_eg].
+def _lockstep(problem, eta_gda, eta_eg, T):
+    """Step GDA and EG in lockstep over one (2, n) stack [x_gda, x_eg], by blocks.
 
     GDA's step and EG's probe are both Proj(x - eta F(x)), so one op_F call and
     one projection of the stack serve them; EG's full step is one more call on
     its row. op_F must map each row of a stack as it maps that row alone; the
     rest acts per element or per block, so each row is bitwise its method run
-    alone. The traces are views into one (T+1, 2, n) buffer; rel_err is each
-    iterate's distance to the solution x_star over |x_star|. GDA's wall time
-    is the shared half step, EG's adds its full step.
+    alone. The iterates live in one (ROW_BLOCK + 1, 2, n) window: each block of
+    at most ROW_BLOCK steps is yielded as (rows, stamps), rows a view of the
+    window whose row 0 is the iterate before the block and stamps a
+    (tic, half, end) perf_counter tuple per step. The view is overwritten once
+    the loop resumes.
     """
-    if problem.simplex_blocks is None:
-        raise UnsupportedConstraintSet("problem feasible set is not simplex blocks")
     blocks = tuple(problem.simplex_blocks)
     etas = np.array([[eta_gda], [eta_eg]])
     proj = SimplexProjector(block_sizes=blocks * 2)
     proj_eg = SimplexProjector(block_sizes=blocks)
-    xs = np.empty((T + 1, 2, problem.dim))
-    xs[0] = problem.x0
-    eg_xs, eg_step, op_F = xs[:, 1:], etas[1:], problem.op_F
-    stamps = []
-    for t in range(T):
-        tic = time.perf_counter()
-        xs[t + 1] = proj(xs[t] - etas * op_F(xs[t]))
-        half = time.perf_counter()
-        eg_xs[t + 1] = proj_eg(eg_xs[t] - eg_step * op_F(eg_xs[t + 1]))
-        stamps.append((tic, half, time.perf_counter()))
-    tic, half, end = np.reshape(stamps, (T, 3)).T
-    ref_norm = float(np.linalg.norm(x_star))
-    return tuple(
-        BaselineTrace(xs=xs[:, i], rel_err=row_norms(xs[1:, i], x_star) / ref_norm, wall_s=wall)
-        for i, wall in enumerate((half - tic, end - tic))
-    )
+    window = np.empty((ROW_BLOCK + 1, 2, problem.dim))
+    window[0] = problem.x0
+    eg_rows, eg_step, op_F = window[:, 1:], etas[1:], problem.op_F
+    for start in range(0, T, ROW_BLOCK):
+        steps = min(ROW_BLOCK, T - start)
+        stamps = []
+        for k in range(steps):
+            tic = time.perf_counter()
+            window[k + 1] = proj(window[k] - etas * op_F(window[k]))
+            half = time.perf_counter()
+            eg_rows[k + 1] = proj_eg(eg_rows[k] - eg_step * op_F(eg_rows[k + 1]))
+            stamps.append((tic, half, time.perf_counter()))
+        yield window[: steps + 1], stamps
+        window[0] = window[steps]
+
+
+def gda_eg_run(problem, eta_gda, eta_eg, T, x_star):
+    """(GDA trace, EG trace) of one lockstep run (_lockstep) over T steps.
+
+    rel_err is each iterate's distance to the solution x_star over |x_star|,
+    taken per block as the loop yields it, so no more than a ROW_BLOCK window
+    of iterates is ever held; each value is its row's own norm, so the column
+    is bitwise a pass over the whole trajectory. GDA's wall time is the shared
+    half step, EG's adds its full step. x is each method's last iterate (x0 at
+    T=0). x_star must be finite, nonzero, of shape (n,) and of a finite norm;
+    it is checked before the first step.
+    """
+    if problem.simplex_blocks is None:
+        raise UnsupportedConstraintSet("problem feasible set is not simplex blocks")
+    x_star = np.asarray(x_star, dtype=float)
+    if x_star.shape != (problem.dim,):
+        raise ValueError(f"x_star must have shape ({problem.dim},), got {x_star.shape}")
+    if not np.isfinite(x_star).all():
+        raise ValueError("x_star must be finite")
+    with np.errstate(over="ignore"):  # an overflowing norm is rejected below
+        ref_norm = float(np.linalg.norm(x_star))
+    if not 0.0 < ref_norm < math.inf:
+        raise ValueError("x_star must be nonzero, with a finite norm")
+    rel_err, wall_s = np.empty((2, T)), np.empty((2, T))
+    last = np.array([problem.x0, problem.x0], dtype=float)
+    blocks = zip(range(0, T, ROW_BLOCK), _lockstep(problem, eta_gda, eta_eg, T))
+    for start, (rows, stamps) in blocks:
+        block = slice(start, start + len(stamps))
+        for i in (0, 1):
+            rel_err[i, block] = row_norms(rows[1:, i], x_star) / ref_norm
+        tic, half, end = np.reshape(stamps, (-1, 3)).T
+        wall_s[:, block] = half - tic, end - tic
+        last[:] = rows[-1]
+    return tuple(BaselineTrace(rel_err=rel_err[i], wall_s=wall_s[i], x=last[i]) for i in (0, 1))

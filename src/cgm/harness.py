@@ -249,8 +249,8 @@ def run_experiment(config):
                 continue
             results.append(_run_hbg_cell(config, horizon, problem, x_star))
             if config.run_baselines and not baselines:
-                # one run at the longest horizon serves every cell; started after the
-                # first CGM cell, whose trace is freed by then, so the peaks do not add
+                # one run at the longest horizon serves every cell; it holds a ROW_BLOCK
+                # window of iterates and O(T) columns, not its trajectory
                 baselines = gda_eg_run(
                     problem, GDA_ETA, 1.0 / problem.ell_F, max(config.horizons), x_star)
             # fixed-step GDA and EG at a shorter horizon are bitwise prefixes of the longest run

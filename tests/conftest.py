@@ -5,11 +5,19 @@ import time
 import numpy as np
 import pytest
 
-from cgm.baselines import gda_eg_run
+from cgm.baselines import _lockstep, gda_eg_run
 from cgm.cgm_min import MinSolverConfig, cgm_min_run
 from cgm.cgm_vi import VISolverConfig, cgm_vi_run
 from cgm.problems import hbg_instantiate, rap_generate, rap_unconstrained_min
 from cgm.reference import solve_rap_reference
+
+
+def lockstep_iterates(problem, eta_gda, eta_eg, T):
+    """Every iterate of both baselines, (T+1, 2, n), copied off the blocks that
+    gda_eg_run consumes; row 0 of each block repeats the last of the one before."""
+    rows = [np.array([problem.x0, problem.x0], dtype=float)[None]]
+    rows += [block[1:].copy() for block, _ in _lockstep(problem, eta_gda, eta_eg, T)]
+    return np.concatenate(rows)
 
 
 def _timed(fn, *args, **kwargs):
@@ -116,3 +124,10 @@ def hbg_equilibrium(hbg_problem):
 def baseline_traces(hbg_problem, hbg_equilibrium):
     gda, eg = gda_eg_run(hbg_problem, 0.005, 1.0 / hbg_problem.ell_F, 1000, hbg_equilibrium)
     return {"gda": gda, "eg": eg}
+
+
+@pytest.fixture(scope="session")
+def baseline_iterates(hbg_problem):
+    """{"gda": xs, "eg": xs}: every iterate of baseline_traces' run, (T+1, n) each."""
+    xs = lockstep_iterates(hbg_problem, 0.005, 1.0 / hbg_problem.ell_F, 1000)
+    return {"gda": xs[:, 0], "eg": xs[:, 1]}

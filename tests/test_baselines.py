@@ -1,5 +1,8 @@
 """Projection baselines: simplex projection, GDA and EG dynamics."""
 
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,9 +10,10 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import cgm.harness
-from cgm.baselines import SimplexProjector, UnsupportedConstraintSet, gda_eg_run
+from cgm.baselines import SimplexProjector, UnsupportedConstraintSet, _lockstep, gda_eg_run
 from cgm.harness import GDA_ETA, ExperimentConfig, run_experiment
-from cgm.problems import VIProblem, hbg_constraints, hbg_instantiate, rap_generate
+from cgm.problems import ROW_BLOCK, VIProblem, hbg_constraints, hbg_instantiate, rap_generate
+from conftest import lockstep_iterates
 
 
 def project_simplex(y):
@@ -55,6 +59,19 @@ def _per_block_run(problem, eta, T, extragradient, x_star=None):
         xs.append(x)
         rel.append(float(np.linalg.norm(x - x_star)) / ref_norm)
     return np.array(xs), np.array(rel)
+
+
+def _assert_matches_per_block_runs(problem, etas, T, x_star):
+    # every iterate of each method in the lockstep loop, and its trace, equal its
+    # per-block loop run alone
+    traces = gda_eg_run(problem, *etas, T, x_star)
+    iterates = lockstep_iterates(problem, *etas, T)
+    for method, (eta, trace) in enumerate(zip(etas, traces)):
+        xs, rel = _per_block_run(problem, eta, T, extragradient=method == 1, x_star=x_star)
+        assert np.array_equal(iterates[:, method], xs)
+        assert np.array_equal(trace.x, xs[-1])
+        assert np.array_equal(trace.rel_err, rel)
+        assert trace.wall_s.shape == (T,)
 
 
 def _simplex_oracle(y):
@@ -187,15 +204,16 @@ class TestRuns:
 
     def test_iterates_stay_feasible(self, problem):
         d = problem.dim // 2
-        for trace in gda_eg_run(problem, 0.005, 0.1, 100, _equilibrium(problem)):
-            for x in trace.xs[1:]:
+        xs = lockstep_iterates(problem, 0.005, 0.1, 100)
+        for method in (0, 1):
+            for x in xs[1:, method]:
                 assert float(np.min(x)) >= -1e-12
                 assert float(np.sum(x[:d])) == pytest.approx(1.0)
                 assert float(np.sum(x[d:])) == pytest.approx(1.0)
 
     def test_trace_shapes(self, problem):
         for trace in gda_eg_run(problem, 0.005, 0.1, 25, _equilibrium(problem)):
-            assert trace.xs.shape == (26, problem.dim)
+            assert trace.x.shape == (problem.dim,)
             assert trace.rel_err.shape == (25,)
             assert trace.horizon == 25
 
@@ -208,14 +226,17 @@ class TestRuns:
         (50, 0.8, 0), (50, 0.8, 1), (50, 0.8, 2), (50, 0.8, 3), (10, 0.6, 0),
     ], ids=["0", "1", "2", "3", "d10-beta0.6"])
     def test_runs_match_per_block_loop_bitwise(self, d, beta, seed):
-        # each trace of the lockstep gda_eg_run equals its method's per-block loop alone
+        # each method's iterates and trace in the lockstep loop equal its per-block loop alone
         problem = hbg_instantiate(d, beta, seed=seed)
-        etas = (GDA_ETA, 1.0 / problem.ell_F)
-        lockstep = gda_eg_run(problem, *etas, 1000, _equilibrium(problem))
-        for eta, extragradient, trace in zip(etas, (False, True), lockstep):
-            xs, rel = _per_block_run(problem, eta, 1000, extragradient)
-            assert np.array_equal(trace.xs, xs)
-            assert np.array_equal(trace.rel_err, rel)
+        _assert_matches_per_block_runs(problem, (GDA_ETA, 1.0 / problem.ell_F), 1000,
+                                       _equilibrium(problem))
+
+    @pytest.mark.parametrize("T", [0, 1, 127, 128, 129, 257])
+    def test_horizons_at_the_window_edges(self, T):
+        # no step, short runs, a full window, one step past it, two windows and a step
+        problem = hbg_instantiate(50, 0.8, seed=0)
+        _assert_matches_per_block_runs(problem, (GDA_ETA, 1.0 / problem.ell_F), T,
+                                       _equilibrium(problem))
 
     def test_lockstep_on_padded_blocks(self):
         # blocks (1, 3) doubled are (1, 3, 1, 3): the -inf padded layout on a stack
@@ -231,12 +252,7 @@ class TestRuns:
             dim=4,
             simplex_blocks=(1, 3),
         )
-        x_star = np.array([1.0, 0.2, 0.5, 0.3])
-        lockstep = gda_eg_run(fake, 0.05, 0.3, 200, x_star=x_star)
-        for trace, eta, extragradient in zip(lockstep, (0.05, 0.3), (False, True)):
-            xs, rel = _per_block_run(fake, eta, 200, extragradient, x_star=x_star)
-            assert np.array_equal(trace.xs, xs)
-            assert np.array_equal(trace.rel_err, rel)
+        _assert_matches_per_block_runs(fake, (0.05, 0.3), 200, np.array([1.0, 0.2, 0.5, 0.3]))
 
     def test_lockstep_wall_times(self, problem):
         gda, eg = gda_eg_run(problem, GDA_ETA, 1.0 / problem.ell_F, 300, _equilibrium(problem))
@@ -246,18 +262,27 @@ class TestRuns:
         # EG's step is the shared half step plus its own full step
         assert (eg.wall_s >= gda.wall_s).all()
 
-    def test_lockstep_traces_are_views_of_one_buffer(self, problem):
-        gda, eg = gda_eg_run(problem, GDA_ETA, 1.0 / problem.ell_F, 50, _equilibrium(problem))
-        buffer = gda.xs.base
-        assert buffer is not None and eg.xs.base is buffer
-        assert buffer.shape == (51, 2, problem.dim)
-        assert np.shares_memory(gda.xs, buffer) and np.shares_memory(eg.xs, buffer)
+    def test_lockstep_blocks_are_views_of_one_window(self, problem):
+        # every block is a view of one (ROW_BLOCK + 1, 2, n) buffer, whatever T is
+        for T in (0, 1, 50, ROW_BLOCK, ROW_BLOCK + 1, 3 * ROW_BLOCK + 5):
+            buffers, sizes = [], []
+            for rows, stamps in _lockstep(problem, GDA_ETA, 1.0 / problem.ell_F, T):
+                assert rows.base is not None and np.shares_memory(rows, rows.base)
+                assert rows.base.shape == (ROW_BLOCK + 1, 2, problem.dim)
+                assert rows.shape == (len(stamps) + 1, 2, problem.dim)
+                buffers.append(rows.base)
+                sizes.append(len(stamps))
+            assert all(buffer is buffers[0] for buffer in buffers)
+            # full blocks, then the remainder: T = 0 yields none
+            assert sizes == [ROW_BLOCK] * (T // ROW_BLOCK) + [T % ROW_BLOCK] * (T % ROW_BLOCK > 0)
 
     def test_shorter_horizons_are_prefixes(self, problem):
         args = (GDA_ETA, 1.0 / problem.ell_F)
+        short_xs, long_xs = (lockstep_iterates(problem, *args, T) for T in (300, 1000))
+        assert np.array_equal(short_xs, long_xs[:301])
         runs = (gda_eg_run(problem, *args, T, _equilibrium(problem)) for T in (300, 1000))
-        for short, long in zip(*runs):
-            assert np.array_equal(short.xs, long.xs[:301])
+        for method, (short, long) in enumerate(zip(*runs)):
+            assert np.array_equal(short.x, long_xs[300, method])
             assert np.array_equal(short.rel_err, long.rel_err[:300])
 
     def test_experiment_runs_the_baselines_once(self, tmp_path, monkeypatch):
@@ -287,8 +312,41 @@ class TestRuns:
     def test_rel_err_is_the_per_step_norm(self, problem, method):
         x_star = np.random.default_rng(4).dirichlet(np.ones(problem.dim))
         trace = gda_eg_run(problem, 0.05, 0.05, 200, x_star=x_star)[method]
-        expected = [np.linalg.norm(x - x_star) / np.linalg.norm(x_star) for x in trace.xs[1:]]
+        xs = lockstep_iterates(problem, 0.05, 0.05, 200)[1:, method]
+        expected = [np.linalg.norm(x - x_star) / np.linalg.norm(x_star) for x in xs]
         assert np.array_equal(trace.rel_err, expected)
+
+    def test_memory_is_bounded_by_the_window(self):
+        # the run holds a ROW_BLOCK window of iterates, not its (T+1, 2, n) trajectory
+        # (4.6 MiB here): it peaks below 1 MiB and keeps below 0.5 MiB
+        problem = hbg_instantiate(50, 0.8, seed=0)
+        x_star = _equilibrium(problem)
+        gda_eg_run(problem, GDA_ETA, 1.0 / problem.ell_F, 5, x_star)  # warm the imports
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            traces = gda_eg_run(problem, GDA_ETA, 1.0 / problem.ell_F, 3000, x_star)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert traces[1].horizon == 3000
+        assert peak - before < 2**20
+        assert current - before < 2**19
+
+    @pytest.mark.parametrize("x_star, match", [
+        (np.full(20, np.nan), "finite"),
+        (np.r_[np.inf, np.full(19, 0.1)], "finite"),
+        (np.zeros(20), "nonzero"),
+        (np.full(20, 1e200), "finite norm"),
+        (np.full(19, 0.1), "shape"),
+        (np.full((1, 20), 0.1), "shape"),
+    ], ids=["nan", "inf", "zero", "norm-overflow", "short", "2-d"])
+    def test_bad_x_star_rejected_before_any_step(self, problem, x_star, match):
+        def no_step(x):
+            raise AssertionError("op_F called")
+
+        with pytest.raises(ValueError, match=match):
+            gda_eg_run(replace(problem, op_F=no_step), 0.005, 0.1, 5, x_star)
 
     def test_non_simplex_problem_rejected(self):
         rap = rap_generate(6, seed=0)

@@ -389,7 +389,7 @@ NORM_COLUMNS = ["rap50-v_norms", "rap200-v_norms", "hbg-v_norms", "rap50-dist_x0
 
 @pytest.fixture(scope="module")
 def norm_columns(rap_runs, rap_reference, rap_floor, hbg_seed_runs, hbg_problem,
-                 hbg_equilibrium, baseline_traces, tmp_path_factory):
+                 hbg_equilibrium, baseline_traces, baseline_iterates, tmp_path_factory):
     """{NORM_COLUMNS entry: (column, rows, center, scale)}: each column is
     ||x - center|| / scale over the rows x."""
     (rap, rap_trace), (_, d200_trace) = rap_runs
@@ -416,7 +416,8 @@ def norm_columns(rap_runs, rap_reference, rap_floor, hbg_seed_runs, hbg_problem,
         columns[f"{label}-v_norms"] = (trace.v_norms, trace.vs, 0.0, 1.0)
         columns[f"{label}-dist_x0"] = (trace.dist_x0, trace.xs, trace.xs[0], 1.0)
     for label, trace in baseline_traces.items():
-        columns[f"{label}-rel_err"] = (trace.rel_err, trace.xs[1:], x_star, ref_norm)
+        columns[f"{label}-rel_err"] = (trace.rel_err, baseline_iterates[label][1:], x_star,
+                                       ref_norm)
     return columns
 
 

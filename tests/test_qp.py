@@ -366,6 +366,10 @@ def test_oracle_equivalence_batch():
 @example(331237)  # likewise, with multipliers up to 5.2e6
 @example(9457573)  # the Gram vertex sits inside its active rows by 2.6e-11, 3.4e-8 off exact
 def test_oracle_equivalence_property(seed):
+    _check_oracle_equivalence(seed)
+
+
+def _check_oracle_equivalence(seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 5))
     m = int(rng.integers(1, 7))
@@ -379,10 +383,22 @@ def test_oracle_equivalence_property(seed):
     assert fast.kkt_residual <= 1e-6
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "a dual-path vertex sits inside its active rows, which _active_set's one-sided "
+    "check misses: 1.93e-8 off exact against 1e-8"))
+@pytest.mark.parametrize("seed", [1262356646])
+def test_oracle_equivalence_known_failure(seed):
+    _check_oracle_equivalence(seed)
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 @example(1165)  # nearly parallel rows: the Gram vertex missed a row by 1.8e-8
 def test_projection_is_feasible_and_certified(seed):
+    _check_feasible_and_certified(seed)
+
+
+def _check_feasible_and_certified(seed):
     rng = np.random.default_rng(seed)
     c, polytope = random_instance(rng, 3, 5)
     try:
@@ -392,6 +408,14 @@ def test_projection_is_feasible_and_certified(seed):
     a, b = polytope.matrix()
     assert np.max(a @ result.v - b) <= 1e-8
     assert kkt_residual_qp(result, c, polytope) <= 1e-6
+
+
+@pytest.mark.xfail(strict=True, raises=MaxIterations, reason=(
+    "multipliers of 2.7e9-7.8e9 leave a KKT residual of 2.8e-6 that no float64 "
+    "answer brings under the gate of 2.3e-7"))
+@pytest.mark.parametrize("seed", [4108246043])
+def test_feasible_and_certified_known_failure(seed):
+    _check_feasible_and_certified(seed)
 
 
 def test_ill_conditioned_vertices_are_solved_on_the_rows():
