@@ -15,10 +15,12 @@ each into its own output directory, and compares:
   certificate section byte for byte).
 
 It then runs each tree's solvers on the TRACES runs, in a fresh interpreter,
-and compares a sha256 digest of every ``CgmTrace`` array except ``wall_s``,
-and of two QP results the trace drops: every projection's ``dual``
-(``qp_dual``) and ``iterations`` (``qp_iterations``), read by wrapping
-``cgm.cgm_min.project_velocity``, which the CGM step of both solvers calls.
+and compares a sha256 digest of every ``CgmTrace`` array except ``wall_s``
+(and ``vs``, which only older trees hold), and of what the trace drops: every
+step's velocity ``v`` (``step_v``), read by wrapping ``cgm.cgm_min.cgm_step``,
+and every projection's ``dual`` (``qp_dual``) and ``iterations``
+(``qp_iterations``), read by wrapping ``cgm.cgm_min.project_velocity``; the CGM
+step of both solvers calls both.
 Every difference is printed; the exit code is 1 when there is one, else 0.
 """
 
@@ -75,7 +77,7 @@ def digest(array):
     head = f"{array.dtype.str}{array.shape}".encode()
     return hashlib.sha256(head + np.ascontiguousarray(array).tobytes()).hexdigest()
 
-project_velocity = cgm.cgm_min.project_velocity
+project_velocity, cgm_step = cgm.cgm_min.project_velocity, cgm.cgm_min.cgm_step
 
 def recorded(target, polytope):
     result = project_velocity(target, polytope)
@@ -83,11 +85,16 @@ def recorded(target, polytope):
     qp_iterations.append(result.iterations)
     return result
 
-cgm.cgm_min.project_velocity = recorded
+def stepped(*args):
+    out = cgm_step(*args)
+    step_v.update(digest(out[1]).encode())
+    return out
+
+cgm.cgm_min.project_velocity, cgm.cgm_min.cgm_step = recorded, stepped
 digests = {}
 for family, d, schedule, seeds, horizon in json.loads(sys.argv[2]):
     for seed in seeds:
-        qp_dual, qp_iterations = hashlib.sha256(), []
+        step_v, qp_dual, qp_iterations = hashlib.sha256(), hashlib.sha256(), []
         if family == "rap":
             problem = cgm.rap_generate(d, seed=seed)
             trace = cgm.cgm_min_run(problem, cgm.MinSolverConfig(horizon, schedule))
@@ -96,8 +103,9 @@ for family, d, schedule, seeds, horizon in json.loads(sys.argv[2]):
             trace = cgm.cgm_vi_run(problem, cgm.VISolverConfig(horizon))
         digests[f"{family} d={d} {schedule} seed={seed} T={horizon}"] = {
             **{name: digest(value) for name, value in vars(trace).items()
-               if isinstance(value, np.ndarray) and name != "wall_s"},
-            "qp_dual": qp_dual.hexdigest(), "qp_iterations": digest(np.array(qp_iterations)),
+               if isinstance(value, np.ndarray) and name not in ("wall_s", "vs")},
+            "step_v": step_v.hexdigest(), "qp_dual": qp_dual.hexdigest(),
+            "qp_iterations": digest(np.array(qp_iterations)),
         }
 print(json.dumps(digests))
 """

@@ -10,12 +10,12 @@ in place of the gradient; cgm_min_run passes the objective gradient.
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
 
-from .problems import ConstraintSet, max_violation_of, row_norms, violated_set
+from .problems import ROW_BLOCK, ConstraintSet, max_violation_of, row_norms, violated_set
 from .qp import VelocityPolytope, project_velocity
 
 
@@ -116,12 +116,14 @@ def cgm_iterate(direction, constraints, x0, alpha, etas):
     Runs from x0 for len(etas) steps and returns the CgmTrace fields as a dict.
     A failing step or a non-finite iterate aborts with the iteration index; as
     x_{t+1} = x_t + eta v_t, one check per iterate covers x0 and every v_t, and
-    the step may assume finite x.
+    the step may assume finite x. The velocities pass through a (ROW_BLOCK, n)
+    window, normed as each block of steps closes; only their norms are kept.
     """
     T = etas.size
     x = np.array(x0, dtype=float)
     xs = np.empty((T + 1, x.size))
-    vs = np.empty((T, x.size))
+    window = np.empty((min(T, ROW_BLOCK), x.size))
+    v_norms = np.empty(T)
     viol = np.empty(T + 1)
     wall = np.empty(T)
     n_violated = np.zeros(T, dtype=int)
@@ -129,44 +131,46 @@ def cgm_iterate(direction, constraints, x0, alpha, etas):
     kkt_residual = np.zeros(T)
     qp_path = np.full(T, "", dtype="U6")
     xs[0] = x
-    for t in range(T):
-        tic = time.perf_counter()
-        try:
-            x, v, diag = cgm_step(direction(x), constraints, x, alpha, etas[t])
-        except Exception as exc:
-            raise RuntimeError(f"iteration {t} failed: {exc}") from exc
-        wall[t] = time.perf_counter() - tic
-        if not (math.isfinite(x.dot(x)) or np.isfinite(x).all()):  # x read only on overflow
-            raise RuntimeError(f"iteration {t}: non-finite iterate")
-        xs[t + 1] = x
-        vs[t] = v
-        viol[t] = diag["max_violation"]
-        n_violated[t] = diag["violated"]
-        n_active[t] = diag["n_active"]
-        kkt_residual[t] = diag["kkt_residual"]
-        qp_path[t] = diag["qp_path"]
+    for start in range(0, T, ROW_BLOCK):
+        stop = min(start + ROW_BLOCK, T)
+        for t in range(start, stop):
+            tic = time.perf_counter()
+            try:
+                x, v, diag = cgm_step(direction(x), constraints, x, alpha, etas[t])
+            except Exception as exc:
+                raise RuntimeError(f"iteration {t} failed: {exc}") from exc
+            wall[t] = time.perf_counter() - tic
+            if not (math.isfinite(x.dot(x)) or np.isfinite(x).all()):  # x read only on overflow
+                raise RuntimeError(f"iteration {t}: non-finite iterate")
+            xs[t + 1] = x
+            window[t - start] = v
+            viol[t] = diag["max_violation"]
+            n_violated[t] = diag["violated"]
+            n_active[t] = diag["n_active"]
+            kkt_residual[t] = diag["kkt_residual"]
+            qp_path[t] = diag["qp_path"]
+        v_norms[start:stop] = row_norms(window[: stop - start])
     viol[T] = constraints.max_violation(x)
     return dict(
-        xs=xs, vs=vs, etas=etas, max_violation=viol, wall_s=wall,
+        xs=xs, etas=etas, max_violation=viol, wall_s=wall,
         n_violated=n_violated, n_active=n_active, kkt_residual=kkt_residual,
-        qp_path=qp_path, v_norms=row_norms(vs), dist_x0=row_norms(xs, xs[0]),
+        qp_path=qp_path, v_norms=v_norms, dist_x0=row_norms(xs, xs[0]),
         constraints=constraints,
     )
 
 
 @dataclass(kw_only=True)
 class CgmTrace:
-    """Per-iteration record of a CGM run; xs has T+1 states, vs/etas have T.
+    """Per-iteration record of a CGM run; xs has T+1 states, etas has T.
 
     max_violation has T+1 entries; n_violated counts each step's violated
     rows, and n_active, kkt_residual and qp_path record its projection (0, 0
-    and "" where no QP ran). v_norms holds each ||v_t|| and dist_x0 each
-    ||x_t - x_0|| (T+1 entries), computed once per run for the CSV columns and
-    the certificates.
+    and "" where no QP ran). v_norms holds each ||v_t|| (the velocities
+    themselves are not kept) and dist_x0 each ||x_t - x_0|| (T+1 entries),
+    computed once per run for the CSV columns and the certificates.
     """
 
     xs: np.ndarray
-    vs: np.ndarray
     etas: np.ndarray
     max_violation: np.ndarray
     wall_s: np.ndarray
@@ -180,7 +184,27 @@ class CgmTrace:
 
     @property
     def horizon(self):
-        return self.vs.shape[0]
+        return self.etas.size
+
+    def prefix(self, T):
+        """The trace of the run's first T steps, self at T = horizon.
+
+        Every array is a view of its first T entries (T+1 for the per-state
+        ones). When the step sizes do not depend on the horizon, this equals a
+        run of T steps, wall_s aside, since each entry is computed per step or
+        per row.
+        """
+        horizon = self.horizon
+        if not 1 <= T <= horizon:
+            raise ValueError(f"prefix T={T} outside [1, {horizon}]")
+        if T == horizon:
+            return self
+        cut = {}
+        for item in fields(self):
+            value = getattr(self, item.name)
+            if isinstance(value, np.ndarray):  # horizon + 1 entries per state, horizon per step
+                cut[item.name] = value[: T + 1] if value.shape[0] > horizon else value[:T]
+        return replace(self, **cut)
 
 
 @dataclass(kw_only=True)
@@ -192,6 +216,12 @@ class MinTrace(CgmTrace):
     kappa: float
     f_values: np.ndarray
     f_resid: Optional[np.ndarray] = None  # f_values - f_star, when a reference is given
+
+    def prefix(self, T):
+        trace = super().prefix(T)
+        if trace is not self:
+            trace.config = replace(self.config, horizon=T)
+        return trace
 
 
 def cgm_min_run(problem, config, reference=None):

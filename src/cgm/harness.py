@@ -3,7 +3,8 @@
 A config names one problem family and a list of horizons; running it produces
 one CSV per (solver, horizon) cell, each with a fixed column set and one row
 per iteration. Certificate reports are appended when bound checking is on.
-Cells run serially; files are written via atomic rename.
+Cells run serially; files are written via atomic rename. A solver whose step
+sizes do not depend on the horizon runs once, at the longest, for every cell.
 """
 
 import os
@@ -181,8 +182,14 @@ def _cell(config, name, wall_s, columns, report=None):
     return path, _write_csv(path, columns, report), report
 
 
-def _run_rap_cell(config, horizon, problem, reference, f_floor):
-    trace = cgm_min_run(problem, MinSolverConfig(horizon, config.schedule), reference)
+def _solve(config, horizon, problem, reference):
+    """The CGM run of one horizon: CGM-Min with the reference on rap, CGM-VI on hbg."""
+    if config.problem == "rap":
+        return cgm_min_run(problem, MinSolverConfig(horizon, config.schedule), reference)
+    return cgm_vi_run(problem, VISolverConfig(horizon=horizon))
+
+
+def _rap_cell(config, trace, problem, reference, f_floor):
     columns = {
         "eta": trace.etas,
         "f_resid": trace.f_resid[1:],
@@ -197,8 +204,7 @@ def _run_rap_cell(config, horizon, problem, reference, f_floor):
     return _cell(config, f"rap_cgm_{config.schedule}", trace.wall_s, columns, report)
 
 
-def _run_hbg_cell(config, horizon, problem, x_star):
-    trace = cgm_vi_run(problem, VISolverConfig(horizon=horizon))
+def _hbg_cell(config, trace, problem, x_star):
     ref_norm = float(np.linalg.norm(x_star))
     columns = {
         "eta": trace.etas,
@@ -240,14 +246,28 @@ def run_experiment(config):
     else:
         problem = hbg_instantiate(config.d, config.beta, seed=config.seed)
         x_star = np.full(problem.dim, 1.0 / (problem.dim // 2))  # the uniform equilibrium
+        reference = None
 
+    # CGM-VI's steps and CGM-Min's varying steps do not depend on T, so one run at
+    # the longest horizon serves every cell through its prefixes
+    share = config.problem == "hbg" or config.schedule == VARYING
+    shared = None
     results, baselines = [], ()
     for horizon in config.horizons:
         try:
+            if share and shared is None:
+                try:
+                    shared = _solve(config, max(config.horizons), problem, reference)
+                except Exception:  # each cell runs alone, so the failing one names its cause
+                    share = False
+            trace = shared.prefix(horizon) if share else _solve(config, horizon, problem, reference)
+            if horizon == config.horizons[-1]:
+                shared = None
             if config.problem == "rap":
-                results.append(_run_rap_cell(config, horizon, problem, reference, f_floor))
+                results.append(_rap_cell(config, trace, problem, reference, f_floor))
                 continue
-            results.append(_run_hbg_cell(config, horizon, problem, x_star))
+            results.append(_hbg_cell(config, trace, problem, x_star))
+            trace = None  # frees a single horizon's run before the baselines
             if config.run_baselines and not baselines:
                 # one run at the longest horizon serves every cell; it holds a ROW_BLOCK
                 # window of iterates and O(T) columns, not its trajectory

@@ -41,15 +41,22 @@ def row_dots(a, b):
     return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
+def _block_norms(diff):
+    """||d|| for every row d of diff, bitwise np.linalg.norm of the row alone: sqrt of
+    its 1-D dot. Callers ignore overflow, so a finite row whose squared norm
+    overflows reads inf, without a warning."""
+    return np.sqrt(row_dots(diff, diff))
+
+
 def row_norms(xs, center=None):
     """||x - center|| (||x|| without a center) for every row x of xs, in row blocks,
-    each bitwise np.linalg.norm of that row alone: sqrt of its 1-D dot."""
+    each bitwise np.linalg.norm of that row alone (_block_norms)."""
 
     def norms(block):
-        diff = block if center is None else block - center
-        return np.sqrt(row_dots(diff, diff))
+        return _block_norms(block if center is None else block - center)
 
-    return by_row_blocks(norms, xs)
+    with np.errstate(over="ignore"):  # once per call, not per block
+        return by_row_blocks(norms, xs)
 
 
 @dataclass(frozen=True)
@@ -97,9 +104,11 @@ class QuadraticRow:
         def batched(block):
             # half the gradients (Q is symmetric, so a row's half is diff @ Q); x2 is exact
             diff = block if self._at_origin else block - self.center
-            return 2.0 * row_norms(diff if self.Q is None else diff @ self.Q)
+            return 2.0 * _block_norms(diff if self.Q is None else diff @ self.Q)
 
-        return self.grad_norm_max(xs, by_row_blocks(batched, xs))
+        with np.errstate(over="ignore"):  # once per call, as in row_norms
+            norms = by_row_blocks(batched, xs)
+        return self.grad_norm_max(xs, norms)
 
     def grad_norm_max(self, xs, norms):
         """max ||gradient(x)|| over the rows x of xs, given their norms to roundoff.

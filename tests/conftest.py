@@ -5,6 +5,7 @@ import time
 import numpy as np
 import pytest
 
+import cgm.cgm_min
 from cgm.baselines import _lockstep, gda_eg_run
 from cgm.cgm_min import MinSolverConfig, cgm_min_run
 from cgm.cgm_vi import VISolverConfig, cgm_vi_run
@@ -18,6 +19,22 @@ def lockstep_iterates(problem, eta_gda, eta_eg, T):
     rows = [np.array([problem.x0, problem.x0], dtype=float)[None]]
     rows += [block[1:].copy() for block, _ in _lockstep(problem, eta_gda, eta_eg, T)]
     return np.concatenate(rows)
+
+
+def stepped_velocities(fn, *args, **kwargs):
+    """(fn(*args, **kwargs), vs): the result and a copy of every v that
+    cgm_step returned during the call, (steps, n) in step order."""
+    vs, step = [], cgm.cgm_min.cgm_step
+
+    def recording(*step_args):
+        out = step(*step_args)
+        vs.append(out[1].copy())
+        return out
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cgm.cgm_min, "cgm_step", recording)
+        result = fn(*args, **kwargs)
+    return result, np.array(vs)
 
 
 def _timed(fn, *args, **kwargs):
@@ -75,8 +92,9 @@ def rap_floor(rap_problem):
 def min_trace_constant(rap_problem, rap_reference):
     config = MinSolverConfig(horizon=2000, schedule="constant")
     reference = (rap_reference["x_star"], rap_reference["f_star"])
-    trace, seconds = _timed(cgm_min_run, rap_problem, config, reference=reference)
-    return {"trace": trace, "seconds": seconds}
+    (trace, vs), seconds = _timed(
+        stepped_velocities, cgm_min_run, rap_problem, config, reference=reference)
+    return {"trace": trace, "seconds": seconds, "vs": vs}
 
 
 @pytest.fixture(scope="session")

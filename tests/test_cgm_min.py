@@ -1,11 +1,15 @@
 """Minimization solver: schedules, stepping, trace layout, convergence laws."""
 
 import math
+import warnings
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import cgm.cgm_min
+import cgm.problems
 from cgm.cgm_min import (
     CONSTANT,
     VARYING,
@@ -18,14 +22,18 @@ from cgm.cgm_min import (
     step_sizes,
 )
 from cgm.cgm_vi import VISolverConfig, cgm_vi_run
+from cgm.metrics import certify_min, certify_vi
 from cgm.problems import (
     ConstraintSet,
     MinProblem,
     hbg_instantiate,
     rap_generate,
+    rap_unconstrained_min,
     violated_set,
 )
 from cgm.qp import KKT_TOL
+from cgm.reference import solve_rap_reference
+from conftest import stepped_velocities
 
 
 @pytest.fixture(scope="module")
@@ -111,9 +119,10 @@ class TestStep:
 class TestRun:
     def test_trace_shapes(self, small_problem):
         T = 50
-        trace = cgm_min_run(small_problem, MinSolverConfig(horizon=T))
+        trace, vs = stepped_velocities(cgm_min_run, small_problem, MinSolverConfig(horizon=T))
         assert trace.xs.shape == (T + 1, small_problem.dim)
-        assert trace.vs.shape == (T, small_problem.dim)
+        assert vs.shape == (T, small_problem.dim)
+        assert not hasattr(trace, "vs")
         assert trace.etas.shape == (T,)
         assert trace.max_violation.shape == (T + 1,)
         assert trace.f_values.shape == (T + 1,)
@@ -271,8 +280,15 @@ class TestRun:
         constraints = ConstraintSet(n_bounds=0, W=[[0.0, 1.0]], c=[-1.0])
         x0, etas = np.array([0.5, 0.5]), np.ones(3)
         if math.isfinite(entry):
-            xs = cgm_iterate(lambda x: x, constraints, x0, 1.0, etas)["xs"]
-            np.testing.assert_array_equal(xs[1:], [[entry, 0.5]] * 3)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                arrays = cgm_iterate(lambda x: x, constraints, x0, 1.0, etas)
+            np.testing.assert_array_equal(arrays["xs"][1:], [[entry, 0.5]] * 3)
+            # the squared distance to x0 overflows: it reads inf, as np.linalg.norm's
+            # does, and the row norms do not warn
+            np.testing.assert_array_equal(arrays["dist_x0"], [0.0, *[math.inf] * 3])
+            problems_py = str(Path(cgm.problems.__file__))
+            assert [str(w.message) for w in caught if w.filename == problems_py] == []
         else:
             with pytest.raises(RuntimeError, match="iteration 0: non-finite iterate"):
                 cgm_iterate(lambda x: x, constraints, x0, 1.0, etas)
@@ -281,3 +297,78 @@ class TestRun:
         t1 = cgm_min_run(small_problem, MinSolverConfig(horizon=40))
         t2 = cgm_min_run(small_problem, MinSolverConfig(horizon=40))
         np.testing.assert_array_equal(t1.xs, t2.xs)
+
+
+def _run(family, problem, T):
+    """The trace of T steps of family's solver: rap-constant, rap-varying or hbg."""
+    if family == "hbg":
+        return cgm_vi_run(problem, VISolverConfig(horizon=T))
+    return cgm_min_run(problem, MinSolverConfig(T, family.removeprefix("rap-")))
+
+
+@pytest.fixture(scope="module")
+def hbg_small():
+    return hbg_instantiate(10, 0.8, seed=1)
+
+
+class TestVelocityNorms:
+    # the velocities pass through a ROW_BLOCK = 128 window; T = 1 is no constant horizon
+    @pytest.mark.parametrize("family, T", [
+        *(("rap-constant", T) for T in (127, 128, 129, 300)),
+        *((family, T) for family in ("rap-varying", "hbg") for T in (1, 127, 128, 129, 300)),
+    ])
+    def test_v_norms_are_each_steps_norm(self, family, T, small_problem, hbg_small):
+        problem = hbg_small if family == "hbg" else small_problem
+        trace, vs = stepped_velocities(_run, family, problem, T)
+        assert vs.shape == (T, problem.dim)
+        expected = np.array([np.linalg.norm(v) for v in vs])
+        assert trace.v_norms.tobytes() == expected.tobytes()
+
+
+class TestPrefix:
+    @pytest.fixture(scope="class")
+    def rap_reference(self, small_problem):
+        x_star, f_star, _ = solve_rap_reference(small_problem.data)
+        return (x_star, f_star), rap_unconstrained_min(small_problem.data)[1]
+
+    @pytest.mark.parametrize("family", ["rap-varying", "hbg"])
+    @pytest.mark.parametrize("T", [1, 2, 128, 129, 250])
+    def test_prefix_equals_a_fresh_run(self, family, T, small_problem, hbg_small, rap_reference):
+        problem = hbg_small if family == "hbg" else small_problem
+        reference, floor = rap_reference
+
+        def certify(trace):
+            if family == "hbg":
+                return certify_vi(trace, problem)
+            return certify_min(trace, problem, reference, floor)
+
+        if family == "hbg":
+            long, alone = (cgm_vi_run(problem, VISolverConfig(horizon=h)) for h in (300, T))
+        else:
+            long, alone = (cgm_min_run(problem, MinSolverConfig(h, VARYING), reference)
+                           for h in (300, T))
+            assert long.prefix(T).config == MinSolverConfig(T, VARYING)
+        prefix = long.prefix(T)
+        assert type(prefix) is type(alone) and prefix.horizon == T
+        for item in fields(alone):
+            old, new = getattr(alone, item.name), getattr(prefix, item.name)
+            if isinstance(old, np.ndarray):
+                assert new.shape == old.shape, item.name
+                if item.name != "wall_s":
+                    assert new.tobytes() == old.tobytes(), item.name
+            elif item.name != "constraints":
+                assert new == old, item.name
+        np.testing.assert_array_equal(prefix.wall_s, long.wall_s[:T])
+        report, expected = certify(prefix), certify(alone)
+        assert [repr(rec) for rec in report.records] == [repr(rec) for rec in expected.records]
+        assert repr(report.constants) == repr(expected.constants)
+
+    def test_prefix_at_the_horizon_is_the_trace(self, small_problem):
+        trace = cgm_min_run(small_problem, MinSolverConfig(40, CONSTANT))
+        assert trace.prefix(40) is trace
+
+    @pytest.mark.parametrize("T", [0, -1, 41])
+    def test_prefix_outside_the_run_is_rejected(self, small_problem, T):
+        trace = cgm_min_run(small_problem, MinSolverConfig(40, VARYING))
+        with pytest.raises(ValueError, match=rf"prefix T={T} outside \[1, 40\]"):
+            trace.prefix(T)

@@ -13,6 +13,7 @@ from cgm.cgm_vi import (
     ergodic_average,
 )
 from cgm.problems import ConstraintSet, QuadraticRow, VIProblem, hbg_instantiate
+from conftest import stepped_velocities
 
 
 @pytest.fixture(scope="module")
@@ -89,7 +90,9 @@ class TestRun:
     def test_trace_shapes(self, small_problem, small_trace):
         T = 120
         assert small_trace.xs.shape == (T + 1, small_problem.dim)
-        assert small_trace.vs.shape == (T, small_problem.dim)
+        _, vs = stepped_velocities(cgm_vi_run, small_problem, VISolverConfig(horizon=T))
+        assert vs.shape == (T, small_problem.dim)
+        assert not hasattr(small_trace, "vs")
         assert small_trace.dist_x0.shape == (T + 1,)
         assert small_trace.n_active.shape == small_trace.qp_path.shape == (T,)
         assert np.all(small_trace.n_active[small_trace.qp_path == ""] == 0)

@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 
 import cgm
+import cgm.cgm_min
+import cgm.harness
 from cgm.cli import main as cli_main
 from cgm.harness import (
     GDA_ETA,
@@ -266,6 +268,84 @@ class TestRunExperiment:
         baselines = cgm.gda_eg_run(problem, GDA_ETA, 1.0 / problem.ell_F, horizon, x_star)
         for path, baseline in zip((gda_path, eg_path), baselines):
             expect_rows(path, {"iter": range(1, horizon + 1), "rel_err": baseline.rel_err})
+
+
+class TestSharedRuns:
+    """CGM-VI and CGM-Min on the varying schedule serve every horizon from one run."""
+
+    @pytest.mark.parametrize("problem, schedule, solver, horizons", [
+        ("rap", "constant", "cgm_min_run", [30, 60, 45]),
+        ("rap", "varying", "cgm_min_run", [60]),
+        ("hbg", "constant", "cgm_vi_run", [60]),
+    ])
+    def test_cgm_runs_per_experiment(self, tmp_path, monkeypatch, problem, schedule, solver,
+                                     horizons):
+        ran, real = [], getattr(cgm.harness, solver)
+
+        def counted(problem, config, *args):
+            ran.append(config.horizon)
+            return real(problem, config, *args)
+
+        monkeypatch.setattr(f"cgm.harness.{solver}", counted)
+        config = ExperimentConfig(problem=problem, horizons=(30, 60, 45), d=8, seed=4,
+                                  schedule=schedule, out_dir=str(tmp_path))
+        run_experiment(config)
+        assert ran == horizons
+
+    @pytest.mark.parametrize("problem, schedule", [
+        ("rap", "varying"), ("rap", "constant"), ("hbg", "constant")])
+    def test_cells_equal_single_horizon_experiments(self, tmp_path, problem, schedule):
+        horizons = (30, 130, 1, 45) if schedule == "varying" else (30, 130, 45)
+        kwargs = dict(problem=problem, d=8, seed=4, schedule=schedule, check_bounds=True,
+                      run_baselines=problem == "hbg")
+        together = run_experiment(
+            ExperimentConfig(horizons=horizons, out_dir=str(tmp_path / "all"), **kwargs))
+        files = []
+        for horizon in horizons:
+            alone = run_experiment(ExperimentConfig(
+                horizons=(horizon,), out_dir=str(tmp_path / str(horizon)), **kwargs))
+            for path in alone["files"]:
+                files.append(str(tmp_path / "all" / Path(path).name))
+                columns = together["columns"][files[-1]]
+                assert list(columns) == list(alone["columns"][path])
+                for name, values in alone["columns"][path].items():
+                    assert columns[name].shape == values.shape
+                    if name != "wall_ms":
+                        assert columns[name].tobytes() == values.tobytes(), (path, name)
+                if path in alone["reports"]:
+                    report, expected = together["reports"][files[-1]], alone["reports"][path]
+                    assert report.csv_lines() == expected.csv_lines()
+        assert together["files"] == files
+
+    def test_failed_shared_run_leaves_the_shorter_cells(self, tmp_path, capsys, monkeypatch):
+        # the one run at T=20 turns non-finite at step 15: the T=10 cells are written as
+        # when each horizon ran alone, and the T=20 cell reports the step
+        problem = cgm.hbg_instantiate(3, 0.8, seed=42)
+        kappa = problem.ell_F / problem.mu
+        bad_eta = cgm.cgm_min.diminishing_steps(problem.mu, 16.0 * kappa**2, 20)[15]
+        real = cgm.cgm_min.cgm_step
+
+        def step(direction, constraints, x, alpha, eta):
+            x_next, v, diag = real(direction, constraints, x, alpha, eta)
+            return (np.full_like(x_next, np.nan) if eta == bad_eta else x_next), v, diag
+
+        argv = ["--problem", "hbg", "--d", "3", "--baselines", "--check-bounds"]
+        assert cli_main([*argv, "--iters", "10", "--out", str(tmp_path / "alone")]) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(cgm.cgm_min, "cgm_step", step)
+        assert cli_main([*argv, "--iters", "10,20", "--out", str(tmp_path / "shared")]) == 4
+        captured = capsys.readouterr()
+        assert captured.err == "error: cell 20 failed: iteration 15: non-finite iterate\n"
+        assert captured.out == ""
+        names = ["hbg_cgm_vi_T10.csv", "hbg_eg_T10.csv", "hbg_gda_T10.csv"]
+        assert sorted(p.name for p in (tmp_path / "shared").iterdir()) == names
+        for name in names:
+            shared, alone = (read_csv(tmp_path / d / name) for d in ("shared", "alone"))
+            assert shared.keys() == alone.keys()
+            for column in set(alone) - {"wall_ms"}:
+                np.testing.assert_array_equal(shared[column], alone[column])
+            shared, alone = ((tmp_path / d / name).read_text() for d in ("shared", "alone"))
+            assert shared.partition("certificate,")[1:] == alone.partition("certificate,")[1:]
 
 
 def test_outputs_get_the_mode_of_a_plain_write(tmp_path):

@@ -35,6 +35,7 @@ from cgm.problems import (
     hbg_operator,
     rap_generate,
 )
+from conftest import stepped_velocities
 
 
 def _check_oracle(name, lhs_arr, rhs_arr):
@@ -216,10 +217,10 @@ class TestCertify:
         assert report.constants["C1"] > 0
 
 
-def _certify_min_oracle(trace, problem, reference, f_star_unconstrained):
+def _certify_min_oracle(trace, vs, problem, reference, f_star_unconstrained):
     # certify_min's records and constants as they stood before the origin skip,
     # the blocked norms and the finite-point rule, with np.linalg.norm throughout
-    # and the per-point gradient norms of the rows
+    # and the per-point gradient norms of the rows; vs holds the run's velocities
     x_star, f_star = reference
     alpha, mu, ell_f = trace.alpha, problem.mu, problem.ell_f
     T, f0 = trace.horizon, trace.f_values[0]
@@ -233,7 +234,7 @@ def _certify_min_oracle(trace, problem, reference, f_star_unconstrained):
     l_g = max([1.0] * bool(rows.n_bounds) + [float(np.linalg.norm(w)) for w in rows.W]
               + [max(float(np.linalg.norm(g.gradient(x))) for x in trace.xs)
                  for g in rows.smooth])
-    v_norms = np.linalg.norm(trace.vs, axis=1)
+    v_norms = np.linalg.norm(vs, axis=1)
     records = [
         _check_oracle("per_iteration_contraction", resid[1:],
                       (1.0 - alpha * trace.etas) * resid[:-1]),
@@ -271,9 +272,10 @@ class TestCertifyMinAsBefore:
     def test_off_origin_row(self):
         problem, reference, floor = _off_origin_problem()
         assert not problem.constraints.smooth[0]._at_origin
-        trace = cgm_min_run(problem, MinSolverConfig(horizon=300), reference)
+        trace, vs = stepped_velocities(cgm_min_run, problem, MinSolverConfig(horizon=300),
+                                       reference)
         report = certify_min(trace, problem, reference, floor)
-        records, constants = _certify_min_oracle(trace, problem, reference, floor)
+        records, constants = _certify_min_oracle(trace, vs, problem, reference, floor)
         assert [repr(rec) for rec in report.records] == [repr(rec) for rec in records]
         assert repr(report.constants) == repr(constants)
         assert report.all_pass
@@ -282,7 +284,8 @@ class TestCertifyMinAsBefore:
         trace = min_trace_constant["trace"]
         reference = (rap_reference["x_star"], rap_reference["f_star"])
         report = certify_min(trace, rap_problem, reference, rap_floor)
-        records, constants = _certify_min_oracle(trace, rap_problem, reference, rap_floor)
+        records, constants = _certify_min_oracle(trace, min_trace_constant["vs"], rap_problem,
+                                                 reference, rap_floor)
         assert [repr(rec) for rec in report.records] == [repr(rec) for rec in records]
         assert repr(report.constants) == repr(constants)
 
@@ -388,12 +391,20 @@ NORM_COLUMNS = ["rap50-v_norms", "rap200-v_norms", "hbg-v_norms", "rap50-dist_x0
 
 
 @pytest.fixture(scope="module")
-def norm_columns(rap_runs, rap_reference, rap_floor, hbg_seed_runs, hbg_problem,
-                 hbg_equilibrium, baseline_traces, baseline_iterates, tmp_path_factory):
+def norm_columns(rap_runs, min_trace_constant, rap_reference, rap_floor, hbg_seed_runs,
+                 hbg_problem, hbg_equilibrium, baseline_traces, baseline_iterates,
+                 tmp_path_factory):
     """{NORM_COLUMNS entry: (column, rows, center, scale)}: each column is
-    ||x - center|| / scale over the rows x."""
-    (rap, rap_trace), (_, d200_trace) = rap_runs
-    (_, hbg_trace), *_ = hbg_seed_runs
+    ||x - center|| / scale over the rows x. The v_norms rows are recorded
+    velocities: min_trace_constant's, and those of fresh runs of rap_runs' d=200
+    and hbg_seed_runs' seed-0 configurations."""
+    (rap, rap_trace), (d200, d200_trace) = rap_runs
+    (hbg, hbg_trace), *_ = hbg_seed_runs
+    stepped = {
+        "rap50": (rap_trace, min_trace_constant["vs"]),
+        "rap200": stepped_velocities(cgm_min_run, d200, MinSolverConfig(300, "varying")),
+        "hbg": stepped_velocities(cgm_vi_run, hbg, VISolverConfig(horizon=1000)),
+    }
     x_star, ref_norm = hbg_equilibrium, float(np.linalg.norm(hbg_equilibrium))
     c2, check = [], metrics._check
 
@@ -412,8 +423,9 @@ def norm_columns(rap_runs, rap_reference, rap_floor, hbg_seed_runs, hbg_problem,
     vi_xs = cgm_vi_run(hbg_problem, VISolverConfig(horizon=300)).xs[1:]
     columns = {"cgm_vi-rel_err": (written["rel_err"], vi_xs, x_star, ref_norm),
                "certify_min-C2": (c2[0], rap_trace.xs, rap_reference["x_star"], 1.0)}
+    for label, (trace, vs) in stepped.items():
+        columns[f"{label}-v_norms"] = (trace.v_norms, vs, 0.0, 1.0)
     for label, trace in (("rap50", rap_trace), ("rap200", d200_trace), ("hbg", hbg_trace)):
-        columns[f"{label}-v_norms"] = (trace.v_norms, trace.vs, 0.0, 1.0)
         columns[f"{label}-dist_x0"] = (trace.dist_x0, trace.xs, trace.xs[0], 1.0)
     for label, trace in baseline_traces.items():
         columns[f"{label}-rel_err"] = (trace.rel_err, baseline_iterates[label][1:], x_star,

@@ -26,6 +26,7 @@ from cgm.qp import (
     kkt_residual_qp,
     project_velocity,
 )
+from conftest import stepped_velocities
 from exact_oracle import exact_projection, from_rows
 
 
@@ -989,7 +990,7 @@ def test_polytopes_round_tripped_through_dense_rows_keep_trajectories(monkeypatc
         ),
         "hbg": lambda: cgm_vi_run(hbg_instantiate(50, 0.8, seed=1), VISolverConfig(horizon=300)),
     }
-    direct = {name: run() for name, run in runs.items()}
+    direct = {name: stepped_velocities(run) for name, run in runs.items()}
     real = cgm.cgm_min.build_polytope
 
     def round_tripped(*args):
@@ -998,7 +999,8 @@ def test_polytopes_round_tripped_through_dense_rows_keep_trajectories(monkeypatc
 
     monkeypatch.setattr(cgm.cgm_min, "build_polytope", round_tripped)
     for name, run in runs.items():
-        trace = run()
-        assert trace.xs.tobytes() == direct[name].xs.tobytes(), name
-        assert trace.vs.tobytes() == direct[name].vs.tobytes(), name
-        np.testing.assert_array_equal(trace.qp_path, direct[name].qp_path, err_msg=name)
+        trace, vs = stepped_velocities(run)
+        direct_trace, direct_vs = direct[name]
+        assert trace.xs.tobytes() == direct_trace.xs.tobytes(), name
+        assert vs.tobytes() == direct_vs.tobytes(), name
+        np.testing.assert_array_equal(trace.qp_path, direct_trace.qp_path, err_msg=name)

@@ -1,5 +1,5 @@
 """The output comparison script: its CSV normalisation drops wall_ms and nothing else,
-and its trace check also reads the QP results the traces drop."""
+and its trace check also reads the velocities and QP results the traces drop."""
 
 import importlib.util
 import shutil
@@ -59,3 +59,21 @@ def test_trace_check_reads_the_qp_results_the_trace_drops(tmp_path):
     labels = ["hbg d=3 vi seed=0 T=50", "rap d=5 varying seed=0 T=50"]
     assert differences == [f"trace {label}: {name} differs"
                            for label in labels for name in ("qp_dual", "qp_iterations")]
+
+
+def test_trace_check_reads_every_step_velocity(tmp_path):
+    # a tree whose step returns -v, after stepping along v, keeps the iterates and
+    # the velocity norms; only the recorded velocities differ
+    script = _load_script()
+    script.TRACES = [("hbg", 3, "vi", [0], 50), ("rap", 5, "varying", [0], 50)]
+    changed = tmp_path / "src"
+    shutil.copytree(script.ROOT / "src" / "cgm", changed / "cgm",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    step = changed / "cgm" / "cgm_min.py"
+    text = step.read_text()
+    old = "return x + eta * v, v, diag"
+    assert text.count(old) == 1
+    step.write_text(text.replace(old, "return x + eta * v, -v, diag"))
+    differences = script.compare_traces(script.ROOT / "src", changed)
+    labels = ["hbg d=3 vi seed=0 T=50", "rap d=5 varying seed=0 T=50"]
+    assert differences == [f"trace {label}: step_v differs" for label in labels]
