@@ -20,7 +20,11 @@ and compares a sha256 digest of every ``CgmTrace`` array except ``wall_s``
 step's velocity ``v`` (``step_v``), read by wrapping ``cgm.cgm_min.cgm_step``,
 and every projection's ``dual`` (``qp_dual``) and ``iterations``
 (``qp_iterations``), read by wrapping ``cgm.cgm_min.project_velocity``; the CGM
-step of both solvers calls both.
+step of both solvers calls both. No QP of those runs takes the ``gi`` fallback,
+so the same interpreter also projects a random target onto each GI_POLYTOPES
+polytope, built from seeded ``VelocityPolytope`` inputs that send
+``project_velocity`` to the fallback, and compares a digest of each group's
+``v`` and ``dual`` and the list of paths taken.
 Every difference is printed; the exit code is 1 when there is one, else 0.
 """
 
@@ -60,6 +64,18 @@ TRACES = [
     ("rap", 200, "varying", [0, 1], 200),
     ("hbg", 50, "vi", list(range(4)), 1000),
 ]
+# (kind, n, general rows, bound rows, seeds): polytopes whose projection takes the
+# gi fallback. "wide" has more rows than coordinates, "duplicate" and
+# "near-parallel" repeat the first two rows exactly or to 1e-7.
+GI_POLYTOPES = [
+    ("wide", 3, 6, 2, [0, 2, 3, 6, 7, 16]),
+    ("wide", 10, 14, 4, [2, 4, 5, 6, 8, 9]),
+    ("wide", 50, 60, 10, [21, 22, 29, 38, 45, 48]),
+    ("duplicate", 5, 3, 2, [0, 1, 2, 3, 4, 5]),
+    ("duplicate", 50, 40, 10, [0, 1, 2, 3, 4, 5]),
+    ("near-parallel", 5, 3, 0, [0, 4, 5, 7, 11, 16]),
+    ("near-parallel", 50, 3, 16, [0, 1, 7, 10, 21, 25]),
+]
 CLI_CHILD = """
 import sys
 sys.path.insert(0, sys.argv[1])
@@ -72,6 +88,7 @@ import numpy as np
 sys.path.insert(0, sys.argv[1])
 import cgm
 import cgm.cgm_min
+import cgm.qp
 
 def digest(array):
     head = f"{array.dtype.str}{array.shape}".encode()
@@ -107,6 +124,28 @@ for family, d, schedule, seeds, horizon in json.loads(sys.argv[2]):
             "step_v": step_v.hexdigest(), "qp_dual": qp_dual.hexdigest(),
             "qp_iterations": digest(np.array(qp_iterations)),
         }
+
+def gi_instance(kind, n, m, s, seed):
+    rng = np.random.default_rng(seed)
+    g, h = rng.standard_normal((m, n)), rng.standard_normal(m)
+    if kind == "duplicate":
+        g, h = np.vstack((g, g[:2])), np.append(h, h[:2])
+    elif kind == "near-parallel":
+        g = np.vstack((g, g[:2] + 1e-7 * rng.standard_normal((2, n))))
+        h = np.append(h, h[:2] + 1e-7 * rng.standard_normal(2))
+    bound_idx = np.sort(rng.choice(n, size=s, replace=False))
+    polytope = cgm.qp.VelocityPolytope(g, h, bound_idx, -rng.random(s))
+    return 3.0 * rng.standard_normal(n), polytope
+
+for kind, n, m, s, seeds in json.loads(sys.argv[3]):
+    v, dual, paths = hashlib.sha256(), hashlib.sha256(), []
+    for seed in seeds:
+        result = project_velocity(*gi_instance(kind, n, m, s, seed))
+        v.update(digest(result.v).encode())
+        dual.update(digest(result.dual).encode())
+        paths.append(result.path)
+    digests[f"gi {kind} n={n} m={m} s={s}"] = {
+        "v": v.hexdigest(), "dual": dual.hexdigest(), "path": " ".join(paths)}
 print(json.dumps(digests))
 """
 
@@ -151,9 +190,10 @@ def run_cli(src, argv, out_dir):
 
 
 def trace_digests(src):
-    """{run label: {trace array or QP field name: sha256}} of the TRACES runs of the tree src."""
+    """{run label: {trace array or QP field name: sha256}} of the TRACES runs of the tree src,
+    and {group label: {"v" or "dual": sha256, "path": paths}} of its GI_POLYTOPES projections."""
     done = subprocess.run(
-        [sys.executable, "-c", TRACE_CHILD, str(src), json.dumps(TRACES)],
+        [sys.executable, "-c", TRACE_CHILD, str(src), json.dumps(TRACES), json.dumps(GI_POLYTOPES)],
         capture_output=True, text=True, env=_child_env(), check=True,
     )
     return json.loads(done.stdout)
@@ -181,7 +221,8 @@ def compare_cli(parent_src, src, tmp):
 
 
 def compare_traces(parent_src, src):
-    """The differences, as printable lines, over every array of every TRACES run."""
+    """The differences, as printable lines, over every array of every TRACES run
+    and every digest of every GI_POLYTOPES group."""
     parent, change = trace_digests(parent_src), trace_digests(src)
     differences = []
     for label in sorted(parent.keys() | change.keys()):
@@ -190,7 +231,9 @@ def compare_traces(parent_src, src):
             f"trace {label}: {name} differs" for name in sorted(old.keys() | new.keys())
             if old.get(name) != new.get(name)
         )
-    print(f"{len(change)} traces, {sum(map(len, change.values()))} arrays compared")
+    groups = sum(label.startswith("gi ") for label in change)
+    print(f"{len(change) - groups} traces and {groups} fallback groups, "
+          f"{sum(map(len, change.values()))} digests compared")
     return differences
 
 

@@ -57,7 +57,7 @@ def ergodic_average(trace, T):
 
     einsum adds the products w_t x_t into each coordinate in t order, as
     (w[:, None] * xs).sum(axis=0) does, so the two agree bitwise; it skips the
-    (T, n) temporary. gemv (w @ xs) sums in another order."""
+    (T, n) temporary. gemv w.dot(xs) sums in another order."""
     if T < 1 or trace.xs.shape[0] < T:
         raise ValueError("trace holds fewer than T iterates")
     w = np.arange(T) + 16.0 * trace.kappa**2 - 1.0
@@ -72,7 +72,7 @@ def cgm_vi_run(problem, config):
     iteration index.
     """
     f0 = problem.op_F(problem.x0)
-    norm_f0_sq = float(f0 @ f0)
+    norm_f0_sq = float(f0.dot(f0))
     tight = delta_default(norm_f0_sq, problem.B, problem.diameter_D, problem.ell_F)
     delta = tight if config.delta is None else config.delta
     if not delta >= tight:

@@ -33,10 +33,10 @@ def by_row_blocks(fn, xs):
 
 
 def row_dots(a, b):
-    """a[..., i, :] @ b[..., i, :] per row, bitwise the 1-D product of the two rows.
+    """a[..., i, :].dot(b[..., i, :]) per row, bitwise the 1-D product of the two rows.
 
-    A stacked (1, n) @ (n, 1) matmul takes the 1-D dot path; einsum does not
-    and differs in the last bit.
+    A stacked (1, n) by (n, 1) np.matmul takes the 1-D dot path; einsum does not
+    and differs in the last bit, and .dot on a stack is a tensordot.
     """
     return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
@@ -92,19 +92,19 @@ class QuadraticRow:
 
     def value(self, x):
         diff = x if self._at_origin else x - self.center
-        return float(diff @ diff if self.Q is None else diff @ self.Q @ diff) - self.r
+        return float(diff.dot(diff) if self.Q is None else diff.dot(self.Q).dot(diff)) - self.r
 
     def gradient(self, x):
         diff = x if self._at_origin else x - self.center
-        return 2.0 * (diff if self.Q is None else self.Q @ diff)
+        return 2.0 * (diff if self.Q is None else self.Q.dot(diff))
 
     def grad_norm_bound(self, xs):
         """max ||gradient(x)|| over the rows x of xs, equal to the per-point loop."""
 
         def batched(block):
-            # half the gradients (Q is symmetric, so a row's half is diff @ Q); x2 is exact
+            # half the gradients (Q is symmetric, so a row's half is diff Q); x2 is exact
             diff = block if self._at_origin else block - self.center
-            return 2.0 * _block_norms(diff if self.Q is None else diff @ self.Q)
+            return 2.0 * _block_norms(diff if self.Q is None else diff.dot(self.Q))
 
         with np.errstate(over="ignore"):  # once per call, as in row_norms
             norms = by_row_blocks(batched, xs)
@@ -188,8 +188,8 @@ class ConstraintSet:
 
     For x in R^n with n = W.shape[1], row i < n_bounds is -x_i, the next
     W.shape[0] rows are w_j . x + c_j, and the last rows are the QuadraticRows
-    in `smooth`. The affine rows are one stacked (1, n) @ (n, 1) product, each
-    row's own dot routine (gemv W @ x is not), so values(x) matches the per-row
+    in `smooth`. The affine rows are one stacked (1, n) by (n, 1) np.matmul, each
+    row's own dot routine (gemv W.dot(x) is not), so values(x) matches the per-row
     arithmetic bit for bit and no row on the feasibility boundary flips.
     W and c must be finite. An affine row's gradient does not depend on x, so
     _polytopes keeps the first velocity polytope cgm_min.build_polytope made
@@ -297,14 +297,14 @@ def rap_generate(d, seed=42):
     rng = np.random.default_rng(seed)
     g1 = rng.standard_normal((d, 10))
     g2 = rng.standard_normal((d, 10))
-    sigma = g1 @ g1.T + 5.0 * np.eye(d)
-    e_mat = g2 @ g2.T + 10.0 * np.eye(d)
+    sigma = g1.dot(g1.T) + 5.0 * np.eye(d)
+    e_mat = g2.dot(g2.T) + 10.0 * np.eye(d)
     sigma_bar = float(np.mean(np.sqrt(np.diag(sigma))))
     u = rng.random(d)
     a = sigma_bar * u
     r = np.abs(rng.standard_normal(d)) + 0.1
     rmax = float(np.mean(r))
-    emax = float(np.ones(d) @ e_mat @ np.ones(d)) / d**2
+    emax = float(np.ones(d).dot(e_mat).dot(np.ones(d))) / d**2
     data = RapData(Sigma=sigma, a=a, r=r, E=e_mat, Rmax=rmax, Emax=emax)
 
     eigs = np.linalg.eigvalsh(sigma)
@@ -312,13 +312,14 @@ def rap_generate(d, seed=42):
     ell_f = float(eigs[-1])
 
     def value_f(x, sigma=sigma, a=a):
-        # one (1, d) @ (d, d) and one (1, d) @ (d, 1) product per point, the
-        # per-point arithmetic on a stack too (gemm xs @ sigma is not)
+        # one (1, d) by (d, d) and one (1, d) by (d, 1) np.matmul per point, the
+        # per-point arithmetic on a stack too (gemm xs.dot(sigma) is not)
         row = x[..., None, :]
-        return 0.5 * (row @ sigma @ x[..., :, None])[..., 0, 0] + (row @ a[:, None])[..., 0, 0]
+        quad = np.matmul(np.matmul(row, sigma), x[..., :, None])
+        return 0.5 * quad[..., 0, 0] + np.matmul(row, a[:, None])[..., 0, 0]
 
     def grad_f(x, sigma=sigma, a=a):
-        return sigma @ x + a
+        return sigma.dot(x) + a
 
     x0 = np.full(d, 1.0 / d)
     return MinProblem(
@@ -341,7 +342,7 @@ def rap_unconstrained_min(data):
         raise SingularMatrix("Sigma factorization failed") from exc
     y = np.linalg.solve(chol, -data.a)
     x_star = np.linalg.solve(chol.T, y)
-    f_star = 0.5 * float(data.a @ x_star)  # equals -a'Sigma^{-1}a / 2
+    f_star = 0.5 * float(data.a.dot(x_star))  # equals -a'Sigma^{-1}a / 2
     return x_star, f_star
 
 

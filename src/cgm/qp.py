@@ -115,7 +115,7 @@ class VelocityPolytope:
 
     @cached_property
     def gram(self):
-        gram = self.g @ self.g.T
+        gram = self.g.dot(self.g.T)
         gram.flags.writeable = False  # shared by every polytope with_rhs makes
         return gram
 
@@ -155,7 +155,7 @@ def _certified(c, polytope, v, dual, path, iterations=0, g_dual=None, slack=None
     """
     bounds, s = polytope.bound_idx, polytope.bound_idx.size
     if g_dual is None:
-        g_dual, slack = polytope.g.T @ dual[s:], polytope.g @ v - polytope.h
+        g_dual, slack = polytope.g.T.dot(dual[s:]), polytope.g.dot(v) - polytope.h
     gradient = v + c + g_dual
     duals, slacks, n_active = dual, slack.tolist(), 0
     if clamp is not None:
@@ -197,10 +197,10 @@ def _on_rows(c, rows, b):
     ROUNDOFF on its scale, on either side, the least-norm shift and lam are
     taken from the rows themselves.
     """
-    rhs = -rows @ c - b
-    lam = np.linalg.lstsq(rows @ rows.T, rhs, rcond=None)[0]
-    shift = rows.T @ lam
-    slack = rows @ (-c - shift) - b
+    rhs = (-rows).dot(c) - b  # -(rows.dot(c)) would turn a +0.0 sum into -0.0
+    lam = np.linalg.lstsq(rows.dot(rows.T), rhs, rcond=None)[0]
+    shift = rows.T.dot(lam)
+    slack = rows.dot(-c - shift) - b
     if rows.shape[0] <= rows.shape[1] and (
             np.abs(slack) > ROUNDOFF * _row_scale(c, rows, b)).any():
         shift = np.linalg.lstsq(rows, rhs, rcond=None)[0]
@@ -248,12 +248,12 @@ def _active_set(c, polytope, gate, u, gu):
     active, g_active, h_active = None, g, h  # None: every row, so no copies
     for iteration in range(1, ACTIVE_SET_ITERATIONS + 1):
         if s:
-            gram = (g_active * free) @ g_active.T
-            rhs = g_active @ z - h_active
+            gram = (g_active * free).dot(g_active.T)
+            rhs = g_active.dot(z) - h_active
         elif active is None:
-            gram, rhs = polytope.gram, (g @ u if gu is None else gu) - h
+            gram, rhs = polytope.gram, (g.dot(u) if gu is None else gu) - h
         else:
-            gram, rhs = g_active @ g_active.T, g_active @ u - h_active
+            gram, rhs = g_active.dot(g_active.T), g_active.dot(u) - h_active
         if active is None:
             mu = _solve(gram, rhs)
         else:
@@ -262,10 +262,10 @@ def _active_set(c, polytope, gate, u, gu):
         mus = mu.tolist()
         if not all(map(math.isfinite, mus)):
             return None
-        g_mu = g.T @ mu
+        g_mu = g.T.dot(mu)
         w = u - g_mu
         v = np.maximum(w, floor) if s else w
-        slack = g @ v - h
+        slack = g.dot(v) - h
         slacks = slack.tolist()
         if min(mus, default=0.0) >= 0 and all(t <= gate for t in slacks):  # NaN fails
             clamp = v - w if s else None  # the bound duals, and +0.0 where v == w
@@ -309,7 +309,7 @@ def _goldfarb_idnani(c, polytope):
     v, lam, active, p = -c, np.zeros(keep.size), [], None
     q, r_inv = np.zeros((c.size, 0)), np.zeros((0, 0))  # a[active].T = q @ inv(r_inv)
     for step in range(10 * keep.size + 1):
-        slack = a @ v - b
+        slack = a.dot(v) - b
         slack[active] = -np.inf
         if p is None:
             p = int(slack.argmax())
@@ -319,10 +319,10 @@ def _goldfarb_idnani(c, polytope):
                 dual = np.zeros(s + polytope.h.size)
                 dual[keep] = lam
                 return _certified(c, polytope, -c - shift, dual, "gi", step)
-        d = q.T @ a[p]
-        z, r = a[p] - q @ d, r_inv @ d
+        d = q.T.dot(a[p])
+        z, r = a[p] - q.dot(d), r_inv.dot(d)
         norm_z = np.linalg.norm(z)
-        full = slack[p] / (z @ z) if norm_z > KKT_TOL * norms[p] else np.inf
+        full = slack[p] / z.dot(z) if norm_z > KKT_TOL * norms[p] else np.inf
         ratios = np.append(np.where(r > 0, lam[active] / np.where(r > 0, r, 1.0), np.inf), np.inf)
         k = int(ratios.argmin())
         t = min(full, ratios[k])
@@ -363,10 +363,10 @@ def project_velocity(target, polytope):
     # violated bounds skip g u; count_nonzero, unlike ndarray.all, has no Python wrapper
     if not bounds.size or np.count_nonzero(u[bounds] >= polytope.floor) == bounds.size:
         if polytope.all_kept:
-            gu = g_u = polytope.g @ u  # the active set's first iteration reuses it
+            gu = g_u = polytope.g.dot(u)  # the active set's first iteration reuses it
             h = polytope.h
         else:
-            g_u, h = polytope.g[polytope.kept] @ u, polytope.h[polytope.kept]
+            g_u, h = polytope.g[polytope.kept].dot(u), polytope.h[polytope.kept]
         if all(map(operator.le, g_u.tolist(), h.tolist())):  # NaN fails
             return _certified(c, polytope, u, np.zeros(bounds.size + polytope.h.size), "direct")
 

@@ -49,8 +49,8 @@ class KktCertificate:
 
 def _rows(data, x):
     """Values [1'x - 1, r'x - Rmax, x'Ex - Emax] and their (3, d) Jacobian [1; r; 2Ex]."""
-    ex = data.E @ x
-    values = np.array([np.sum(x) - 1.0, data.r @ x - data.Rmax, x @ ex - data.Emax])
+    ex = data.E.dot(x)
+    values = np.array([np.sum(x) - 1.0, data.r.dot(x) - data.Rmax, x.dot(ex) - data.Emax])
     return values, np.vstack([np.ones(x.size), data.r, 2.0 * ex])
 
 
@@ -66,7 +66,7 @@ def kkt_residual(data, x, multipliers):
         raise ValueError("multiplier vector sized to constraints expected")
     values, jac = _rows(data, x)
     g_vals = np.concatenate([-x, values[1:]])
-    stat = data.Sigma @ x + data.a - lam[:d] + jac.T @ np.append(nu, lam[d:])
+    stat = data.Sigma.dot(x) + data.a - lam[:d] + jac.T.dot(np.append(nu, lam[d:]))
     return KktCertificate(
         stationarity_norm=float(np.linalg.norm(stat)),
         max_primal_violation=max(0.0, float(np.max(g_vals))),
@@ -97,7 +97,7 @@ def _polish_active_set(data, x):
     mult = np.zeros(3)
     for _ in range(50):
         values, jac = _rows(data, x)
-        grad = data.Sigma @ x + data.a + jac.T @ mult
+        grad = data.Sigma.dot(x) + data.a + jac.T.dot(mult)
         hess = (data.Sigma + 2.0 * mult[2] * data.E)[np.ix_(free, free)]
         jac_t = jac[np.ix_(tight, free)]
         kkt = np.block([[hess, jac_t.T], [jac_t, np.zeros((jac_t.shape[0],) * 2)]])
@@ -150,11 +150,11 @@ def solve_rap_reference(data):
     for iteration in range(MAX_ITERATIONS):
         values, jac = _rows(data, x)
         r_eq, r_ineq, jac = values[0], values[1:] + s, jac[1:]
-        grad = data.Sigma @ x + data.a + y
-        gap = x @ z + s @ w
+        grad = data.Sigma.dot(x) + data.a + y
+        gap = x.dot(z) + s.dot(w)
         mu = gap / (d + 2)
         residual = max(
-            float(np.max(np.abs(grad - z + jac.T @ w))), abs(r_eq), float(np.max(np.abs(r_ineq)))
+            float(np.max(np.abs(grad - z + jac.T.dot(w)))), abs(r_eq), float(np.max(np.abs(r_ineq)))
         )
         if gap <= POLISH_GAP and residual <= POLISH_GAP:
             polished = _polish_active_set(data, x)
@@ -164,7 +164,8 @@ def solve_rap_reference(data):
                 x_star, multipliers = polished
                 cert = kkt_residual(data, x_star, multipliers)
                 if cert.ok:
-                    f_star = 0.5 * float(x_star @ data.Sigma @ x_star) + float(data.a @ x_star)
+                    f_star = (0.5 * float(x_star.dot(data.Sigma).dot(x_star))
+                              + float(data.a.dot(x_star)))
                     return x_star, f_star, cert
                 cause = f"certificate residual {cert.residual:.1e}"
             logger.debug("iteration %d, mu %.1e: polish rejected (%s)", iteration, mu, cause)
@@ -174,17 +175,17 @@ def solve_rap_reference(data):
                     f"(mu {mu:.1e}) after {iteration} iterations"
                 )
 
-        kkt[:d, :d] = data.Sigma + 2.0 * w[1] * data.E + np.diag(z / x) + jac.T @ (
+        kkt[:d, :d] = data.Sigma + 2.0 * w[1] * data.E + np.diag(z / x) + jac.T.dot(
             (w / s)[:, None] * jac
         )
 
         def direction(target_xz, target_sw):
             # Newton step toward x*z = target_xz, s*w = target_sw with the
             # dual, equality and slack residuals driven to zero
-            rhs = -grad + target_xz / x - jac.T @ (target_sw / s + w / s * r_ineq)
+            rhs = -grad + target_xz / x - jac.T.dot(target_sw / s + w / s * r_ineq)
             sol = np.linalg.solve(kkt, np.append(rhs, -r_eq))
             dx = sol[:d]
-            ds = -r_ineq - jac @ dx
+            ds = -r_ineq - jac.dot(dx)
             dz = target_xz / x - z - z / x * dx
             dw = target_sw / s - w - w / s * ds
             return dx, ds, dz, dw, sol[d]
@@ -193,8 +194,8 @@ def solve_rap_reference(data):
         step_primal = min(1.0, _max_step((x, dx), (s, ds)))
         step_dual = min(1.0, _max_step((z, dz), (w, dw)))
         mu_affine = (
-            (x + step_primal * dx) @ (z + step_dual * dz)
-            + (s + step_primal * ds) @ (w + step_dual * dw)
+            (x + step_primal * dx).dot(z + step_dual * dz)
+            + (s + step_primal * ds).dot(w + step_dual * dw)
         ) / (d + 2)
         sigma_mu = (mu_affine / mu) ** 3 * mu
         dx, ds, dz, dw, dy = direction(sigma_mu - dx * dz, sigma_mu - ds * dw)

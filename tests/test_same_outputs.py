@@ -42,7 +42,8 @@ def test_drop_column_keeps_every_other_column_and_the_certificates(tmp_path):
 
 def test_trace_check_reads_the_qp_results_the_trace_drops(tmp_path):
     # a tree whose projections report other iteration counts and duals, with the
-    # same iterates, differs from this one in the two QP digests and nowhere else
+    # same iterates, differs from this one in the two QP digests and, on the
+    # fallback groups, in the duals, and nowhere else
     script = _load_script()
     script.TRACES = [("hbg", 3, "vi", [0], 50), ("rap", 5, "varying", [0], 50)]
     changed = tmp_path / "src"
@@ -57,8 +58,10 @@ def test_trace_check_reads_the_qp_results_the_trace_drops(tmp_path):
     qp.write_text(text)
     differences = script.compare_traces(script.ROOT / "src", changed)
     labels = ["hbg d=3 vi seed=0 T=50", "rap d=5 varying seed=0 T=50"]
-    assert differences == [f"trace {label}: {name} differs"
-                           for label in labels for name in ("qp_dual", "qp_iterations")]
+    groups = sorted(f"gi {kind} n={n} m={m} s={s}" for kind, n, m, s, _ in script.GI_POLYTOPES)
+    assert differences == [f"trace {label}: dual differs" for label in groups] + [
+        f"trace {label}: {name} differs"
+        for label in labels for name in ("qp_dual", "qp_iterations")]
 
 
 def test_trace_check_reads_every_step_velocity(tmp_path):
@@ -77,3 +80,24 @@ def test_trace_check_reads_every_step_velocity(tmp_path):
     differences = script.compare_traces(script.ROOT / "src", changed)
     labels = ["hbg d=3 vi seed=0 T=50", "rap d=5 varying seed=0 T=50"]
     assert differences == [f"trace {label}: step_v differs" for label in labels]
+
+
+def test_fallback_check_reads_every_gi_projection(tmp_path):
+    # every GI_POLYTOPES projection takes the fallback, which no trace QP does: a
+    # tree whose fallback shifts v by an ulp differs in the fallback groups' v only
+    script = _load_script()
+    script.TRACES = [("hbg", 3, "vi", [0], 50), ("rap", 5, "varying", [0], 50)]
+    digests = script.trace_digests(script.ROOT / "src")
+    labels = [f"gi {kind} n={n} m={m} s={s}" for kind, n, m, s, _ in script.GI_POLYTOPES]
+    for label, (*_, seeds) in zip(labels, script.GI_POLYTOPES):
+        assert digests[label]["path"] == " ".join(["gi"] * len(seeds))
+    changed = tmp_path / "src"
+    shutil.copytree(script.ROOT / "src" / "cgm", changed / "cgm",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    qp = changed / "cgm" / "qp.py"
+    text = qp.read_text()
+    old = "    return lam, shift\n"
+    assert text.count(old) == 1
+    qp.write_text(text.replace(old, "    return lam, shift * (1.0 + 2.0**-52)\n"))
+    differences = script.compare_traces(script.ROOT / "src", changed)
+    assert differences == [f"trace {label}: v differs" for label in sorted(labels)]
